@@ -168,45 +168,36 @@ def _ols_raw(x, y):
     return np.concatenate([beta, [0.5 * np.log(sigma_sq)]])
 
 
-def _logistic_mle(x, y):
+def _newton(x, weights):
+    # Capped Newton iterations from zero for a likelihood whose score is
+    # x' r and whose negative Hessian is x' diag(w) x, where
+    # (r, w) = weights(x @ beta).
     beta = np.zeros(x.shape[1])
-    warning = None
     for _ in range(_NEWTON_CAP):
-        z = x @ beta
-        p = special.expit(z)
-        w = p * (1.0 - p)
-        grad = x.T @ (y - p)
-        hess = (x * w[:, None]).T @ x
-        step = _solve(hess, grad)
+        r, w = weights(x @ beta)
+        step = _solve((x * w[:, None]).T @ x, x.T @ r)
         beta = beta + step
         if np.linalg.norm(beta) > _DIVERGENCE_NORM:
-            warning = "not_converged"
-            break
+            return beta, "not_converged"
         if np.linalg.norm(step) < 1e-10:
-            break
-    else:
-        warning = "not_converged"
-    return beta, warning
+            return beta, None
+    return beta, "not_converged"
+
+
+def _logistic_mle(x, y):
+    def weights(z):
+        p = special.expit(z)
+        return y - p, p * (1.0 - p)
+
+    return _newton(x, weights)
 
 
 def _poisson_mle(x, y):
-    beta = np.zeros(x.shape[1])
-    warning = None
-    for _ in range(_NEWTON_CAP):
-        z = np.clip(x @ beta, -30.0, 30.0)
-        rate = np.exp(z)
-        grad = x.T @ (y - rate)
-        hess = (x * rate[:, None]).T @ x
-        step = _solve(hess, grad)
-        beta = beta + step
-        if np.linalg.norm(beta) > _DIVERGENCE_NORM:
-            warning = "not_converged"
-            break
-        if np.linalg.norm(step) < 1e-10:
-            break
-    else:
-        warning = "not_converged"
-    return beta, warning
+    def weights(z):
+        rate = np.exp(np.clip(z, -30.0, 30.0))
+        return y - rate, rate
+
+    return _newton(x, weights)
 
 
 def _gamma_mle(x, y):
@@ -248,25 +239,14 @@ def _gamma_mle(x, y):
 
 
 def _probit_mle(x, y2):
-    gamma = np.zeros(x.shape[1])
-    warning = None
     sign = np.where(y2 > 0, 1.0, -1.0)
-    for _ in range(_NEWTON_CAP):
-        a = sign * (x @ gamma)
+
+    def weights(z):
+        a = sign * z
         mills = _inverse_mills(a)
-        grad = x.T @ (sign * mills)
-        w = mills * (mills + a)
-        hess = (x * w[:, None]).T @ x
-        step = _solve(hess, grad)
-        gamma = gamma + step
-        if np.linalg.norm(gamma) > _DIVERGENCE_NORM:
-            warning = "not_converged"
-            break
-        if np.linalg.norm(step) < 1e-10:
-            break
-    else:
-        warning = "not_converged"
-    return gamma, warning
+        return sign * mills, mills * (mills + a)
+
+    return _newton(x, weights)
 
 
 def _heckman_two_step(family, x, y):

@@ -21,7 +21,15 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .kernels import elementwise, gram
-from .objective import _dataset_for, _require_product, _resolve_mode, _y_kernel
+from .objective import (
+    _dataset_for,
+    _require_product,
+    _resolve_mode,
+    _resolve_rng,
+    _single_row,
+    _tile_obs,
+    _y_kernel,
+)
 
 
 @dataclass(frozen=True)
@@ -32,31 +40,6 @@ class GradValue:
     mode: str
 
 
-def _resolve_rng(rng, seed):
-    if rng is not None:
-        return rng
-    if seed is not None:
-        return np.random.default_rng(np.random.SeedSequence(seed))
-    return np.random.default_rng()
-
-
-def _single_row(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError("expected a single covariate row")
-    return x
-
-
-def _tile_obs(family, y, count):
-    if family.kind == "censored":
-        return np.repeat(np.asarray(y, dtype=float).reshape(1, 2), count, axis=0)
-    return np.full(count, float(np.asarray(y)))
-
-
-def _ky(spec, a, b):
-    return elementwise(spec, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def grad_tilde(family, theta, x, y, kernel, *, mode=None, budget=100, rng=None, seed=None):
     """Gradient of the diagonal loss at one observation.
 
@@ -65,23 +48,22 @@ def grad_tilde(family, theta, x, y, kernel, *, mode=None, budget=100, rng=None, 
     """
     mode = _resolve_mode(family, mode)
     ky = _y_kernel(kernel)
-    x = _single_row(x)
-    xrow = x.reshape(1, -1)
-    theta = np.asarray(theta, dtype=float)
+    xrow = _single_row(x).reshape(1, -1)
+    theta = family.check_theta(theta)
     if mode == "exact":
         values, probs = family.support(theta, xrow)
         p = probs[0]
         k = values.shape[0]
         scores = family.grad_log_density(theta, np.repeat(xrow, k, axis=0), values)
         kyy = gram(ky, values, values)
-        kdata = gram(ky, values, np.asarray([y], dtype=float))[:, 0]
+        kdata = gram(ky, values, _tile_obs(family, y, 1))[:, 0]
         w = kyy @ p - kdata
         return GradValue(2.0 * ((p * w) @ scores), "exact")
     rng = _resolve_rng(rng, seed)
     ya = family.sample(theta, xrow, rng, n=budget)
     yb = family.sample(theta, xrow, rng, n=budget)
     scores = family.grad_log_density(theta, np.repeat(xrow, budget, axis=0), ya)
-    w = _ky(ky, ya, yb) - _ky(ky, ya, _tile_obs(family, y, budget))
+    w = elementwise(ky, ya, yb) - elementwise(ky, ya, _tile_obs(family, y, budget))
     return GradValue(2.0 * (w @ scores) / budget, "mc")
 
 
@@ -98,7 +80,7 @@ def grad_hat_one_sided(family, theta, x, x_other, y_other, kernel, *, mode=None,
     ky = kernel.y_kernel
     x = _single_row(x)
     x_other = _single_row(x_other)
-    theta = np.asarray(theta, dtype=float)
+    theta = family.check_theta(theta)
     kx = float(gram(kernel.x_kernel, x.reshape(1, -1), x_other.reshape(1, -1))[0, 0])
     if mode == "exact":
         values, probs = family.support(theta, np.vstack([x, x_other]))
@@ -106,14 +88,14 @@ def grad_hat_one_sided(family, theta, x, x_other, y_other, kernel, *, mode=None,
         k = values.shape[0]
         scores = family.grad_log_density(theta, np.repeat(x.reshape(1, -1), k, axis=0), values)
         kyy = gram(ky, values, values)
-        kdata = gram(ky, values, np.asarray([y_other], dtype=float))[:, 0]
+        kdata = gram(ky, values, _tile_obs(family, y_other, 1))[:, 0]
         w = kyy @ q - kdata
         return GradValue(2.0 * kx * ((p * w) @ scores), "exact")
     rng = _resolve_rng(rng, seed)
     ya = family.sample(theta, x.reshape(1, -1), rng, n=budget)
     yb = family.sample(theta, x_other.reshape(1, -1), rng, n=budget)
     scores = family.grad_log_density(theta, np.repeat(x.reshape(1, -1), budget, axis=0), ya)
-    w = _ky(ky, ya, yb) - _ky(ky, ya, _tile_obs(family, y_other, budget))
+    w = elementwise(ky, ya, yb) - elementwise(ky, ya, _tile_obs(family, y_other, budget))
     return GradValue(2.0 * kx * (w @ scores) / budget, "mc")
 
 
@@ -134,15 +116,15 @@ def grad_hat_pair(family, theta, x_a, y_a, x_b, y_b, kernel, *, mode=None, budge
     ky = kernel.y_kernel
     x_a = _single_row(x_a)
     x_b = _single_row(x_b)
-    theta = np.asarray(theta, dtype=float)
+    theta = family.check_theta(theta)
     kx = float(gram(kernel.x_kernel, x_a.reshape(1, -1), x_b.reshape(1, -1))[0, 0])
     rng = _resolve_rng(rng, seed)
     ya = family.sample(theta, x_a.reshape(1, -1), rng, n=budget)
     yb = family.sample(theta, x_b.reshape(1, -1), rng, n=budget)
     s_a = family.grad_log_density(theta, np.repeat(x_a.reshape(1, -1), budget, axis=0), ya)
     s_b = family.grad_log_density(theta, np.repeat(x_b.reshape(1, -1), budget, axis=0), yb)
-    w_ab = _ky(ky, ya, yb) - _ky(ky, ya, _tile_obs(family, y_b, budget))
-    w_ba = _ky(ky, yb, ya) - _ky(ky, yb, _tile_obs(family, y_a, budget))
+    w_ab = elementwise(ky, ya, yb) - elementwise(ky, ya, _tile_obs(family, y_b, budget))
+    w_ba = elementwise(ky, yb, ya) - elementwise(ky, yb, _tile_obs(family, y_a, budget))
     one = 2.0 * kx * (w_ab @ s_a) / budget
     two = 2.0 * kx * (w_ba @ s_b) / budget
     return GradValue(0.5 * (one + two), "mc")
@@ -305,7 +287,7 @@ def grad_objective_estimate(
         GradValue with the summed gradient, shape ``(raw_dim,)``.
     """
     dataset = _dataset_for(family, dataset)
-    theta = np.asarray(theta, dtype=float)
+    theta = family.check_theta(theta)
     if not (isinstance(pairs, (int, np.integer)) and pairs >= 1):
         raise ConfigError("pairs must be a positive integer")
     if estimator not in ("tilde", "hat"):
@@ -333,13 +315,13 @@ def grad_objective_estimate(
         ya = family.sample(theta, x, rng_draws)
         yb = family.sample(theta, x, rng_draws)
         scores = family.grad_log_density(theta, x, ya)
-        w = _ky(ky, ya, yb) - _ky(ky, ya, yobs)
+        w = elementwise(ky, ya, yb) - elementwise(ky, ya, yobs)
         grad += 2.0 * (w @ scores)
         if estimator != "hat":
             continue
         for idx_i, idx_j, weight, factor in _pair_batches(cache, m_samp, rng_pairs):
-            w_ij = _ky(ky, ya[idx_i], yb[idx_j]) - _ky(ky, ya[idx_i], yobs[idx_j])
-            w_ji = _ky(ky, ya[idx_j], yb[idx_i]) - _ky(ky, ya[idx_j], yobs[idx_i])
+            w_ij = elementwise(ky, ya[idx_i], yb[idx_j]) - elementwise(ky, ya[idx_i], yobs[idx_j])
+            w_ji = elementwise(ky, ya[idx_j], yb[idx_i]) - elementwise(ky, ya[idx_j], yobs[idx_i])
             contrib = (2.0 * factor * weight * w_ij) @ scores[idx_i]
             contrib += (2.0 * factor * weight * w_ji) @ scores[idx_j]
             grad += contrib

@@ -42,8 +42,12 @@ def psi(v):
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise DomainError("psi requires finite input")
-    out = 0.5 + v / (2.0 * (np.sqrt(v * v + 4.0) + 2.0))
+    out = _psi(v)
     return float(out) if out.ndim == 0 else out
+
+
+def _psi(v):
+    return 0.5 + v / (2.0 * (np.sqrt(v * v + 4.0) + 2.0))
 
 
 def psi_inverse(u):
@@ -86,14 +90,17 @@ def matern_halfint(r, gamma, m):
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)) or np.any(r < 0.0):
         raise DomainError("matern_halfint requires finite nonnegative distances")
+    out = _matern(r, gamma, m)
+    return float(out) if out.ndim == 0 else out
+
+
+def _matern(r, gamma, m):
     s = (math.sqrt(float(m)) / gamma) * r
     if m == 1:
-        out = np.exp(-s)
-    elif m == 3:
-        out = (1.0 + s) * np.exp(-s)
-    else:
-        out = (1.0 + s + s * s / 3.0) * np.exp(-s)
-    return float(out) if out.ndim == 0 else out
+        return np.exp(-s)
+    if m == 3:
+        return (1.0 + s) * np.exp(-s)
+    return (1.0 + s + s * s / 3.0) * np.exp(-s)
 
 
 @dataclass(frozen=True)
@@ -178,16 +185,14 @@ def default_response_kernel():
 
 
 def _as_points(z):
-    """Coerce to a 2-D float array of points, one row per point."""
+    """View as a 2-D float array of points, one row per point."""
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
-        z = z.reshape(1, 1)
-    elif z.ndim == 1:
-        z = z.reshape(-1, 1)
-    elif z.ndim != 2:
+        return z.reshape(1, 1)
+    if z.ndim == 1:
+        return z.reshape(-1, 1)
+    if z.ndim != 2:
         raise DomainError(f"points must be at most 2-D, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise DomainError("kernel evaluation requires finite points")
     return z
 
 
@@ -196,6 +201,8 @@ def _cross_dists(a, b):
     # the (rows, m, p) temporary.  The norm-expansion shortcut is avoided
     # on purpose: its rounding error near zero is O(sqrt(eps)), which a
     # narrow kernel amplifies into visible diagonal noise.
+    if a.shape[1] != b.shape[1]:
+        raise DomainError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     na, nb = a.shape[0], b.shape[0]
     p = a.shape[1]
     out = np.empty((na, nb))
@@ -208,20 +215,54 @@ def _cross_dists(a, b):
     return np.sqrt(out, out=out)
 
 
+def _aligned_dists(a, b):
+    if a.shape != b.shape:
+        raise DomainError(f"aligned evaluation needs equal shapes, got {a.shape} vs {b.shape}")
+    d = a - b
+    return np.sqrt(np.sum(d * d, axis=1))
+
+
+def _single_dists(a, b):
+    if a.shape[0] != 1 or b.shape[0] != 1:
+        raise DomainError("kernel_eval takes single points; use gram for sets")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DomainError("kernel evaluation requires finite points")
+    return _aligned_dists(a, b)
+
+
 def _radial(spec, r):
     if spec.family == "exponential":
         out = np.exp(-r / spec.gamma)
     elif spec.family == "gaussian":
         out = np.exp(-(r * r) / (2.0 * spec.gamma * spec.gamma))
     else:
-        out = matern_halfint(r, spec.gamma, spec.m)
+        out = _matern(r, spec.gamma, spec.m)
     if spec.c != 1.0:
         out = spec.c * out
     return out
 
 
+def _evaluate(spec, a, b, dists):
+    # The one interpreter of a KernelSpec: combinators recurse, and each
+    # radial leaf applies ``dists`` to its (psi-mapped) point sets.
+    if spec.family == "product":
+        (ax, ay), (bx, by) = a, b
+        return _evaluate(spec.x_kernel, ax, bx, dists) * _evaluate(spec.y_kernel, ay, by, dists)
+    if spec.family == "affine_shift":
+        return spec.beta * _evaluate(spec.child, a, b, dists) + (1.0 - spec.beta)
+    a, b = _as_points(a), _as_points(b)
+    if spec.family == "psi_matern":
+        a, b = _psi(a), _psi(b)
+    return _radial(spec, dists(a, b))
+
+
 def gram(spec, a, b):
     """Full kernel matrix between two point sets.
+
+    Points are not checked for finiteness: callers pass arrays already
+    checked at their own entry (a ``Dataset``, model draws), and a
+    non-finite point yields non-finite entries.  Only dimensions are
+    checked.
 
     Args:
         spec: the kernel to evaluate.
@@ -232,55 +273,21 @@ def gram(spec, a, b):
     Returns:
         Array of shape ``(n, m)``.
     """
-    if spec.family == "product":
-        ax, ay = a
-        bx, by = b
-        return gram(spec.x_kernel, ax, bx) * gram(spec.y_kernel, ay, by)
-    if spec.family == "affine_shift":
-        return spec.beta * gram(spec.child, a, b) + (1.0 - spec.beta)
-    a = _as_points(a)
-    b = _as_points(b)
-    if a.shape[1] != b.shape[1]:
-        raise DomainError(f"point dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    if spec.family == "psi_matern":
-        a = psi(a)
-        b = psi(b)
-    return _radial(spec, _cross_dists(a, b))
+    return _evaluate(spec, a, b, _cross_dists)
 
 
 def elementwise(spec, a, b):
-    """Kernel values between aligned rows of two point sets, shape ``(n,)``."""
-    if spec.family == "product":
-        ax, ay = a
-        bx, by = b
-        return elementwise(spec.x_kernel, ax, bx) * elementwise(spec.y_kernel, ay, by)
-    if spec.family == "affine_shift":
-        return spec.beta * elementwise(spec.child, a, b) + (1.0 - spec.beta)
-    a = _as_points(a)
-    b = _as_points(b)
-    if a.shape != b.shape:
-        raise DomainError(f"aligned evaluation needs equal shapes, got {a.shape} vs {b.shape}")
-    if spec.family == "psi_matern":
-        a = psi(a)
-        b = psi(b)
-    d = a - b
-    r = np.sqrt(np.sum(d * d, axis=1))
-    return _radial(spec, r)
+    """Kernel values between aligned rows of two point sets, shape ``(n,)``.
+
+    Same convention and precondition as :func:`gram`: points must be
+    finite and are not checked here; only shapes are.
+    """
+    return _evaluate(spec, a, b, _aligned_dists)
 
 
 def kernel_eval(spec, z, zp):
-    """Scalar kernel value between two single points."""
-    if spec.family == "product":
-        x, y = z
-        xp, yp = zp
-        return kernel_eval(spec.x_kernel, x, xp) * kernel_eval(spec.y_kernel, y, yp)
-    if spec.family == "affine_shift":
-        return spec.beta * kernel_eval(spec.child, z, zp) + (1.0 - spec.beta)
-    a = _as_points(z)
-    b = _as_points(zp)
-    if a.shape[0] != 1 or b.shape[0] != 1:
-        raise DomainError("kernel_eval takes single points; use gram for sets")
-    return float(elementwise(spec, a, b)[0])
+    """Scalar kernel value between two single points; non-finite points raise."""
+    return float(_evaluate(spec, z, zp, _single_dists)[0])
 
 
 _SPEC_KEYS = {"family", "gamma", "m", "beta", "c", "child", "x_kernel", "y_kernel"}

@@ -20,10 +20,37 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special, stats
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _COUNT_TAIL_MASS = 1e-12
+# Largest (rows x support values) probability table Poisson.support builds,
+# 80 MB in float64.
+_SUPPORT_MAX_CELLS = 10_000_000
+
+
+def _check_responses(kind, y, n):
+    """Responses of a declared kind, checked and in their stored dtype.
+
+    Shape ``(n,)``, or ``(n, 2)`` for censored pairs; every value finite;
+    selection indicators 0 or 1; count and binary values nonnegative
+    integers (binary at most 1), returned as ``int64``.
+    """
+    if kind not in ("real", "count", "binary", "censored"):
+        raise ConfigError(f"unknown response kind {kind!r}")
+    arr = np.asarray(y)
+    shape = (n, 2) if kind == "censored" else (n,)
+    if arr.shape != shape or not np.all(np.isfinite(np.asarray(arr, dtype=float))):
+        raise DomainError(f"{kind} responses must be finite with shape {shape}")
+    if kind == "censored" and np.any((arr[:, 1] != 0.0) & (arr[:, 1] != 1.0)):
+        raise DomainError("selection indicators must lie in {0, 1}")
+    if kind in ("real", "censored"):
+        return np.asarray(arr, dtype=float)
+    if np.any(arr != np.floor(arr)) or np.any(arr < 0):
+        raise DomainError(f"{kind} responses must be nonnegative integers")
+    if kind == "binary" and np.any(arr > 1):
+        raise DomainError("binary responses must lie in {0, 1}")
+    return np.asarray(arr, dtype=np.int64)
 
 
 @dataclass
@@ -46,30 +73,7 @@ class Dataset:
             raise DomainError(f"covariates must be 2-D, got shape {self.x.shape}")
         if not np.all(np.isfinite(self.x)):
             raise DomainError("covariates must be finite")
-        n = self.x.shape[0]
-        if self.kind == "real":
-            self.y = np.asarray(self.y, dtype=float)
-            if self.y.shape != (n,) or not np.all(np.isfinite(self.y)):
-                raise DomainError("real responses must be finite with shape (n,)")
-        elif self.kind in ("count", "binary"):
-            arr = np.asarray(self.y)
-            if arr.shape != (n,) or not np.all(np.isfinite(np.asarray(arr, dtype=float))):
-                raise DomainError(f"{self.kind} responses must be finite with shape (n,)")
-            if np.any(arr != np.floor(arr)) or np.any(arr < 0):
-                raise DomainError(f"{self.kind} responses must be nonnegative integers")
-            if self.kind == "binary" and np.any(arr > 1):
-                raise DomainError("binary responses must lie in {0, 1}")
-            self.y = np.asarray(arr, dtype=np.int64)
-        elif self.kind == "censored":
-            self.y = np.asarray(self.y, dtype=float)
-            if self.y.ndim != 2 or self.y.shape != (n, 2):
-                raise DomainError("censored responses must have shape (n, 2)")
-            if not np.all(np.isfinite(self.y)):
-                raise DomainError("censored responses must be finite")
-            if np.any((self.y[:, 1] != 0.0) & (self.y[:, 1] != 1.0)):
-                raise DomainError("selection indicators must lie in {0, 1}")
-        else:
-            raise ConfigError(f"unknown response kind {self.kind!r}")
+        self.y = _check_responses(self.kind, self.y, self.x.shape[0])
 
     @property
     def n(self):
@@ -121,6 +125,9 @@ class Family:
 
         With a single covariate row and ``n`` given, draws ``n``
         i.i.d. responses at that covariate.
+
+        Precondition: ``theta`` and ``x`` are finite.  Only their shapes
+        are checked here; the fit loop passes arrays checked at its entry.
         """
         raise NotImplementedError
 
@@ -129,7 +136,14 @@ class Family:
         raise NotImplementedError
 
     def grad_log_density(self, theta, x, y):
-        """Score in raw coordinates, shape ``(n, raw_dim)``."""
+        """Score in raw coordinates, shape ``(n, raw_dim)``.
+
+        Precondition: ``theta`` and ``x`` are finite and ``y`` holds
+        responses of the family's kind, as a ``Dataset`` or
+        :meth:`sample` provides.  Only shapes are checked here; values
+        outside the domain (a gamma response of 0) give non-finite
+        scores rather than an error.
+        """
         raise NotImplementedError
 
     def support(self, theta, x):
@@ -138,26 +152,30 @@ class Family:
         raise DomainError(f"{self.name} has no finite response support")
 
     # validation helpers ---------------------------------------------
+    # ``_theta``, ``_rows`` and ``_shape_y`` check shapes only, for the
+    # fit loop's trusted arrays; the ``check`` forms also scan values.
 
-    def check_theta(self, theta):
+    def _theta(self, theta):
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.raw_dim,):
             raise DomainError(
                 f"{self.name} expects raw parameters of shape ({self.raw_dim},), got {theta.shape}"
             )
+        return theta
+
+    def check_theta(self, theta):
+        theta = self._theta(theta)
         if not np.all(np.isfinite(theta)):
             raise DomainError("raw parameters must be finite")
         return theta
 
-    def _check_x(self, x, n=None):
+    def _rows(self, x, n=None):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         if single:
             x = x.reshape(1, -1)
         if x.ndim != 2 or x.shape[1] != self.d:
             raise DomainError(f"{self.name} expects covariates with d={self.d}, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("covariates must be finite")
         if n is not None:
             if x.shape[0] != 1:
                 raise DomainError("pass n only with a single covariate row")
@@ -166,27 +184,25 @@ class Family:
             x = np.repeat(x, int(n), axis=0)
         return x, single
 
+    def _check_x(self, x):
+        x, single = self._rows(x)
+        if not np.all(np.isfinite(x)):
+            raise DomainError("covariates must be finite")
+        return x, single
+
+    def _shape_y(self, y, n):
+        y = np.asarray(y)
+        if y.shape != ((n, 2) if self.kind == "censored" else (n,)):
+            raise DomainError(f"{self.name} expects {n} responses, got shape {y.shape}")
+        return y
+
     def _check_y(self, y, n):
-        if self.kind == "censored":
-            y = np.asarray(y, dtype=float)
-            if y.shape == (2,):
-                y = y.reshape(1, 2)
-            if y.shape != (n, 2) or not np.all(np.isfinite(y)):
-                raise DomainError("censored responses must be finite with shape (n, 2)")
-            if np.any((y[:, 1] != 0.0) & (y[:, 1] != 1.0)):
-                raise DomainError("selection indicators must lie in {0, 1}")
-            return y
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y)
         if y.ndim == 0:
             y = y.reshape(1)
-        if y.shape != (n,) or not np.all(np.isfinite(y)):
-            raise DomainError(f"{self.name} expects responses with shape ({n},)")
-        if self.kind in ("count", "binary"):
-            if np.any(y != np.floor(y)) or np.any(y < 0):
-                raise DomainError(f"{self.name} responses must be nonnegative integers")
-            if self.kind == "binary" and np.any(y > 1):
-                raise DomainError("binary responses must lie in {0, 1}")
-        return y
+        elif self.kind == "censored" and y.shape == (2,):
+            y = y.reshape(1, 2)
+        return _check_responses(self.kind, y, n)
 
 
 class GaussianLinear(Family):
@@ -217,8 +233,8 @@ class GaussianLinear(Family):
         return {"mean": float(mean[0]) if single else mean, "sigma": sigma}
 
     def sample(self, theta, x, rng, n=None):
-        theta = self.check_theta(theta)
-        x, _ = self._check_x(x, n)
+        theta = self._theta(theta)
+        x, _ = self._rows(x, n)
         mean = x @ theta[: self.d]
         sigma = np.exp(theta[self.d])
         return mean + sigma * rng.standard_normal(x.shape[0])
@@ -232,9 +248,9 @@ class GaussianLinear(Family):
         return -0.5 * _LOG_2PI - log_sigma - 0.5 * z * z
 
     def grad_log_density(self, theta, x, y):
-        theta = self.check_theta(theta)
-        x, _ = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
+        theta = self._theta(theta)
+        x, _ = self._rows(x)
+        y = self._shape_y(y, x.shape[0])
         inv_sigma = np.exp(-theta[self.d])
         z = (y - x @ theta[: self.d]) * inv_sigma
         g = np.empty((x.shape[0], self.raw_dim))
@@ -270,8 +286,8 @@ class Logistic(Family):
         return {"p": float(p[0]) if single else p}
 
     def sample(self, theta, x, rng, n=None):
-        theta = self.check_theta(theta)
-        x, _ = self._check_x(x, n)
+        theta = self._theta(theta)
+        x, _ = self._rows(x, n)
         p = self._prob(theta, x)
         return (rng.random(x.shape[0]) < p).astype(np.int64)
 
@@ -284,9 +300,9 @@ class Logistic(Family):
         return y * eta - np.logaddexp(0.0, eta)
 
     def grad_log_density(self, theta, x, y):
-        theta = self.check_theta(theta)
-        x, _ = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
+        theta = self._theta(theta)
+        x, _ = self._rows(x)
+        y = self._shape_y(y, x.shape[0])
         return (y - self._prob(theta, x))[:, None] * x
 
     def support(self, theta, x):
@@ -320,9 +336,12 @@ class Poisson(Family):
         return {"rate": float(rate[0]) if single else rate}
 
     def sample(self, theta, x, rng, n=None):
-        theta = self.check_theta(theta)
-        x, _ = self._check_x(x, n)
-        return rng.poisson(np.exp(x @ theta)).astype(np.int64)
+        theta = self._theta(theta)
+        x, _ = self._rows(x, n)
+        try:
+            return rng.poisson(np.exp(x @ theta)).astype(np.int64)
+        except ValueError as exc:  # numpy rejects rates beyond about 1e19
+            raise NumericalError(f"poisson rate out of range: {exc}") from None
 
     def log_density(self, theta, x, y):
         theta = self.check_theta(theta)
@@ -332,9 +351,9 @@ class Poisson(Family):
         return y * eta - np.exp(eta) - special.gammaln(y + 1.0)
 
     def grad_log_density(self, theta, x, y):
-        theta = self.check_theta(theta)
-        x, _ = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
+        theta = self._theta(theta)
+        x, _ = self._rows(x)
+        y = self._shape_y(y, x.shape[0])
         return (y - np.exp(x @ theta))[:, None] * x
 
     def support(self, theta, x):
@@ -342,8 +361,14 @@ class Poisson(Family):
         x, _ = self._check_x(x)
         rate = np.exp(x @ theta)
         # Truncate where the remaining tail mass drops below 1e-12.
-        top = int(stats.poisson.ppf(1.0 - _COUNT_TAIL_MASS, rate.max()))
-        values = np.arange(top + 1, dtype=float)
+        top = stats.poisson.ppf(1.0 - _COUNT_TAIL_MASS, rate.max())
+        cells = x.shape[0] * (top + 1.0)
+        if not cells <= _SUPPORT_MAX_CELLS:  # also false for a nan ppf
+            raise NumericalError(
+                f"poisson support at rate {rate.max():.3g} needs {cells:.3g} table cells, "
+                f"above the cap of {_SUPPORT_MAX_CELLS}"
+            )
+        values = np.arange(int(top) + 1, dtype=float)
         logp = values[None, :] * np.log(np.maximum(rate, 1e-300))[:, None]
         logp -= rate[:, None] + special.gammaln(values + 1.0)[None, :]
         return values, np.exp(logp)
@@ -377,20 +402,17 @@ class GammaRegression(Family):
         return {"mean": float(mean[0]) if single else mean, "shape": float(np.exp(theta[self.d]))}
 
     def sample(self, theta, x, rng, n=None):
-        theta = self.check_theta(theta)
-        x, _ = self._check_x(x, n)
+        theta = self._theta(theta)
+        x, _ = self._rows(x, n)
         nu = np.exp(theta[self.d])
         return rng.gamma(shape=nu, scale=np.exp(x @ theta[: self.d]) / nu)
-
-    def _check_positive(self, y):
-        if np.any(y <= 0.0):
-            raise DomainError("gamma responses must be strictly positive")
-        return y
 
     def log_density(self, theta, x, y):
         theta = self.check_theta(theta)
         x, _ = self._check_x(x)
-        y = self._check_positive(self._check_y(y, x.shape[0]))
+        y = self._check_y(y, x.shape[0])
+        if np.any(y <= 0.0):
+            raise DomainError("gamma responses must be strictly positive")
         log_nu = theta[self.d]
         nu = np.exp(log_nu)
         xb = x @ theta[: self.d]
@@ -402,9 +424,9 @@ class GammaRegression(Family):
         )
 
     def grad_log_density(self, theta, x, y):
-        theta = self.check_theta(theta)
-        x, _ = self._check_x(x)
-        y = self._check_positive(self._check_y(y, x.shape[0]))
+        theta = self._theta(theta)
+        x, _ = self._rows(x)
+        y = self._shape_y(y, x.shape[0])
         log_nu = theta[self.d]
         nu = np.exp(log_nu)
         xb = x @ theta[: self.d]
@@ -457,13 +479,12 @@ class Heckman(Family):
         return support
 
     def _effective(self, theta):
-        theta = self.check_theta(theta)
         out = theta.copy()
         out[~self.free_mask] = 0.0
         return out
 
     def natural(self, theta):
-        theta = self._effective(theta)
+        theta = self._effective(self.check_theta(theta))
         return np.concatenate(
             [
                 theta[: self.d],
@@ -489,14 +510,14 @@ class Heckman(Family):
 
     def link(self, theta, x):
         x, single = self._check_x(x)
-        mu1, mu2, sigma, rho = self._params(theta, x)
+        mu1, mu2, sigma, rho = self._params(self.check_theta(theta), x)
         if single:
             mu1, mu2 = float(mu1[0]), float(mu2[0])
         return {"mu1": mu1, "mu2": mu2, "sigma": float(sigma), "rho": float(rho)}
 
     def sample(self, theta, x, rng, n=None):
-        x, _ = self._check_x(x, n)
-        mu1, mu2, sigma, rho = self._params(theta, x)
+        x, _ = self._rows(x, n)
+        mu1, mu2, sigma, rho = self._params(self._theta(theta), x)
         e1 = rng.standard_normal(x.shape[0])
         e2 = rng.standard_normal(x.shape[0])
         z1 = mu1 + sigma * e1
@@ -507,7 +528,7 @@ class Heckman(Family):
     def log_density(self, theta, x, y):
         x, _ = self._check_x(x)
         y = self._check_y(y, x.shape[0])
-        mu1, mu2, sigma, rho = self._params(theta, x)
+        mu1, mu2, sigma, rho = self._params(self.check_theta(theta), x)
         selected = y[:, 1] == 1.0
         z1 = (y[:, 0] - mu1) / sigma
         arg = (mu2 + rho * z1) / np.sqrt(1.0 - rho * rho)
@@ -519,10 +540,9 @@ class Heckman(Family):
         return out
 
     def grad_log_density(self, theta, x, y):
-        x, _ = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
-        mu1, mu2, sigma, rho = self._params(theta, x)
-        theta = self.check_theta(theta)
+        x, _ = self._rows(x)
+        y = self._shape_y(y, x.shape[0])
+        mu1, mu2, sigma, rho = self._params(self._theta(theta), x)
         selected = y[:, 1] == 1.0
         root = np.sqrt(1.0 - rho * rho)
         z1 = (y[:, 0] - mu1) / sigma
@@ -589,15 +609,15 @@ class GaussianMixture(Family):
         return {"means": means, "sigmas": sigmas, "weights": weights}
 
     def sample(self, theta, x, rng, n=None):
-        betas, sigmas, weights = self._split(self.check_theta(theta))
-        x, _ = self._check_x(x, n)
+        betas, sigmas, weights = self._split(self._theta(theta))
+        x, _ = self._rows(x, n)
         rows = x.shape[0]
         comp = rng.choice(self.n_components, size=rows, p=weights)
         means = np.take_along_axis(x @ betas.T, comp[:, None], axis=1)[:, 0]
         return means + sigmas[comp] * rng.standard_normal(rows)
 
     def _log_components(self, theta, x, y):
-        betas, sigmas, weights = self._split(self.check_theta(theta))
+        betas, sigmas, weights = self._split(theta)
         z = (y[:, None] - x @ betas.T) / sigmas[None, :]
         logphi = -0.5 * _LOG_2PI - np.log(sigmas)[None, :] - 0.5 * z * z
         return logphi + np.log(weights)[None, :], z, sigmas, weights
@@ -605,13 +625,13 @@ class GaussianMixture(Family):
     def log_density(self, theta, x, y):
         x, _ = self._check_x(x)
         y = self._check_y(y, x.shape[0])
-        logc, _, _, _ = self._log_components(theta, x, y)
+        logc, _, _, _ = self._log_components(self.check_theta(theta), x, y)
         return special.logsumexp(logc, axis=1)
 
     def grad_log_density(self, theta, x, y):
-        x, _ = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
-        logc, z, sigmas, weights = self._log_components(theta, x, y)
+        x, _ = self._rows(x)
+        y = self._shape_y(y, x.shape[0])
+        logc, z, sigmas, weights = self._log_components(self._theta(theta), x, y)
         resp = np.exp(logc - special.logsumexp(logc, axis=1, keepdims=True))
         m, d = self.n_components, self.d
         g = np.empty((x.shape[0], self.raw_dim))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .kernels import gram
+from .kernels import elementwise, gram
 from .models import Dataset
 
 _NEGATIVE_TOL = 1e-12
@@ -40,9 +40,11 @@ def _as_weights(w, count, side):
 
 
 def _point_count(points):
-    if isinstance(points, tuple):
-        return np.asarray(points[0]).shape[0]
-    arr = np.asarray(points)
+    # Point sets arrive here from the caller, so they are checked here.
+    parts = points if isinstance(points, tuple) else (points,)
+    if not all(np.all(np.isfinite(np.asarray(p, dtype=float))) for p in parts):
+        raise DomainError("kernel evaluation requires finite points")
+    arr = np.asarray(parts[0])
     return arr.shape[0] if arr.ndim > 0 else 1
 
 
@@ -96,6 +98,19 @@ def _resolve_mode(family, mode):
     if mode == "exact" and not family.exact:
         raise ConfigError(f"family {family.name!r} has no exact mode")
     return mode
+
+
+def _single_row(x):
+    # The row check of the per-observation functions.
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise DomainError("expected a single finite covariate row")
+    return x
+
+
+def _tile_obs(family, y, count):
+    # One observation, checked, then repeated ``count`` times along axis 0.
+    return np.repeat(family._check_y(y, 1), count, axis=0)
 
 
 def _resolve_rng(rng, seed):
@@ -155,22 +170,20 @@ def loss_tilde(family, theta, x, y, kernel, *, mode=None, budget=100, rng=None, 
     """
     mode = _resolve_mode(family, mode)
     ky = _y_kernel(kernel)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError("loss_tilde takes a single covariate row")
-    xrow = x.reshape(1, -1)
+    theta = family.check_theta(theta)
+    xrow = _single_row(x).reshape(1, -1)
     if mode == "exact":
         values, probs = family.support(theta, xrow)
         p = probs[0]
         kyy = gram(ky, values, values)
-        kdata = gram(ky, values, np.asarray([y], dtype=float))[:, 0]
+        kdata = gram(ky, values, _tile_obs(family, y, 1))[:, 0]
         return LossValue(float(p @ kyy @ p - 2.0 * (p @ kdata)), 0.0, "exact")
     rng = _resolve_rng(rng, seed)
     budget = _check_budget(budget)
     ya = family.sample(theta, xrow, rng, n=budget)
     yb = family.sample(theta, xrow, rng, n=budget)
-    yobs = _tile_response(family, y, budget)
-    terms = _elementwise_ky(ky, ya, yb) - 2.0 * _elementwise_ky(ky, ya, yobs)
+    yobs = _tile_obs(family, y, budget)
+    terms = elementwise(ky, ya, yb) - 2.0 * elementwise(ky, ya, yobs)
     value, se = _summarize(terms)
     return LossValue(value, se, "mc")
 
@@ -184,39 +197,25 @@ def loss_hat(family, theta, x, x_other, y_other, kernel, *, mode=None, budget=10
     """
     mode = _resolve_mode(family, mode)
     kernel = _require_product(kernel)
-    x = np.asarray(x, dtype=float)
-    x_other = np.asarray(x_other, dtype=float)
-    if x.ndim != 1 or x_other.ndim != 1:
-        raise DomainError("loss_hat takes single covariate rows")
+    theta = family.check_theta(theta)
+    x = _single_row(x)
+    x_other = _single_row(x_other)
     kx = float(gram(kernel.x_kernel, x.reshape(1, -1), x_other.reshape(1, -1))[0, 0])
     ky = kernel.y_kernel
     if mode == "exact":
         values, probs = family.support(theta, np.vstack([x, x_other]))
         p, q = probs[0], probs[1]
         kyy = gram(ky, values, values)
-        kdata = gram(ky, values, np.asarray([y_other], dtype=float))[:, 0]
+        kdata = gram(ky, values, _tile_obs(family, y_other, 1))[:, 0]
         return LossValue(kx * float(p @ kyy @ q - 2.0 * (p @ kdata)), 0.0, "exact")
     rng = _resolve_rng(rng, seed)
     budget = _check_budget(budget)
     ya = family.sample(theta, x.reshape(1, -1), rng, n=budget)
     yb = family.sample(theta, x_other.reshape(1, -1), rng, n=budget)
-    yobs = _tile_response(family, y_other, budget)
-    terms = kx * (_elementwise_ky(ky, ya, yb) - 2.0 * _elementwise_ky(ky, ya, yobs))
+    yobs = _tile_obs(family, y_other, budget)
+    terms = kx * (elementwise(ky, ya, yb) - 2.0 * elementwise(ky, ya, yobs))
     value, se = _summarize(terms)
     return LossValue(value, se, "mc")
-
-
-def _tile_response(family, y, count):
-    if family.kind == "censored":
-        y = np.asarray(y, dtype=float).reshape(1, 2)
-        return np.repeat(y, count, axis=0)
-    return np.full(count, float(np.asarray(y)))
-
-
-def _elementwise_ky(ky, a, b):
-    from .kernels import elementwise
-
-    return elementwise(ky, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -258,6 +257,7 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
     when ``budget == 1``.
     """
     dataset = _dataset_for(family, dataset)
+    theta = family.check_theta(theta)
     mode = _resolve_mode(family, mode)
     if estimator == "tilde":
         ky = _y_kernel(kernel)
@@ -272,7 +272,7 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
         for p in range(budget):
             ya = family.sample(theta, dataset.x, rng)
             yb = family.sample(theta, dataset.x, rng)
-            terms = _elementwise_ky(ky, ya, yb) - 2.0 * _elementwise_ky(ky, ya, dataset.y)
+            terms = elementwise(ky, ya, yb) - 2.0 * elementwise(ky, ya, dataset.y)
             totals[p] = terms.sum()
         value, se = _summarize(totals)
         return ObjectiveValue(value, se, "mc", "tilde")
@@ -312,6 +312,7 @@ def link_term(family, theta, dataset, kernel, *, mode=None, budget=100, rng=None
     covariate rows are distinct.
     """
     dataset = _dataset_for(family, dataset)
+    theta = family.check_theta(theta)
     mode = _resolve_mode(family, mode)
     kernel = _require_product(kernel)
     n = dataset.n

@@ -107,7 +107,7 @@ def test_criterion_03_covariate_outliers_gaussian(capsys):
 
 def test_criterion_04_gamma_cell(capsys):
     # Known failing on the first bound: an exact maximum-likelihood fit of
-    # this model tops out near 0.25 under this contamination (verified
+    # this model tops out near 0.198 under this contamination (verified
     # against an independent optimizer and across master seeds), so the
     # calibrated lower band is documented here rather than weakened.
     t0 = time.perf_counter()

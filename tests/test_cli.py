@@ -92,6 +92,16 @@ class TestFit:
                    "--estimator", "ols") == 3
         assert "singular" in capsys.readouterr().err
 
+    def test_poisson_rate_overflow_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        rows = ["x1,x2,y"] + [f"{0.1 * i},{60.0 if i < 10 else 0.5},{i % 3}" for i in range(30)]
+        path.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"iters": 5, "init": [0, 1]}')
+        assert run("fit", "--in", path, "--model", "poisson",
+                   "--estimator", "tilde", "--config", cfg) == 3
+        assert "poisson rate" in capsys.readouterr().err
+
     def test_contaminated_heckman_loads_via_sidecar(self, tmp_path):
         base = tmp_path / "h.csv"
         run("simulate", "--scenario", "heckman_synthetic", "--n", 150,

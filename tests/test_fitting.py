@@ -237,16 +237,30 @@ class TestFitMmd:
         rng = np.random.default_rng(15)
         x = rng.standard_normal((10, 2))
         y = fam_g.sample(np.array([1.0, -1.0, 0.0]), x, rng)
-        bad_init = np.array([1.0, -1.0, -800.0])  # sigma underflows to zero
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = fit_mmd(
-                fam_g, Dataset(x, y, "real"),
-                FitConfig(estimator="tilde", iters=50, init=bad_init, seed=0),
-            )
-        assert res.error == "nonfinite_gradient"
-        assert res.iterations == 0
-        assert np.array_equal(res.theta_raw, bad_init)
-        assert res.trace.shape == (0, 3)
+        cases = [(fam_g, Dataset(x, y, "real"), np.array([1.0, -1.0, -800.0]))]  # sigma underflows to zero
+        scen = get_scenario("gamma_synthetic")
+        fam_gamma, ds_gamma = simulate_dataset(scen, 50, seed=15)
+        # With log-shape -8 most gamma draws underflow to 0, whose score is
+        # not finite; the fit must flag that instead of raising.
+        cases.append((fam_gamma, ds_gamma, np.concatenate([scen.truth_raw[:8], [-8.0]])))
+        for fam, ds, bad_init in cases:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                res = fit_mmd(fam, ds, FitConfig(estimator="tilde", iters=50, init=bad_init, seed=0))
+            assert res.error == "nonfinite_gradient", fam.name
+            assert res.iterations == 0
+            assert np.array_equal(res.theta_raw, bad_init)
+            assert res.trace.shape == (0, 3)
+
+    def test_poisson_rate_overflow_is_numerical_error(self):
+        # numpy's poisson sampler rejects rates above about 1e19; exp(60)
+        # is far beyond that.
+        fam = get_family("poisson", 2)
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((40, 2))
+        x[:10, 1] = 60.0
+        ds = Dataset(x, rng.poisson(1.0, size=40), "count")
+        with pytest.raises(NumericalError, match="poisson rate"):
+            fit(fam, ds, FitConfig(estimator="tilde", iters=5, init=[0.0, 1.0], seed=0))
 
     def test_init_fallback_to_zero(self):
         fam = get_family("heckman", 2)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from mmdreg.errors import ConfigError, DomainError
+from mmdreg.errors import ConfigError, DomainError, NumericalError
 from mmdreg.models import (
     Dataset,
     GaussianMixture,
@@ -112,6 +112,16 @@ class TestDensities:
             for j in (0, 1, 5):
                 want = np.exp(fam.log_density(theta, x[i : i + 1], np.array([values[j]])))[0]
                 assert abs(probs[i, j] - want) < 1e-13
+
+    def test_poisson_support_is_bounded(self):
+        # eta=12 needs 165,602 support values, about 1.3 GB at n=1000;
+        # at eta=300 the truncation point is not even finite.
+        fam = get_family("poisson", 1)
+        for eta, rows in ((12.0, 1000), (300.0, 1)):
+            with pytest.raises(NumericalError, match="table cells"):
+                fam.support(np.array([eta]), np.ones((rows, 1)))
+        values, _ = fam.support(np.array([12.0]), np.ones((1, 1)))
+        assert values.size == 165_602
 
     def test_continuous_densities_integrate_to_one(self):
         rng = np.random.default_rng(7)
