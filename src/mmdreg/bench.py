@@ -247,8 +247,11 @@ def _star_task(args):
 
 
 def _resolve_threads(threads):
-    cap = os.environ.get("MMDR_THREADS")
-    cap = int(cap) if cap else None
+    raw = os.environ.get("MMDR_THREADS")
+    try:
+        cap = int(raw) if raw else None
+    except ValueError:
+        raise ConfigError(f"MMDR_THREADS must be a positive integer, got {raw!r}") from None
     if cap is not None and cap < 1:
         raise ConfigError("MMDR_THREADS must be a positive integer")
     if threads is None:

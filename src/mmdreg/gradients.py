@@ -155,44 +155,71 @@ def _pair_from_linear(t, n):
 def top_pairs(kx, m):
     """Indices of the ``m`` unordered pairs with the largest kernel weight.
 
-    Ties break toward the lexicographically smallest ``(i, j)``.
+    Ties break toward the lexicographically smallest ``(i, j)``, and NaN
+    weights rank last.  ``np.partition`` finds the ``m``-th largest
+    weight; only the pairs not below it are sorted, so beyond the
+    ``n(n-1)/2`` upper-triangle weights the work and memory scale with
+    the kept set plus any ties at the cut.
 
     Args:
         kx: symmetric covariate kernel matrix, shape ``(n, n)``.
         m: number of pairs to keep (capped at the pair count).
 
     Returns:
-        Pair of int arrays ``(i, j)`` with ``i < j``.
+        Pair of int arrays ``(i, j)`` with ``i < j``, heaviest first.
     """
     kx = np.asarray(kx)
     n = kx.shape[0]
     if kx.shape != (n, n):
         raise DomainError(f"kx must be square, got {kx.shape}")
-    iu, ju = np.triu_indices(n, k=1)
-    order = np.lexsort((ju, iu, -kx[iu, ju]))
-    keep = order[: max(0, int(m))]
-    return iu[keep], ju[keep]
+    # boolean indexing is row-major, so position t holds pair _pair_from_linear(t, n)
+    w = kx[np.arange(n)[:, None] < np.arange(n)]
+    m = min(max(0, int(m)), w.size)
+    if m == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    kth = -np.partition(-w, m - 1)[m - 1]
+    # "not below" rather than ">=" keeps NaN weights when fewer than m are finite
+    cand = np.flatnonzero(~(w < kth))
+    ci, cj = _pair_from_linear(cand, n)
+    keep = np.lexsort((cj, ci, -w[cand]))[:m]
+    return ci[keep], cj[keep]
 
 
 def sample_pair_indices(total, m, rng):
     """Simple random sample without replacement of ``m`` ints from ``range(total)``.
 
-    Floyd's algorithm: one uniform draw per kept element, no ``total``-sized
-    allocation.  Order is insertion order, not sorted.
+    Floyd's algorithm (Bentley & Floyd 1987): step ``k`` draws ``t_k``
+    uniform on ``[0, j_k]`` with ``j_k = total - m + k`` and keeps
+    ``t_k``, or ``j_k`` when ``t_k`` was already kept.  All draws come
+    from one ``rng.integers`` call, so the stream, the values and their
+    (insertion, not sorted) order are reproducible bit for bit.  No
+    ``total``-sized allocation.
+
+    ``t_k`` collides when it repeats an earlier draw or equals ``j_l``
+    for an earlier step ``l`` that collided.  Repeats are found by a
+    stable sort.  Only draws at or above ``total - m`` can equal some
+    ``j_l``; they are resolved one by one in step order, and for
+    ``m << total`` there are about ``m^2 / (2 total)`` of them.
     """
     if not (0 <= m <= total):
         raise DomainError(f"cannot sample {m} from {total}")
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    js = np.arange(total - m, total, dtype=np.int64)
+    base = total - m
+    js = np.arange(base, total, dtype=np.int64)
     ts = rng.integers(0, js + 1)
-    seen = set()
-    out = []
-    for j, t in zip(js, ts):
-        pick = int(t) if int(t) not in seen else int(j)
-        seen.add(pick)
-        out.append(pick)
-    return np.asarray(out, dtype=np.int64)
+    order = np.argsort(ts, kind="stable")
+    ranked = ts[order]
+    hit = np.zeros(m, dtype=bool)
+    # the sort is stable, so within a run of equal draws all but the first repeat
+    hit[order[1:][ranked[1:] == ranked[:-1]]] = True
+    # in step order, so hit[l] is final for every l < k; t == j_k reads
+    # hit[k] itself, which is True only when t_k already repeats
+    high = np.flatnonzero(ts >= base)
+    for k, t in zip(high.tolist(), ts[high].tolist()):
+        if hit[t - base]:
+            hit[k] = True
+    return np.where(hit, js, ts)
 
 
 @dataclass(frozen=True)

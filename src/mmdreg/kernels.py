@@ -31,7 +31,9 @@ def psi(v):
     ``psi(v) = 1/2 + (sqrt(v^2 + 4) - 2) / (2 v)`` extended by continuity
     to ``psi(0) = 1/2``.  The implementation uses the conjugate form
     ``1/2 + v / (2 (sqrt(v^2 + 4) + 2))``, which is algebraically
-    identical and stable near zero.  Satisfies ``psi(-v) = 1 - psi(v)``.
+    identical and stable near zero.  For ``|v| > 1e150`` the root is
+    taken as ``|v|``, its float64 value there, so ``v^2`` never
+    overflows.  Satisfies ``psi(-v) = 1 - psi(v)``.
 
     Args:
         v: scalar or array of finite reals.
@@ -47,7 +49,11 @@ def psi(v):
 
 
 def _psi(v):
-    return 0.5 + v / (2.0 * (np.sqrt(v * v + 4.0) + 2.0))
+    # v * v overflows beyond about 1.3e154; past 1e150 the root is |v|
+    r = np.abs(v)
+    small = np.minimum(r, 1e150)
+    root = np.where(r > 1e150, r, np.sqrt(small * small + 4.0))
+    return 0.5 + v / (2.0 * (root + 2.0))
 
 
 def psi_inverse(u):

@@ -243,3 +243,11 @@ class TestThreadResolution:
         monkeypatch.setenv("MMDR_THREADS", "0")
         with pytest.raises(ConfigError):
             _resolve_threads(None)
+
+    def test_env_not_an_integer(self, monkeypatch):
+        for raw in ("abc", "1.5", "2x"):
+            monkeypatch.setenv("MMDR_THREADS", raw)
+            with pytest.raises(ConfigError):
+                _resolve_threads(None)
+            with pytest.raises(ConfigError):
+                _resolve_threads(2)

@@ -143,6 +143,18 @@ class TestBench:
         plan.write_text('{"scenario": "gauss_linear_laplace"}')
         assert run("bench", "--plan", plan, "--out", tmp_path / "r") == 2
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_thread_cap_env(self, tmp_path, monkeypatch, capsys, raw):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "scenario": "gauss_linear_laplace",
+            "n": [40], "eps": [0.0], "estimators": ["ols"],
+            "reps": 1, "seed": 9,
+        }))
+        monkeypatch.setenv("MMDR_THREADS", raw)
+        assert run("bench", "--plan", plan, "--out", tmp_path / "r") == 2
+        assert "MMDR_THREADS" in capsys.readouterr().err
+
 
 class TestMmd:
     def test_identical_datasets_score_zero(self, gauss_csv, tmp_path, capsys):

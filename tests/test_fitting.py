@@ -232,6 +232,20 @@ class TestFitMmd:
         # every pair weight underflows to zero, so the trajectories coincide
         assert np.allclose(hat.theta_raw, tilde.theta_raw, atol=1e-12)
 
+    def test_hat_fit_pinned(self):
+        # Pins the whole hat path: pair cache, top-pair order, the pair
+        # sampler's stream and the gradient sums.  Recorded with numpy 2.4
+        # on x86-64; a change here means the fit's random stream or its
+        # arithmetic changed.
+        scen = get_scenario("gauss_linear_laplace")
+        fam, ds = simulate_dataset(scen, 200, seed=21)
+        res = fit_mmd(fam, ds, FitConfig(estimator="hat", m1=200, m2=200, iters=200, seed=7))
+        assert [float(v).hex() for v in res.theta_raw] == [
+            "0x1.fe317375c6c28p+1", "0x1.f2522ee2ccddfp+1", "0x1.69204c5cfc491p+1",
+            "0x1.78b585d795ccbp+1", "0x1.b78d4e95b12d2p+0", "0x1.f1040455279bep+0",
+            "0x1.1c87c16699fc1p+0", "0x1.87c0096422bfbp-1", "0x1.0fae970ed5eb4p-5",
+        ]
+
     def test_nonfinite_gradient_aborts(self):
         fam_g = get_family("gaussian_linear", 2)
         rng = np.random.default_rng(15)

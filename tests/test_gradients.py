@@ -1,14 +1,18 @@
 """Unit tests for the score-function gradient estimators.
 
 Oracles: central finite differences on exact-mode losses, a pathwise
-common-random-numbers gradient for the continuous family, and direct
-enumeration for the pair-sampling combinatorics.
+common-random-numbers gradient for the continuous family, direct
+enumeration for the pair-sampling combinatorics, and plain reference
+implementations (a Python-loop Floyd sampler, a full lexsort of all
+pairs) for the vectorised pair sampler and top-pair selection.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from mmdreg.errors import ConfigError, DomainError
@@ -33,6 +37,9 @@ from mmdreg.models import Dataset, get_family
 from mmdreg.objective import loss_hat, loss_tilde, objective
 
 KY = exponential_kernel(1.0)
+
+# Fixed example sequence so the property tests are deterministic.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def product(gamma_x):
@@ -253,6 +260,100 @@ class TestPairIndexing:
         si, sj = cache.sample_remaining(cache.remaining, np.random.default_rng(8))
         sampled = np.sort(_linear_from_pair(si, sj, 9))
         assert np.array_equal(sampled, comp)
+
+
+def floyd_oracle(total, m, rng):
+    # Floyd's algorithm as a plain loop over one vector of draws.
+    if m == 0:
+        return []
+    js = np.arange(total - m, total, dtype=np.int64)
+    ts = rng.integers(0, js + 1)
+    seen = set()
+    out = []
+    for j, t in zip(js.tolist(), ts.tolist()):
+        pick = t if t not in seen else j
+        seen.add(pick)
+        out.append(pick)
+    return out
+
+
+def top_pairs_oracle(kx, m):
+    # Full lexsort of every upper-triangle pair by (-k, i, j).
+    iu, ju = np.triu_indices(kx.shape[0], k=1)
+    order = np.lexsort((ju, iu, -kx[iu, ju]))
+    keep = order[: max(0, int(m))]
+    return iu[keep], ju[keep]
+
+
+def assert_sampler_matches_oracle(total, m, seed):
+    rng = np.random.default_rng(seed)
+    ref = np.random.default_rng(seed)
+    got = sample_pair_indices(total, m, rng)
+    assert got.dtype == np.int64
+    assert got.tolist() == floyd_oracle(total, m, ref)
+    # one draw call either way, so both streams continue identically
+    assert rng.integers(1 << 62) == ref.integers(1 << 62)
+
+
+class TestPairOracles:
+    @pytest.mark.parametrize(
+        "total, m",
+        [(1, 1), (7, 0), (9, 6), (10, 10), (100, 99), (1000, 1000), (1_996_000, 2000)],
+    )
+    def test_sampler_matches_floyd_loop(self, total, m):
+        for seed in range(200):
+            assert_sampler_matches_oracle(total, m, seed)
+
+    def test_top_pairs_matches_full_lexsort(self):
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            n = int(rng.integers(2, 40))
+            # few distinct integer weights, so ties straddle every cut
+            upper = np.triu(rng.integers(0, 4, size=(n, n)).astype(float), 1)
+            kx = upper + upper.T + np.eye(n)
+            if trial % 6 == 0:
+                kx[0, 1] = kx[1, 0] = np.nan
+            total = n * (n - 1) // 2
+            w = np.sort(kx[np.triu_indices(n, k=1)])[::-1]
+            at_tie = int(np.flatnonzero(w == w[total // 2])[0]) + 1
+            for m in (0, 1, at_tie, total // 2, total, total + 5):
+                got = top_pairs(kx, m)
+                want = top_pairs_oracle(kx, m)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+
+    def test_top_pairs_matches_full_lexsort_on_gram(self):
+        rng = np.random.default_rng(18)
+        x = np.round(rng.standard_normal((300, 2)), 1)  # repeated rows tie
+        kx = gram(psi_matern_kernel(0.05, m=1), x, x)
+        for m in (1, 300, 5000):
+            got = top_pairs(kx, m)
+            want = top_pairs_oracle(kx, m)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @PROPERTY
+    @given(st.data())
+    def test_sampler_property(self, data):
+        total = data.draw(st.integers(0, 5000), label="total")
+        m = data.draw(st.integers(0, total), label="m")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        assert_sampler_matches_oracle(total, m, seed)
+
+    @PROPERTY
+    @given(st.data())
+    def test_linear_pair_bijection(self, data):
+        n = data.draw(st.integers(2, 10**8), label="n")
+        total = n * (n - 1) // 2
+        t = np.array(data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=8))
+                     + [0, total - 1], dtype=np.int64)
+        i, j = _pair_from_linear(t, n)
+        assert np.all((0 <= i) & (i < j) & (j < n))
+        assert np.array_equal(_linear_from_pair(i, j, n), t)
+        a = data.draw(st.integers(0, n - 2), label="i")
+        b = data.draw(st.integers(a + 1, n - 1), label="j")
+        ti = _linear_from_pair(a, b, n)
+        back = _pair_from_linear(np.array([ti]), n)
+        assert (int(back[0][0]), int(back[1][0])) == (a, b)
 
 
 def logistic_dataset(n, seed, d=2):

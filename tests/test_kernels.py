@@ -1,6 +1,7 @@
 """Unit tests for the kernel primitives and the KernelSpec evaluator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,24 @@ class TestPsi:
         assert np.max(np.abs(psi(psi_inverse(u)) - u)) < 1e-12
         v = np.linspace(-50.0, 50.0, 2001)
         assert np.max(np.abs(psi_inverse(psi(v)) - v) / (1.0 + np.abs(v))) < 1e-9
+
+    def test_huge_inputs(self):
+        # v * v overflows past about 1.3e154; psi must still saturate
+        # toward the right end instead of falling back to psi(0).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psi(1e200) == 1.0
+            assert psi(-1e200) == 0.0
+            u = psi(np.geomspace(1e150, 1e300, 2001))
+        assert np.all(np.diff(u) >= 0.0)
+        x = np.array([[0.0], [1e200]])
+        assert gram(psi_matern_kernel(0.01), x, x)[0, 1] < 1e-6
+
+    def test_conjugate_form_below_cap(self):
+        # up to 1e150 the value is the plain conjugate form, bit for bit
+        v = np.concatenate([np.geomspace(1e-300, 1e150, 4001), [0.0]])
+        v = np.concatenate([v, -v])
+        assert np.array_equal(psi(v), 0.5 + v / (2.0 * (np.sqrt(v * v + 4.0) + 2.0)))
 
     def test_inverse_domain(self):
         with pytest.raises(DomainError):
