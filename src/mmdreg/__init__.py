@@ -15,7 +15,6 @@ from .bench import (
     plan_to_config,
     rmse,
     run_plan,
-    sensitivity,
     write_results,
 )
 from .contamination import (
@@ -48,10 +47,7 @@ from .gradients import (
     GradValue,
     PairCache,
     build_pair_cache,
-    grad_hat_one_sided,
-    grad_hat_pair,
     grad_objective_estimate,
-    grad_tilde,
     sample_pair_indices,
     top_pairs,
 )
@@ -83,11 +79,8 @@ from .models import (
     simulate_dataset,
 )
 from .objective import (
-    LossValue,
     ObjectiveValue,
     link_term,
-    loss_hat,
-    loss_tilde,
     mmd_sq_vstat,
     objective,
 )
@@ -103,10 +96,8 @@ __all__ = [
     "gram", "elementwise", "kernel_eval", "spec_from_dict", "spec_to_dict",
     "Dataset", "Scenario", "get_family", "get_scenario", "list_scenarios",
     "simulate_dataset",
-    "mmd_sq_vstat", "LossValue", "loss_tilde", "loss_hat",
-    "ObjectiveValue", "objective", "link_term",
-    "GradValue", "grad_tilde", "grad_hat_one_sided", "grad_hat_pair",
-    "grad_objective_estimate", "PairCache", "build_pair_cache",
+    "mmd_sq_vstat", "ObjectiveValue", "objective", "link_term",
+    "GradValue", "grad_objective_estimate", "PairCache", "build_pair_cache",
     "top_pairs", "sample_pair_indices",
     "ESTIMATORS", "FitConfig", "FitResult", "default_kernel",
     "fit", "fit_mmd", "fit_baseline",
@@ -115,6 +106,6 @@ __all__ = [
     "load_csv", "write_csv", "export_contaminated", "load_config",
     "fit_config_from_dict", "fit_result_to_dict", "write_fit_result",
     "ExperimentPlan", "ResultTable", "plan_from_config", "plan_to_config",
-    "run_plan", "write_results", "rmse", "sensitivity",
+    "run_plan", "write_results", "rmse",
     "__version__",
 ]

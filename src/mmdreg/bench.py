@@ -27,7 +27,7 @@ from .contamination import RECIPES, SCHEMES, ContaminationSpec, contaminate
 from .errors import ConfigError, DomainError, FormatError, NumericalError
 from .fitting import ESTIMATORS, FitConfig, fit
 from .kernels import spec_from_dict
-from .models import Dataset, get_scenario, simulate_dataset
+from .models import Dataset, check_seed, get_scenario, simulate_dataset
 
 SCHEMA_VERSION = 1
 
@@ -42,6 +42,18 @@ class Cell:
     recipe: str
     eps_index: int
     recipe_index: int
+
+
+def _listed(values, name, convert=str):
+    # A plan's list field as a tuple of converted items; a bare value or a
+    # string is refused.
+    wrong = ConfigError(f"{name} must be a list, got {values!r}")
+    if isinstance(values, str):
+        raise wrong
+    try:
+        return tuple(convert(v) for v in values)
+    except (TypeError, ValueError):
+        raise wrong from None
 
 
 @dataclass(frozen=True)
@@ -66,10 +78,10 @@ class ExperimentPlan:
 
     def __post_init__(self):
         get_scenario(self.scenario)
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "recipes", tuple(self.recipes))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "n_values", _listed(self.n_values, "n_values", int))
+        object.__setattr__(self, "epsilons", _listed(self.epsilons, "epsilons", float))
+        object.__setattr__(self, "recipes", _listed(self.recipes, "recipes"))
+        object.__setattr__(self, "estimators", _listed(self.estimators, "estimators"))
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError("n_values must be positive integers")
         if not self.epsilons or any(not (0.0 <= e < 1.0) for e in self.epsilons):
@@ -88,6 +100,7 @@ class ExperimentPlan:
             )
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
             raise ConfigError("replications must be a positive integer")
+        check_seed(self.master_seed)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.fit_overrides, dict):
@@ -138,12 +151,12 @@ def plan_from_config(cfg):
         raise ConfigError(f"plan config missing keys: {sorted(missing)}")
     return ExperimentPlan(
         scenario=cfg["scenario"],
-        n_values=tuple(cfg["n"]),
-        epsilons=tuple(cfg["eps"]),
-        recipes=tuple(cfg.get("recipes", ())),
-        estimators=tuple(cfg["estimators"]),
-        replications=int(cfg["reps"]),
-        master_seed=int(cfg["seed"]),
+        n_values=cfg["n"],
+        epsilons=cfg["eps"],
+        recipes=cfg.get("recipes", ()),
+        estimators=cfg["estimators"],
+        replications=cfg["reps"],
+        master_seed=cfg["seed"],
         scheme=cfg.get("scheme", "adversarial"),
         fixed_base=bool(cfg.get("fixed_base", False)),
         fit_overrides=cfg.get("fit", {}),
@@ -290,18 +303,6 @@ def rmse(estimates, truth, mask=None, normalize=True):
     if normalize:
         sq = sq / err.shape[1]
     return float(np.sqrt(np.mean(sq)))
-
-
-def sensitivity(theta_a, theta_b, mask=None):
-    """Euclidean distance between two fits of the same model."""
-    a = np.asarray(theta_a, dtype=float)
-    b = np.asarray(theta_b, dtype=float)
-    if a.shape != b.shape:
-        raise DomainError("sensitivity needs two equal-length vectors")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        a, b = a[mask], b[mask]
-    return float(np.linalg.norm(a - b))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .models import Dataset
+from .models import Dataset, check_seed
 
 SCHEMES = ("adversarial", "huber")
 RECIPES = ("type_x", "type_y", "selection_flip", "custom")
@@ -77,8 +77,7 @@ class ContaminationSpec:
                 raise ConfigError("custom recipe requires a sampler_id")
         elif self.sampler_id is not None:
             raise ConfigError("sampler_id is only valid with the custom recipe")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        check_seed(self.seed)
 
     def resolved_mean(self):
         if self.recipe not in _DEFAULT_MEANS:

@@ -218,8 +218,6 @@ def fit_config_from_dict(cfg):
     kwargs = dict(cfg)
     if "kernel" in kwargs and kwargs["kernel"] is not None:
         kwargs["kernel"] = spec_from_dict(kwargs["kernel"])
-    if "init" in kwargs and not isinstance(kwargs["init"], str):
-        kwargs["init"] = np.asarray(kwargs["init"], dtype=float)
     return FitConfig(**kwargs)
 
 

@@ -31,7 +31,7 @@ from .kernels import (
     default_response_kernel,
     product_kernel,
 )
-from .models import _inverse_mills
+from .models import _inverse_mills, check_seed
 from .objective import _dataset_for, objective
 
 ESTIMATORS = ("tilde", "hat", "mle", "ols")
@@ -78,10 +78,11 @@ class FitConfig:
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if not (self.eta > 0.0 and np.isfinite(self.eta)):
-            raise ConfigError("eta must be positive and finite")
-        if not (self.adagrad_eps > 0.0 and np.isfinite(self.adagrad_eps)):
-            raise ConfigError("adagrad_eps must be positive and finite")
+        for name in ("eta", "adagrad_eps"):
+            v = getattr(self, name)
+            real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            if not (real and v > 0.0 and np.isfinite(v)):
+                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
         if self.iters is not None and not (isinstance(self.iters, (int, np.integer)) and self.iters >= 1):
             raise ConfigError("iters must be a positive integer")
         if not (isinstance(self.mc_pairs, (int, np.integer)) and self.mc_pairs >= 1):
@@ -94,9 +95,14 @@ class FitConfig:
             if self.init not in ("mle", "zero"):
                 raise ConfigError(f"init must be 'mle', 'zero', or a vector, got {self.init!r}")
         else:
-            arr = np.asarray(self.init, dtype=float)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise ConfigError("custom init must be a finite 1-D vector")
+            try:
+                arr = np.asarray(self.init, dtype=float)
+            except (TypeError, ValueError):
+                arr = None
+            if arr is None or arr.ndim != 1 or not np.all(np.isfinite(arr)):
+                raise ConfigError(f"custom init must be a finite 1-D vector, got {self.init!r}")
+            object.__setattr__(self, "init", arr)
+        check_seed(self.seed)
         if not (isinstance(self.trace_objective_every, (int, np.integer)) and self.trace_objective_every >= 0):
             raise ConfigError("trace_objective_every must be a nonnegative integer")
 
@@ -375,7 +381,7 @@ def _resolve_init(family, dataset, config):
         if free is not None:
             raw[~free] = 0.0
         return raw, None
-    raw = np.asarray(config.init, dtype=float).copy()
+    raw = config.init.copy()
     if raw.shape != (family.raw_dim,):
         raise ConfigError(
             f"custom init has shape {raw.shape}, family needs ({family.raw_dim},)"

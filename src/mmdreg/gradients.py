@@ -3,8 +3,9 @@
 Every expectation in the objectives has the form ``E[w(Y) something]``
 with ``Y`` drawn from the model, so its parameter gradient can be
 written with the score ``d log p / d theta`` inside the expectation.
-Discrete families evaluate these sums over the support ("exact" mode);
-the rest use Monte Carlo draws.
+The estimator averages model draws for every family, discrete ones
+included: fits step on Monte Carlo gradients only, so there is no
+exact-mode gradient.
 
 The quadratic objective has one pair loss per ordered covariate pair.
 Rather than touching all of them every step, the full-gradient estimator
@@ -24,10 +25,7 @@ from .kernels import elementwise, gram
 from .objective import (
     _dataset_for,
     _require_product,
-    _resolve_mode,
     _resolve_rng,
-    _single_row,
-    _tile_obs,
     _y_kernel,
 )
 
@@ -38,96 +36,6 @@ class GradValue:
 
     vector: np.ndarray
     mode: str
-
-
-def grad_tilde(family, theta, x, y, kernel, *, mode=None, budget=100, rng=None, seed=None):
-    """Gradient of the diagonal loss at one observation.
-
-    ``2 E[(k_y(Y, Y') - k_y(Y, y)) s(Y)]`` with ``Y, Y'`` independent
-    model draws at ``x`` and ``s`` the raw-parameter score there.
-    """
-    mode = _resolve_mode(family, mode)
-    ky = _y_kernel(kernel)
-    xrow = _single_row(x).reshape(1, -1)
-    theta = family.check_theta(theta)
-    if mode == "exact":
-        values, probs = family.support(theta, xrow)
-        p = probs[0]
-        k = values.shape[0]
-        scores = family.grad_log_density(theta, np.repeat(xrow, k, axis=0), values)
-        kyy = gram(ky, values, values)
-        kdata = gram(ky, values, _tile_obs(family, y, 1))[:, 0]
-        w = kyy @ p - kdata
-        return GradValue(2.0 * ((p * w) @ scores), "exact")
-    rng = _resolve_rng(rng, seed)
-    ya = family.sample(theta, xrow, rng, n=budget)
-    yb = family.sample(theta, xrow, rng, n=budget)
-    scores = family.grad_log_density(theta, np.repeat(xrow, budget, axis=0), ya)
-    w = elementwise(ky, ya, yb) - elementwise(ky, ya, _tile_obs(family, y, budget))
-    return GradValue(2.0 * (w @ scores) / budget, "mc")
-
-
-def grad_hat_one_sided(family, theta, x, x_other, y_other, kernel, *, mode=None, budget=100, rng=None, seed=None):
-    """Partial gradient of a cross loss, through the law at ``x`` only.
-
-    ``2 k_x(x, x') E[(k_y(Y, Y') - k_y(Y, y')) s_x(Y)]`` with ``Y`` drawn
-    at ``x`` and ``Y'`` at ``x'``.  Summing the two orientations of an
-    unordered pair gives the derivative of its total contribution to the
-    quadratic objective.
-    """
-    mode = _resolve_mode(family, mode)
-    kernel = _require_product(kernel)
-    ky = kernel.y_kernel
-    x = _single_row(x)
-    x_other = _single_row(x_other)
-    theta = family.check_theta(theta)
-    kx = float(gram(kernel.x_kernel, x.reshape(1, -1), x_other.reshape(1, -1))[0, 0])
-    if mode == "exact":
-        values, probs = family.support(theta, np.vstack([x, x_other]))
-        p, q = probs[0], probs[1]
-        k = values.shape[0]
-        scores = family.grad_log_density(theta, np.repeat(x.reshape(1, -1), k, axis=0), values)
-        kyy = gram(ky, values, values)
-        kdata = gram(ky, values, _tile_obs(family, y_other, 1))[:, 0]
-        w = kyy @ q - kdata
-        return GradValue(2.0 * kx * ((p * w) @ scores), "exact")
-    rng = _resolve_rng(rng, seed)
-    ya = family.sample(theta, x.reshape(1, -1), rng, n=budget)
-    yb = family.sample(theta, x_other.reshape(1, -1), rng, n=budget)
-    scores = family.grad_log_density(theta, np.repeat(x.reshape(1, -1), budget, axis=0), ya)
-    w = elementwise(ky, ya, yb) - elementwise(ky, ya, _tile_obs(family, y_other, budget))
-    return GradValue(2.0 * kx * (w @ scores) / budget, "mc")
-
-
-def grad_hat_pair(family, theta, x_a, y_a, x_b, y_b, kernel, *, mode=None, budget=100, rng=None, seed=None):
-    """Symmetrized pair gradient: the average of both one-sided parts.
-
-    Twice this vector is the derivative of the unordered pair's total
-    contribution to the quadratic objective.  With ``x_a == x_b`` and
-    ``y_a == y_b`` it coincides with :func:`grad_tilde`.  In Monte Carlo
-    mode the two orientations share one set of draws.
-    """
-    mode = _resolve_mode(family, mode)
-    kernel = _require_product(kernel)
-    if mode == "exact":
-        ab = grad_hat_one_sided(family, theta, x_a, x_b, y_b, kernel, mode="exact")
-        ba = grad_hat_one_sided(family, theta, x_b, x_a, y_a, kernel, mode="exact")
-        return GradValue(0.5 * (ab.vector + ba.vector), "exact")
-    ky = kernel.y_kernel
-    x_a = _single_row(x_a)
-    x_b = _single_row(x_b)
-    theta = family.check_theta(theta)
-    kx = float(gram(kernel.x_kernel, x_a.reshape(1, -1), x_b.reshape(1, -1))[0, 0])
-    rng = _resolve_rng(rng, seed)
-    ya = family.sample(theta, x_a.reshape(1, -1), rng, n=budget)
-    yb = family.sample(theta, x_b.reshape(1, -1), rng, n=budget)
-    s_a = family.grad_log_density(theta, np.repeat(x_a.reshape(1, -1), budget, axis=0), ya)
-    s_b = family.grad_log_density(theta, np.repeat(x_b.reshape(1, -1), budget, axis=0), yb)
-    w_ab = elementwise(ky, ya, yb) - elementwise(ky, ya, _tile_obs(family, y_b, budget))
-    w_ba = elementwise(ky, yb, ya) - elementwise(ky, yb, _tile_obs(family, y_a, budget))
-    one = 2.0 * kx * (w_ab @ s_a) / budget
-    two = 2.0 * kx * (w_ba @ s_b) / budget
-    return GradValue(0.5 * (one + two), "mc")
 
 
 def _linear_from_pair(i, j, n):

@@ -309,11 +309,12 @@ def spec_from_dict(d):
     if "family" not in d:
         raise ConfigError("kernel config requires a 'family' key")
     kwargs = {}
-    for key in ("gamma", "beta", "c"):
+    for key, convert in (("gamma", float), ("beta", float), ("c", float), ("m", int)):
         if key in d:
-            kwargs[key] = float(d[key])
-    if "m" in d:
-        kwargs["m"] = int(d["m"])
+            try:
+                kwargs[key] = convert(d[key])
+            except (TypeError, ValueError):
+                raise ConfigError(f"kernel parameter {key!r} must be a number, got {d[key]!r}") from None
     for key in ("child", "x_kernel", "y_kernel"):
         if key in d:
             kwargs[key] = spec_from_dict(d[key])

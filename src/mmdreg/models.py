@@ -53,6 +53,13 @@ def _check_responses(kind, y, n):
     return np.asarray(arr, dtype=np.int64)
 
 
+def check_seed(seed):
+    """Raise ConfigError unless ``seed`` is a nonnegative integer, the
+    entropy ``np.random.SeedSequence`` accepts."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass
 class Dataset:
     """Covariate matrix plus aligned responses of a declared kind.
@@ -92,8 +99,8 @@ class Family:
 
     Subclasses define ``raw_dim``, ``kind``, ``exact`` (whether the
     response support is finite or truncatable, enabling exact loss
-    evaluation), and the four core operations ``link``, ``sample``,
-    ``log_density``, ``grad_log_density``.
+    evaluation), and the three core operations ``sample``,
+    ``log_density`` and ``grad_log_density``.
     """
 
     name = "family"
@@ -115,10 +122,6 @@ class Family:
         raise NotImplementedError
 
     # core operations -------------------------------------------------
-
-    def link(self, theta, x):
-        """Distribution parameters at covariate(s) ``x``, as a dict of arrays."""
-        raise NotImplementedError
 
     def sample(self, theta, x, rng, n=None):
         """Draw responses, one per row of ``x``.
@@ -171,8 +174,7 @@ class Family:
 
     def _rows(self, x, n=None):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
+        if x.ndim == 1:
             x = x.reshape(1, -1)
         if x.ndim != 2 or x.shape[1] != self.d:
             raise DomainError(f"{self.name} expects covariates with d={self.d}, got shape {x.shape}")
@@ -182,13 +184,13 @@ class Family:
             if not (isinstance(n, (int, np.integer)) and n >= 1):
                 raise DomainError("sample count must be a positive integer")
             x = np.repeat(x, int(n), axis=0)
-        return x, single
+        return x
 
     def _check_x(self, x):
-        x, single = self._rows(x)
+        x = self._rows(x)
         if not np.all(np.isfinite(x)):
             raise DomainError("covariates must be finite")
-        return x, single
+        return x
 
     def _shape_y(self, y, n):
         y = np.asarray(y)
@@ -225,23 +227,16 @@ class GaussianLinear(Family):
     def natural_names(self):
         return [f"beta{i + 1}" for i in range(self.d)] + ["sigma"]
 
-    def link(self, theta, x):
-        theta = self.check_theta(theta)
-        x, single = self._check_x(x)
-        mean = x @ theta[: self.d]
-        sigma = float(np.exp(theta[self.d]))
-        return {"mean": float(mean[0]) if single else mean, "sigma": sigma}
-
     def sample(self, theta, x, rng, n=None):
         theta = self._theta(theta)
-        x, _ = self._rows(x, n)
+        x = self._rows(x, n)
         mean = x @ theta[: self.d]
         sigma = np.exp(theta[self.d])
         return mean + sigma * rng.standard_normal(x.shape[0])
 
     def log_density(self, theta, x, y):
         theta = self.check_theta(theta)
-        x, _ = self._check_x(x)
+        x = self._check_x(x)
         y = self._check_y(y, x.shape[0])
         log_sigma = theta[self.d]
         z = (y - x @ theta[: self.d]) * np.exp(-log_sigma)
@@ -249,7 +244,7 @@ class GaussianLinear(Family):
 
     def grad_log_density(self, theta, x, y):
         theta = self._theta(theta)
-        x, _ = self._rows(x)
+        x = self._rows(x)
         y = self._shape_y(y, x.shape[0])
         inv_sigma = np.exp(-theta[self.d])
         z = (y - x @ theta[: self.d]) * inv_sigma
@@ -279,21 +274,15 @@ class Logistic(Family):
     def _prob(self, theta, x):
         return special.expit(x @ theta)
 
-    def link(self, theta, x):
-        theta = self.check_theta(theta)
-        x, single = self._check_x(x)
-        p = self._prob(theta, x)
-        return {"p": float(p[0]) if single else p}
-
     def sample(self, theta, x, rng, n=None):
         theta = self._theta(theta)
-        x, _ = self._rows(x, n)
+        x = self._rows(x, n)
         p = self._prob(theta, x)
         return (rng.random(x.shape[0]) < p).astype(np.int64)
 
     def log_density(self, theta, x, y):
         theta = self.check_theta(theta)
-        x, _ = self._check_x(x)
+        x = self._check_x(x)
         y = self._check_y(y, x.shape[0])
         eta = x @ theta
         # y * eta - log(1 + exp(eta)), stable for both signs of eta.
@@ -301,13 +290,13 @@ class Logistic(Family):
 
     def grad_log_density(self, theta, x, y):
         theta = self._theta(theta)
-        x, _ = self._rows(x)
+        x = self._rows(x)
         y = self._shape_y(y, x.shape[0])
         return (y - self._prob(theta, x))[:, None] * x
 
     def support(self, theta, x):
         theta = self.check_theta(theta)
-        x, _ = self._check_x(x)
+        x = self._check_x(x)
         p = self._prob(theta, x)
         return np.array([0.0, 1.0]), np.column_stack([1.0 - p, p])
 
@@ -329,15 +318,9 @@ class Poisson(Family):
     def natural_names(self):
         return [f"theta{i + 1}" for i in range(self.d)]
 
-    def link(self, theta, x):
-        theta = self.check_theta(theta)
-        x, single = self._check_x(x)
-        rate = np.exp(x @ theta)
-        return {"rate": float(rate[0]) if single else rate}
-
     def sample(self, theta, x, rng, n=None):
         theta = self._theta(theta)
-        x, _ = self._rows(x, n)
+        x = self._rows(x, n)
         try:
             return rng.poisson(np.exp(x @ theta)).astype(np.int64)
         except ValueError as exc:  # numpy rejects rates beyond about 1e19
@@ -345,20 +328,20 @@ class Poisson(Family):
 
     def log_density(self, theta, x, y):
         theta = self.check_theta(theta)
-        x, _ = self._check_x(x)
+        x = self._check_x(x)
         y = self._check_y(y, x.shape[0])
         eta = x @ theta
         return y * eta - np.exp(eta) - special.gammaln(y + 1.0)
 
     def grad_log_density(self, theta, x, y):
         theta = self._theta(theta)
-        x, _ = self._rows(x)
+        x = self._rows(x)
         y = self._shape_y(y, x.shape[0])
         return (y - np.exp(x @ theta))[:, None] * x
 
     def support(self, theta, x):
         theta = self.check_theta(theta)
-        x, _ = self._check_x(x)
+        x = self._check_x(x)
         rate = np.exp(x @ theta)
         # Truncate where the remaining tail mass drops below 1e-12.
         top = stats.poisson.ppf(1.0 - _COUNT_TAIL_MASS, rate.max())
@@ -395,21 +378,15 @@ class GammaRegression(Family):
     def natural_names(self):
         return [f"beta{i + 1}" for i in range(self.d)] + ["shape"]
 
-    def link(self, theta, x):
-        theta = self.check_theta(theta)
-        x, single = self._check_x(x)
-        mean = np.exp(x @ theta[: self.d])
-        return {"mean": float(mean[0]) if single else mean, "shape": float(np.exp(theta[self.d]))}
-
     def sample(self, theta, x, rng, n=None):
         theta = self._theta(theta)
-        x, _ = self._rows(x, n)
+        x = self._rows(x, n)
         nu = np.exp(theta[self.d])
         return rng.gamma(shape=nu, scale=np.exp(x @ theta[: self.d]) / nu)
 
     def log_density(self, theta, x, y):
         theta = self.check_theta(theta)
-        x, _ = self._check_x(x)
+        x = self._check_x(x)
         y = self._check_y(y, x.shape[0])
         if np.any(y <= 0.0):
             raise DomainError("gamma responses must be strictly positive")
@@ -425,7 +402,7 @@ class GammaRegression(Family):
 
     def grad_log_density(self, theta, x, y):
         theta = self._theta(theta)
-        x, _ = self._rows(x)
+        x = self._rows(x)
         y = self._shape_y(y, x.shape[0])
         log_nu = theta[self.d]
         nu = np.exp(log_nu)
@@ -508,15 +485,8 @@ class Heckman(Family):
         rho = np.tanh(theta[2 * self.d + 1])
         return mu1, mu2, sigma, rho
 
-    def link(self, theta, x):
-        x, single = self._check_x(x)
-        mu1, mu2, sigma, rho = self._params(self.check_theta(theta), x)
-        if single:
-            mu1, mu2 = float(mu1[0]), float(mu2[0])
-        return {"mu1": mu1, "mu2": mu2, "sigma": float(sigma), "rho": float(rho)}
-
     def sample(self, theta, x, rng, n=None):
-        x, _ = self._rows(x, n)
+        x = self._rows(x, n)
         mu1, mu2, sigma, rho = self._params(self._theta(theta), x)
         e1 = rng.standard_normal(x.shape[0])
         e2 = rng.standard_normal(x.shape[0])
@@ -526,7 +496,7 @@ class Heckman(Family):
         return np.column_stack([np.where(selected, z1, 0.0), selected.astype(float)])
 
     def log_density(self, theta, x, y):
-        x, _ = self._check_x(x)
+        x = self._check_x(x)
         y = self._check_y(y, x.shape[0])
         mu1, mu2, sigma, rho = self._params(self.check_theta(theta), x)
         selected = y[:, 1] == 1.0
@@ -540,7 +510,7 @@ class Heckman(Family):
         return out
 
     def grad_log_density(self, theta, x, y):
-        x, _ = self._rows(x)
+        x = self._rows(x)
         y = self._shape_y(y, x.shape[0])
         mu1, mu2, sigma, rho = self._params(self._theta(theta), x)
         selected = y[:, 1] == 1.0
@@ -600,17 +570,9 @@ class GaussianMixture(Family):
         names += [f"weight_{j + 1}" for j in range(m)]
         return names
 
-    def link(self, theta, x):
-        betas, sigmas, weights = self._split(self.check_theta(theta))
-        x, single = self._check_x(x)
-        means = x @ betas.T
-        if single:
-            means = means[0]
-        return {"means": means, "sigmas": sigmas, "weights": weights}
-
     def sample(self, theta, x, rng, n=None):
         betas, sigmas, weights = self._split(self._theta(theta))
-        x, _ = self._rows(x, n)
+        x = self._rows(x, n)
         rows = x.shape[0]
         comp = rng.choice(self.n_components, size=rows, p=weights)
         means = np.take_along_axis(x @ betas.T, comp[:, None], axis=1)[:, 0]
@@ -623,13 +585,13 @@ class GaussianMixture(Family):
         return logphi + np.log(weights)[None, :], z, sigmas, weights
 
     def log_density(self, theta, x, y):
-        x, _ = self._check_x(x)
+        x = self._check_x(x)
         y = self._check_y(y, x.shape[0])
         logc, _, _, _ = self._log_components(self.check_theta(theta), x, y)
         return special.logsumexp(logc, axis=1)
 
     def grad_log_density(self, theta, x, y):
-        x, _ = self._rows(x)
+        x = self._rows(x)
         y = self._shape_y(y, x.shape[0])
         logc, z, sigmas, weights = self._log_components(self._theta(theta), x, y)
         resp = np.exp(logc - special.logsumexp(logc, axis=1, keepdims=True))
@@ -772,6 +734,7 @@ def simulate_dataset(scenario, n, seed):
         scenario = get_scenario(scenario)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ConfigError(f"sample size must be a positive integer, got {n!r}")
+    check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal((int(n), scenario.d))
     family = scenario.make_family()

@@ -80,16 +80,6 @@ def mmd_sq_vstat(kernel, points_a, points_b, weights_a=None, weights_b=None):
     return max(value, 0.0)
 
 
-@dataclass(frozen=True)
-class LossValue:
-    """A loss evaluation: the value, its Monte Carlo standard error
-    (0 in exact mode, nan when inestimable), and the mode used."""
-
-    value: float
-    std_error: float
-    mode: str
-
-
 def _resolve_mode(family, mode):
     if mode is None:
         return "exact" if family.exact else "mc"
@@ -98,19 +88,6 @@ def _resolve_mode(family, mode):
     if mode == "exact" and not family.exact:
         raise ConfigError(f"family {family.name!r} has no exact mode")
     return mode
-
-
-def _single_row(x):
-    # The row check of the per-observation functions.
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or not np.all(np.isfinite(x)):
-        raise DomainError("expected a single finite covariate row")
-    return x
-
-
-def _tile_obs(family, y, count):
-    # One observation, checked, then repeated ``count`` times along axis 0.
-    return np.repeat(family._check_y(y, 1), count, axis=0)
 
 
 def _resolve_rng(rng, seed):
@@ -145,77 +122,6 @@ def _summarize(totals):
     else:
         se = float("nan")
     return value, se
-
-
-def loss_tilde(family, theta, x, y, kernel, *, mode=None, budget=100, rng=None, seed=None):
-    """Diagonal loss at one observation.
-
-    ``E[k_y(Y, Y')] - 2 E[k_y(Y, y)]`` with ``Y, Y'`` independent draws
-    from the model at covariate ``x``.
-
-    Args:
-        family: response family.
-        theta: raw parameter vector.
-        x: single covariate row ``(d,)``.
-        y: observed response at ``x``.
-        kernel: response kernel (product kernels contribute their
-            ``y_kernel``).
-        mode: ``"exact"``, ``"mc"``, or None for the family default.
-        budget: Monte Carlo pair count (ignored in exact mode).
-        rng, seed: Monte Carlo randomness; ``seed`` gives a fresh
-            deterministic stream.
-
-    Returns:
-        LossValue.
-    """
-    mode = _resolve_mode(family, mode)
-    ky = _y_kernel(kernel)
-    theta = family.check_theta(theta)
-    xrow = _single_row(x).reshape(1, -1)
-    if mode == "exact":
-        values, probs = family.support(theta, xrow)
-        p = probs[0]
-        kyy = gram(ky, values, values)
-        kdata = gram(ky, values, _tile_obs(family, y, 1))[:, 0]
-        return LossValue(float(p @ kyy @ p - 2.0 * (p @ kdata)), 0.0, "exact")
-    rng = _resolve_rng(rng, seed)
-    budget = _check_budget(budget)
-    ya = family.sample(theta, xrow, rng, n=budget)
-    yb = family.sample(theta, xrow, rng, n=budget)
-    yobs = _tile_obs(family, y, budget)
-    terms = elementwise(ky, ya, yb) - 2.0 * elementwise(ky, ya, yobs)
-    value, se = _summarize(terms)
-    return LossValue(value, se, "mc")
-
-
-def loss_hat(family, theta, x, x_other, y_other, kernel, *, mode=None, budget=100, rng=None, seed=None):
-    """Cross loss between two covariates, paired with one observation.
-
-    ``k_x(x, x') (E[k_y(Y, Y')] - 2 E[k_y(Y, y')])`` where ``Y`` is drawn
-    at ``x``, ``Y'`` at ``x'``, and ``y'`` is the response observed at
-    ``x'``.  Requires a product kernel.
-    """
-    mode = _resolve_mode(family, mode)
-    kernel = _require_product(kernel)
-    theta = family.check_theta(theta)
-    x = _single_row(x)
-    x_other = _single_row(x_other)
-    kx = float(gram(kernel.x_kernel, x.reshape(1, -1), x_other.reshape(1, -1))[0, 0])
-    ky = kernel.y_kernel
-    if mode == "exact":
-        values, probs = family.support(theta, np.vstack([x, x_other]))
-        p, q = probs[0], probs[1]
-        kyy = gram(ky, values, values)
-        kdata = gram(ky, values, _tile_obs(family, y_other, 1))[:, 0]
-        return LossValue(kx * float(p @ kyy @ q - 2.0 * (p @ kdata)), 0.0, "exact")
-    rng = _resolve_rng(rng, seed)
-    budget = _check_budget(budget)
-    ya = family.sample(theta, x.reshape(1, -1), rng, n=budget)
-    yb = family.sample(theta, x_other.reshape(1, -1), rng, n=budget)
-    yobs = _tile_obs(family, y_other, budget)
-    terms = kx * (elementwise(ky, ya, yb) - 2.0 * elementwise(ky, ya, yobs))
-    value, se = _summarize(terms)
-    return LossValue(value, se, "mc")
 
 
 @dataclass(frozen=True)

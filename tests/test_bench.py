@@ -18,7 +18,6 @@ from mmdreg.bench import (
     plan_to_config,
     rmse,
     run_plan,
-    sensitivity,
     write_results,
     _cell_dataset,
     _resolve_threads,
@@ -101,14 +100,6 @@ class TestScoring:
         with pytest.raises(DomainError, match="dimension"):
             rmse(np.zeros((2, 4)), truth)
 
-    def test_sensitivity(self):
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([1.0, 0.0, 3.0])
-        assert sensitivity(a, b) == 2.0
-        assert sensitivity(a, b, mask=np.array([True, False, True])) == 0.0
-        with pytest.raises(DomainError):
-            sensitivity(a, b[:2])
-
 
 class TestRunPlan:
     def test_smoke_two_rows(self):
@@ -186,7 +177,8 @@ class TestRunPlan:
         assert payload["schema_version"] == 1
         assert payload["plan"]["scenario"] == "gauss_linear_laplace"
         assert len(payload["rows"]) == len(table.rows)
-        header = open(csv_path).readline().strip().split(",")
+        with open(csv_path) as fh:
+            header = fh.readline().strip().split(",")
         assert header[:4] == ["n", "epsilon", "recipe", "estimator"]
 
     def test_row_lookup(self):

@@ -156,6 +156,67 @@ class TestBench:
         assert "MMDR_THREADS" in capsys.readouterr().err
 
 
+PLAN = {
+    "scenario": "gauss_linear_laplace",
+    "n": [40], "eps": [0.0], "estimators": ["ols"],
+    "reps": 1, "seed": 9,
+}
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def fit_with(cfg):
+    return lambda csv, tmp: ["fit", "--in", csv, "--model", "gaussian_linear",
+                             "--config", write_json(tmp / "cfg.json", cfg)]
+
+
+def bench_with(**over):
+    return lambda csv, tmp: ["bench", "--plan", write_json(tmp / "plan.json", dict(PLAN, **over)),
+                             "--out", tmp / "r"]
+
+
+BAD_SEEDS = [
+    pytest.param(lambda csv, tmp: ["simulate", "--scenario", "gauss_linear_laplace", "--n", 10,
+                                   "--seed", -1, "--out", tmp / "s.csv"], id="simulate"),
+    pytest.param(lambda csv, tmp: ["contaminate", "--in", csv, "--eps", 0.1,
+                                   "--seed", -1, "--out", tmp / "c.csv"], id="contaminate"),
+    pytest.param(fit_with({"seed": -1}), id="fit"),
+    pytest.param(bench_with(seed=-1), id="bench"),
+]
+
+BAD_TYPES = [
+    pytest.param(fit_with({"eta": "0.1"}), id="fit-eta"),
+    pytest.param(fit_with({"kernel": {
+        "family": "product",
+        "x_kernel": {"family": "psi_matern", "gamma": 0.01, "m": 1},
+        "y_kernel": {"family": "exponential", "gamma": "abc"},
+    }}), id="fit-kernel-gamma"),
+    pytest.param(fit_with({"init": ["a", "b"]}), id="fit-init"),
+    pytest.param(bench_with(n=50), id="bench-n"),
+    pytest.param(bench_with(reps="two"), id="bench-reps"),
+]
+
+
+class TestBadInputs:
+    """Bad values are refused where they enter: exit 2 and one
+    ``error:`` line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", BAD_SEEDS)
+    def test_negative_seed(self, argv, gauss_csv, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(*argv(gauss_csv, tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be a nonnegative integer")
+
+    @pytest.mark.parametrize("argv", BAD_TYPES)
+    def test_wrong_config_type(self, argv, gauss_csv, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(*argv(gauss_csv, tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestMmd:
     def test_identical_datasets_score_zero(self, gauss_csv, tmp_path, capsys):
         kernel = tmp_path / "k.json"

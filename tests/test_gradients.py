@@ -1,7 +1,9 @@
 """Unit tests for the score-function gradient estimators.
 
-Oracles: central finite differences on exact-mode losses, a pathwise
-common-random-numbers gradient for the continuous family, direct
+Oracles: the exact per-observation gradients of ``tests/oracles.py``,
+which central finite differences of the exact objective check in turn,
+a pathwise common-random-numbers gradient of the Monte Carlo objective
+for the continuous family, direct
 enumeration for the pair-sampling combinatorics, and plain reference
 implementations (a Python-loop Floyd sampler, a full lexsort of all
 pairs) for the vectorised pair sampler and top-pair selection.
@@ -19,10 +21,7 @@ from mmdreg.errors import ConfigError, DomainError
 from mmdreg.gradients import (
     GradValue,
     build_pair_cache,
-    grad_hat_one_sided,
-    grad_hat_pair,
     grad_objective_estimate,
-    grad_tilde,
     sample_pair_indices,
     top_pairs,
 )
@@ -34,7 +33,8 @@ from mmdreg.kernels import (
     psi_matern_kernel,
 )
 from mmdreg.models import Dataset, get_family
-from mmdreg.objective import loss_hat, loss_tilde, objective
+from mmdreg.objective import link_term, objective
+from oracles import cross_grad, diag_grad, repeated
 
 KY = exponential_kernel(1.0)
 
@@ -61,10 +61,11 @@ def fd(f, theta, h=1e-6):
 class TestGradTilde:
     def test_logistic_frozen(self):
         fam = get_family("logistic", 1)
-        g = grad_tilde(fam, np.zeros(1), np.array([1.0]), 1, KY)
-        assert g.mode == "exact"
-        assert abs(g.vector[0] - (-0.3160603)) < 1e-7
-        assert abs(g.vector[0] - (-(1.0 - math.exp(-1.0)) / 2.0)) < 1e-12
+        g = diag_grad(fam, np.zeros(1), np.array([1.0]), 1, KY)
+        assert abs(g[0] - (-0.3160603)) < 1e-7
+        assert abs(g[0] - (-(1.0 - math.exp(-1.0)) / 2.0)) < 1e-12
+        ds = repeated(fam, [1.0], 1)
+        assert abs(fd(lambda t: objective(fam, t, ds, KY).value, np.zeros(1))[0] - g[0]) < 1e-7
 
     def test_matches_fd_logistic(self):
         rng = np.random.default_rng(0)
@@ -73,46 +74,49 @@ class TestGradTilde:
             theta = rng.standard_normal(3)
             x = rng.standard_normal(3)
             y = int(rng.integers(0, 2))
-            got = grad_tilde(fam, theta, x, y, KY).vector
-            want = fd(lambda t: loss_tilde(fam, t, x, y, KY).value, theta)
+            ds = repeated(fam, x, y)
+            got = diag_grad(fam, theta, x, y, KY)
+            want = fd(lambda t: objective(fam, t, ds, KY).value, theta)
             assert np.allclose(got, want, atol=1e-7)
 
     def test_matches_fd_poisson(self):
         fam = get_family("poisson", 2)
         theta = np.array([0.4, -0.1])
         x = np.array([0.8, 1.3])
-        got = grad_tilde(fam, theta, x, 2, KY).vector
-        want = fd(lambda t: loss_tilde(fam, t, x, 2, KY).value, theta)
+        ds = repeated(fam, x, 2)
+        got = diag_grad(fam, theta, x, 2, KY)
+        want = fd(lambda t: objective(fam, t, ds, KY).value, theta)
         assert np.allclose(got, want, atol=1e-6)
 
     def test_mc_mean_matches_exact(self):
         fam = get_family("logistic", 2)
         theta = np.array([0.5, -0.3])
         x = np.array([1.0, 0.4])
-        exact = grad_tilde(fam, theta, x, 1, KY).vector
+        exact = diag_grad(fam, theta, x, 1, KY)
+        ds = repeated(fam, x, 1, rows=40)
         rng = np.random.default_rng(1)
         reps = np.stack(
-            [grad_tilde(fam, theta, x, 1, KY, mode="mc", budget=40, rng=rng).vector for _ in range(400)]
+            [grad_objective_estimate(fam, theta, ds, KY, rng_draws=rng).vector / 40 for _ in range(400)]
         )
         se = reps.std(axis=0, ddof=1) / math.sqrt(reps.shape[0])
         assert np.all(np.abs(reps.mean(axis=0) - exact) < 4.5 * se + 1e-12)
 
     def test_mc_matches_pathwise_fd_gaussian(self):
-        # Dual route for the continuous family: the score-form gradient
-        # against a common-random-numbers pathwise finite difference.
+        # Dual route for the continuous family: the fit path's score-form
+        # gradient against a common-random-numbers pathwise finite
+        # difference of the Monte Carlo objective.
         fam = get_family("gaussian_linear", 1)
         theta = np.array([0.8, math.log(0.9)])
-        x = np.array([0.6])
-        y = 0.2
+        ds = repeated(fam, [0.6], 0.2, rows=200)
 
         def crn_loss(t, seed):
-            return loss_tilde(fam, t, x, y, KY, mode="mc", budget=200, seed=seed).value
+            return objective(fam, t, ds, KY, mode="mc", budget=1, seed=seed).value / 200
 
         score_reps = []
         path_reps = []
         for trial in range(300):
             score_reps.append(
-                grad_tilde(fam, theta, x, y, KY, mode="mc", budget=200, seed=50_000 + trial).vector
+                grad_objective_estimate(fam, theta, ds, KY, seed=50_000 + trial).vector / 200
             )
             path_reps.append(fd(lambda t: crn_loss(t, 90_000 + trial), theta, h=1e-5))
         score_reps = np.stack(score_reps)
@@ -131,10 +135,9 @@ class TestPairGradients:
         # value is half the diagonal gradient at x = 1.
         fam = get_family("logistic", 1)
         kern = product_kernel(exponential_kernel(1.0), KY)
-        g = grad_hat_one_sided(
-            fam, np.zeros(1), np.array([1.0]), np.array([1.0 + math.log(2.0)]), 1, kern
-        )
-        assert abs(g.vector[0] - (-0.1580301)) < 1e-7
+        g = cross_grad(fam, np.zeros(1), np.array([1.0]), np.array([1.0 + math.log(2.0)]), 1, kern)
+        assert abs(g[0] - (-0.1580301)) < 1e-7
+        assert abs(g[0] - (-(1.0 - math.exp(-1.0)) / 4.0)) < 1e-12
 
     def test_one_sided_is_partial_derivative(self):
         # The one-sided vector is the derivative of the unordered pair's
@@ -159,41 +162,31 @@ class TestPairGradients:
             backward = float(q @ kyy @ p - 2.0 * q @ ka)
             return kx * (forward + backward)
 
-        got = grad_hat_one_sided(fam, theta0, xa, xb, yb, kern).vector
+        got = cross_grad(fam, theta0, xa, xb, yb, kern)
         assert np.allclose(got, fd(pair_total_frozen_partner, theta0), atol=1e-7)
 
     def test_orientation_sum_is_pair_derivative(self):
+        # On a two-row dataset the link term is the pair's total
+        # contribution, so its derivative is the two orientations' sum.
         rng = np.random.default_rng(3)
         fam = get_family("logistic", 2)
         theta = rng.standard_normal(2)
         xa, xb = rng.standard_normal(2), rng.standard_normal(2)
         ya, yb = 1, 0
         kern = product(0.5)
-
-        def pair_total(t):
-            return (
-                loss_hat(fam, t, xa, xb, yb, kern).value
-                + loss_hat(fam, t, xb, xa, ya, kern).value
-            )
-
-        ab = grad_hat_one_sided(fam, theta, xa, xb, yb, kern).vector
-        ba = grad_hat_one_sided(fam, theta, xb, xa, ya, kern).vector
-        assert np.allclose(ab + ba, fd(pair_total, theta), atol=1e-7)
-        assembled = grad_hat_pair(fam, theta, xa, ya, xb, yb, kern).vector
-        assert np.allclose(assembled, 0.5 * (ab + ba), atol=1e-12)
-
-    def test_assembled_collapses_to_diagonal(self):
-        fam = get_family("logistic", 2)
-        theta = np.array([0.3, 0.7])
-        x = np.array([0.5, -0.2])
-        pair = grad_hat_pair(fam, theta, x, 1, x, 1, product(0.01)).vector
-        diag = grad_tilde(fam, theta, x, 1, KY).vector
-        assert np.allclose(pair, diag, atol=1e-14)
+        ds = Dataset(np.vstack([xa, xb]), np.array([ya, yb]), "binary")
+        ab = cross_grad(fam, theta, xa, xb, yb, kern)
+        ba = cross_grad(fam, theta, xb, xa, ya, kern)
+        want = fd(lambda t: link_term(fam, t, ds, kern).value, theta)
+        assert np.allclose(ab + ba, want, atol=1e-7)
 
     def test_requires_product_kernel(self):
         fam = get_family("logistic", 1)
+        ds = Dataset(np.array([[0.0], [1.0]]), np.array([1, 1]), "binary")
         with pytest.raises(ConfigError):
-            grad_hat_one_sided(fam, np.zeros(1), np.array([0.0]), np.array([1.0]), 1, KY)
+            link_term(fam, np.zeros(1), ds, KY)
+        with pytest.raises(ConfigError):
+            grad_objective_estimate(fam, np.zeros(1), ds, KY, "hat", seed=0)
 
 
 class TestPairIndexing:
@@ -368,9 +361,7 @@ def logistic_dataset(n, seed, d=2):
 class TestObjectiveGradient:
     def test_tilde_unbiased(self):
         fam, theta, ds = logistic_dataset(6, 9)
-        exact = np.sum(
-            [grad_tilde(fam, theta, ds.x[i], ds.y[i], KY).vector for i in range(6)], axis=0
-        )
+        exact = np.sum([diag_grad(fam, theta, ds.x[i], ds.y[i], KY) for i in range(6)], axis=0)
         rng = np.random.default_rng(10)
         reps = np.stack(
             [
@@ -478,25 +469,26 @@ class TestObjectiveGradient:
 
 class TestLargeBudgetGaussianOracle:
     def test_million_pair_mean_matches_pathwise_fd(self):
-        # Score route: the average of 10^6 single-pair gradient
-        # estimates, accumulated as 20 chunks so a standard error is
-        # available.  Oracle route: central differences of a 10^7-budget
-        # common-random-numbers loss, split over 8 seeds.
+        # Score route: the fit path's gradient on 20 datasets of 50,000
+        # copies of one observation, 10^6 single-pair estimates in all,
+        # so a standard error is available.  Oracle route: central
+        # differences of the common-random-numbers Monte Carlo objective
+        # on 1.25 x 10^6 copies, 10^7 pairs over 8 seeds.
         fam = get_family("gaussian_linear", 1)
         theta = np.array([1.1, math.log(0.8)])
         x = np.array([0.7])
         y = -0.4
         chunk = 50_000
+        ds = repeated(fam, x, y, rows=chunk)
         score_reps = np.stack(
-            [
-                grad_tilde(fam, theta, x, y, KY, mode="mc", budget=chunk, seed=400 + r).vector
-                for r in range(20)
-            ]
+            [grad_objective_estimate(fam, theta, ds, KY, seed=400 + r).vector / chunk for r in range(20)]
         )
         score_mean = score_reps.mean(axis=0)
         score_se = score_reps.std(axis=0, ddof=1) / math.sqrt(20)
 
         h = 1e-4
+        budget = 1_250_000
+        ds = repeated(fam, x, y, rows=budget)
         fd_reps = []
         for r in range(8):
             seed = 700 + r
@@ -506,8 +498,8 @@ class TestLargeBudgetGaussianOracle:
                 dn = theta.copy()
                 up[k] += h
                 dn[k] -= h
-                fu = loss_tilde(fam, up, x, y, KY, mode="mc", budget=1_250_000, seed=seed).value
-                fd_ = loss_tilde(fam, dn, x, y, KY, mode="mc", budget=1_250_000, seed=seed).value
+                fu = objective(fam, up, ds, KY, mode="mc", budget=1, seed=seed).value / budget
+                fd_ = objective(fam, dn, ds, KY, mode="mc", budget=1, seed=seed).value / budget
                 g[k] = (fu - fd_) / (2.0 * h)
             fd_reps.append(g)
         fd_reps = np.stack(fd_reps)
@@ -641,8 +633,9 @@ class TestScoreGradientPerFamily:
                     y = int(rng.integers(0, 2))
                 else:
                     y = int(rng.integers(0, 4))
-                got = grad_tilde(fam, theta, x, y, KY).vector
-                want = fd(lambda t: loss_tilde(fam, t, x, y, KY).value, theta)
+                ds = repeated(fam, x, y)
+                got = diag_grad(fam, theta, x, y, KY)
+                want = fd(lambda t: objective(fam, t, ds, KY).value, theta)
                 assert np.allclose(got, want, atol=2e-6)
 
 

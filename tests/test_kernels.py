@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,21 +133,25 @@ class TestKernelSpec:
             assert np.all(np.abs(vals) <= 1.0 + 1e-15)
 
     def test_symmetry_and_psd(self):
+        # Every radial family and Matern order, at full scale and at
+        # c < 1, alone, under an affine shift, and as product factors.
         rng = np.random.default_rng(3)
-        specs = [
-            exponential_kernel(0.8),
-            gaussian_kernel(1.1),
-            matern_kernel(0.6, m=3),
-            psi_matern_kernel(0.3, m=5),
-            affine_shift_kernel(matern_kernel(1.0, m=1), beta=0.5),
-        ]
+        radial = [exponential_kernel(0.8), gaussian_kernel(1.1)]
+        radial += [matern_kernel(0.6, m=m) for m in (1, 3, 5)]
+        radial += [psi_matern_kernel(0.3, m=m) for m in (1, 3, 5)]
+        radial += [replace(spec, c=0.3) for spec in radial]
+        single = radial + [affine_shift_kernel(spec, beta=0.5) for spec in radial]
+        products = [product_kernel(spec, other) for spec, other in zip(single, reversed(single))]
         for _ in range(50):
             pts = rng.normal(size=(8, 2))
-            for spec in specs:
-                k = gram(spec, pts, pts)
-                assert np.allclose(k, k.T, atol=1e-12)
+            # a near-duplicate row leaves the Gram matrix close to singular
+            pts[1] = pts[0] + 1e-6
+            ys = rng.normal(size=(8, 1))
+            for spec, z in [(s, pts) for s in single] + [(s, (pts, ys)) for s in products]:
+                k = gram(spec, z, z)
+                assert np.allclose(k, k.T, atol=1e-12), spec
                 eigs = np.linalg.eigvalsh((k + k.T) / 2)
-                assert eigs.min() > -1e-8
+                assert eigs.min() >= -1e-9 * eigs.max(), spec
 
     def test_product_psd(self):
         rng = np.random.default_rng(5)

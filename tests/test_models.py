@@ -7,7 +7,7 @@ log density; densities are checked to integrate to one by quadrature
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from mmdreg.errors import ConfigError, DomainError, NumericalError
 from mmdreg.models import (
@@ -149,7 +149,7 @@ class TestDensities:
         selected_mass, _ = integrate.quad(dens, -np.inf, np.inf, limit=200)
         censored_mass = float(np.exp(fam.log_density(theta, x, np.array([[0.0, 0.0]]))[0]))
         assert abs(selected_mass + censored_mass - 1.0) < 1e-7
-        mu2 = fam.link(theta, x[0])["mu2"]
+        mu2 = float(x[0] @ theta[2:4])
         assert abs(censored_mass - stats.norm.cdf(-mu2)) < 1e-12
 
     def test_domain_errors(self):
@@ -177,18 +177,18 @@ class TestSampling:
         checks = []
         fam = get_family("gaussian_linear", d)
         theta = np.array([1.0, -0.5, np.log(0.8)])
-        checks.append((fam, theta, fam.link(theta, x)["mean"], 0.8))
+        checks.append((fam, theta, x @ theta[:2], 0.8))
         fam = get_family("logistic", d)
         theta = np.array([0.7, 0.2])
-        p = fam.link(theta, x)["p"]
+        p = special.expit(x @ theta)
         checks.append((fam, theta, p, np.sqrt(p * (1 - p))))
         fam = get_family("poisson", d)
         theta = np.array([0.5, 0.3])
-        rate = fam.link(theta, x)["rate"]
+        rate = np.exp(x @ theta)
         checks.append((fam, theta, rate, np.sqrt(rate)))
         fam = get_family("gamma", d)
         theta = np.array([0.4, 0.6, np.log(2.0)])
-        mean = fam.link(theta, x)["mean"]
+        mean = np.exp(x @ theta[:2])
         checks.append((fam, theta, mean, mean / np.sqrt(2.0)))
         for fam, theta, mean, sd in checks:
             draws = fam.sample(theta, x, rng, n=n)
@@ -200,8 +200,10 @@ class TestSampling:
         fam = get_family("mixture", 2, n_components=2)
         theta = np.array([1.0, 0.0, -1.0, 0.5, np.log(0.5), np.log(1.5), 0.8])
         x = np.array([0.6, -0.2])
-        link = fam.link(theta, x)
-        mean = float(np.dot(link["weights"], link["means"]))
+        # component means beta_m' x, weights softmax of (logit, 0)
+        means = theta[:4].reshape(2, 2) @ x
+        weights = special.softmax([theta[6], 0.0])
+        mean = float(np.dot(weights, means))
         draws = fam.sample(theta, x, rng, n=200_000)
         assert abs(float(np.mean(draws)) - mean) < 0.02
 
@@ -210,8 +212,8 @@ class TestSampling:
         fam = get_family("heckman", 2)
         theta = np.array([1.0, -0.3, 0.4, 0.8, np.log(1.5), np.arctanh(0.5)])
         x = np.array([0.5, 0.25])
-        link = fam.link(theta, x)
-        mu1, mu2, sigma, rho = link["mu1"], link["mu2"], link["sigma"], link["rho"]
+        mu1, mu2 = x @ theta[:2], x @ theta[2:4]
+        sigma, rho = np.exp(theta[4]), np.tanh(theta[5])
         n = 400_000
         draws = fam.sample(theta, x, rng, n=n)
         assert np.all(draws[draws[:, 1] == 0.0, 0] == 0.0)

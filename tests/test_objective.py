@@ -1,8 +1,11 @@
 """Unit tests for the discrepancy objectives.
 
 Expected values are produced by independent oracles: direct double-loop
-V-statistics, support enumeration with scipy pmfs, and large-sample
-Monte Carlo runs.
+V-statistics, support enumeration with scipy pmfs, the exact
+per-observation losses of ``tests/oracles.py``, and large-sample Monte
+Carlo runs.  A per-observation loss is the objective on a dataset that
+holds the observation once; its Monte Carlo estimate with budget B is
+the objective on B copies, divided by B.
 """
 
 import math
@@ -20,13 +23,8 @@ from mmdreg.kernels import (
     psi_matern_kernel,
 )
 from mmdreg.models import Dataset, get_family
-from mmdreg.objective import (
-    link_term,
-    loss_hat,
-    loss_tilde,
-    mmd_sq_vstat,
-    objective,
-)
+from mmdreg.objective import link_term, mmd_sq_vstat, objective
+from oracles import cross_loss, diag_loss, repeated
 
 KY = exponential_kernel(1.0)
 
@@ -95,7 +93,7 @@ class TestLossTilde:
         fam = get_family("logistic", 1)
         # theta = 0 puts probability 1/2 on each outcome; the expected
         # pair kernel is (1 + 1/e)/2 and the data term doubles it.
-        val = loss_tilde(fam, np.zeros(1), np.array([1.0]), 1, KY)
+        val = objective(fam, np.zeros(1), repeated(fam, [1.0], 1), KY)
         assert val.mode == "exact" and val.std_error == 0.0
         assert abs(val.value - (-0.6839397)) < 1e-7
         assert abs(val.value - (-(1.0 + math.exp(-1.0)) / 2.0)) < 1e-12
@@ -113,7 +111,7 @@ class TestLossTilde:
             pair = sum(probs[a] * probs[b] * k(a, b) for a in (0, 1) for b in (0, 1))
             data = sum(probs[a] * k(a, y) for a in (0, 1))
             want = pair - 2.0 * data
-            got = loss_tilde(fam, theta, x, y, KY)
+            got = objective(fam, theta, repeated(fam, x, y), KY)
             assert abs(got.value - want) < 1e-12
 
     def test_poisson_matches_enumeration(self):
@@ -127,7 +125,7 @@ class TestLossTilde:
         pmf = stats.poisson.pmf(support, rate)
         kmat = np.exp(-np.abs(support[:, None] - support[None, :]))
         want = float(pmf @ kmat @ pmf - 2.0 * pmf @ np.exp(-np.abs(support - y)))
-        got = loss_tilde(fam, theta, x, y, KY)
+        got = objective(fam, theta, repeated(fam, x, y), KY)
         assert abs(got.value - want) < 1e-9
 
     def test_poisson_truncation_mass(self):
@@ -138,9 +136,9 @@ class TestLossTilde:
     def test_mc_agrees_with_exact(self):
         fam = get_family("logistic", 1)
         theta = np.array([0.4])
-        x = np.array([1.0])
-        exact = loss_tilde(fam, theta, x, 1, KY).value
-        mc = loss_tilde(fam, theta, x, 1, KY, mode="mc", budget=40000, seed=0)
+        ds = repeated(fam, [1.0], 1, rows=400)
+        exact = objective(fam, theta, ds, KY).value
+        mc = objective(fam, theta, ds, KY, mode="mc", budget=100, seed=0)
         assert mc.mode == "mc" and mc.std_error > 0.0
         assert abs(mc.value - exact) < 4.0 * mc.std_error + 1e-12
 
@@ -149,7 +147,9 @@ class TestLossTilde:
         theta = np.array([1.2, np.log(0.7)])
         x = np.array([0.5])
         y = 1.0
-        got = loss_tilde(fam, theta, x, y, KY, budget=100_000, seed=1)
+        # 10^5 pairs: 100 replicates over 1000 copies of the observation
+        got = objective(fam, theta, repeated(fam, x, y, rows=1000), KY, budget=100, seed=1)
+        got_value, got_se = got.value / 1000, got.std_error / 1000
         # Oracle: an independent 10^7-pair run, accumulated in chunks.
         rng = np.random.default_rng(999)
         total = 0.0
@@ -164,16 +164,16 @@ class TestLossTilde:
         m = chunks * chunk
         oracle = total / m
         oracle_se = math.sqrt((sumsq / m - oracle ** 2) / m)
-        assert abs(got.value - oracle) < 4.0 * math.hypot(got.std_error, oracle_se)
+        assert abs(got_value - oracle) < 4.0 * math.hypot(got_se, oracle_se)
 
     def test_mc_error_halves_with_budget(self):
         fam = get_family("gaussian_linear", 1)
         theta = np.array([0.5, 0.0])
-        x = np.array([1.0])
+        ds = repeated(fam, [1.0], 0.3)
         ses = {200: [], 400: []}
         for trial in range(50):
             for budget in (200, 400):
-                v = loss_tilde(fam, theta, x, 0.3, KY, budget=budget, seed=1000 + trial)
+                v = objective(fam, theta, ds, KY, budget=budget, seed=1000 + trial)
                 ses[budget].append(v.std_error)
         ratio = np.mean(ses[200]) / np.mean(ses[400])
         assert 1.2 <= ratio <= 1.7
@@ -181,30 +181,35 @@ class TestLossTilde:
     def test_exact_mode_rejected_for_continuous(self):
         fam = get_family("gaussian_linear", 1)
         with pytest.raises(ConfigError):
-            loss_tilde(fam, np.zeros(2), np.array([1.0]), 0.0, KY, mode="exact")
+            objective(fam, np.zeros(2), repeated(fam, [1.0], 0.0), KY, mode="exact")
 
 
 class TestLossHat:
     def test_equal_covariates_reduce_to_tilde(self):
         fam = get_family("logistic", 2)
         theta = np.array([0.7, -0.4])
-        x = np.array([0.3, 0.9])
-        tilde = loss_tilde(fam, theta, x, 1, KY).value
-        hat = loss_hat(fam, theta, x, x, 1, product(0.01))
+        ds = repeated(fam, [0.3, 0.9], 1)
+        tilde = objective(fam, theta, ds, KY).value
+        hat = objective(fam, theta, ds, product(0.01), "hat")
         assert abs(hat.value - tilde) < 1e-14
 
     def test_half_weight_frozen(self):
         fam = get_family("logistic", 1)
         # Exponential covariate kernel at distance log 2 gives k_x = 1/2;
-        # theta = 0 keeps both response laws at probability 1/2.
+        # theta = 0 keeps both response laws at probability 1/2, so the
+        # two cross losses of the pair are equal and the link term holds
+        # both.
         kern = product_kernel(exponential_kernel(1.0), KY)
-        val = loss_hat(fam, np.zeros(1), np.array([0.0]), np.array([math.log(2.0)]), 1, kern)
-        assert abs(val.value - (-0.3419698)) < 1e-7
+        ds = Dataset(np.array([[0.0], [math.log(2.0)]]), np.array([1, 1]), "binary")
+        val = link_term(fam, np.zeros(1), ds, kern).value / 2.0
+        assert abs(val - (-0.3419698)) < 1e-7
+        assert abs(val - (-(1.0 + math.exp(-1.0)) / 4.0)) < 1e-12
 
     def test_requires_product_kernel(self):
         fam = get_family("logistic", 1)
+        ds = Dataset(np.array([[0.0], [1.0]]), np.array([1, 1]), "binary")
         with pytest.raises(ConfigError):
-            loss_hat(fam, np.zeros(1), np.array([0.0]), np.array([1.0]), 1, KY)
+            objective(fam, np.zeros(1), ds, KY, "hat")
 
     def test_mc_agrees_with_exact(self):
         fam = get_family("logistic", 2)
@@ -212,8 +217,9 @@ class TestLossHat:
         theta = rng.standard_normal(2)
         xa, xb = rng.standard_normal(2), rng.standard_normal(2)
         kern = product_kernel(exponential_kernel(1.0), KY)
-        exact = loss_hat(fam, theta, xa, xb, 0, kern).value
-        mc = loss_hat(fam, theta, xa, xb, 0, kern, mode="mc", budget=40000, seed=2)
+        ds = Dataset(np.vstack([xa, xb]), np.array([1, 0]), "binary")
+        exact = objective(fam, theta, ds, kern, "hat").value
+        mc = objective(fam, theta, ds, kern, "hat", mode="mc", budget=40000, seed=2)
         assert abs(mc.value - exact) < 4.0 * mc.std_error + 1e-12
 
 
@@ -229,7 +235,7 @@ def logistic_dataset(n, seed, d=2):
 class TestObjective:
     def test_tilde_sums_pointwise_losses(self):
         fam, theta, ds = logistic_dataset(6, 11)
-        want = sum(loss_tilde(fam, theta, ds.x[i], ds.y[i], KY).value for i in range(6))
+        want = sum(diag_loss(fam, theta, ds.x[i], ds.y[i], KY) for i in range(6))
         got = objective(fam, theta, ds, KY, "tilde")
         assert got.mode == "exact"
         assert abs(got.value - want) < 1e-12
@@ -240,7 +246,7 @@ class TestObjective:
         want = 0.0
         for i in range(4):
             for j in range(4):
-                want += loss_hat(fam, theta, ds.x[i], ds.x[j], ds.y[j], kern).value
+                want += cross_loss(fam, theta, ds.x[i], ds.x[j], ds.y[j], kern)
         got = objective(fam, theta, ds, kern, "hat")
         assert abs(got.value - want) < 1e-11
 
