@@ -44,7 +44,6 @@ from .fitting import (
     fit_mmd,
 )
 from .gradients import (
-    GradValue,
     PairCache,
     build_pair_cache,
     grad_objective_estimate,
@@ -60,12 +59,9 @@ from .kernels import (
     exponential_kernel,
     gaussian_kernel,
     gram,
-    kernel_eval,
-    matern_halfint,
     matern_kernel,
     product_kernel,
     psi,
-    psi_inverse,
     psi_matern_kernel,
     spec_from_dict,
     spec_to_dict,
@@ -80,7 +76,6 @@ from .models import (
 )
 from .objective import (
     ObjectiveValue,
-    link_term,
     mmd_sq_vstat,
     objective,
 )
@@ -89,15 +84,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DomainError", "FormatError", "NumericalError",
-    "KernelSpec", "psi", "psi_inverse", "matern_halfint",
+    "KernelSpec", "psi",
     "exponential_kernel", "gaussian_kernel", "matern_kernel",
     "psi_matern_kernel", "affine_shift_kernel", "product_kernel",
     "default_covariate_kernel", "default_response_kernel",
-    "gram", "elementwise", "kernel_eval", "spec_from_dict", "spec_to_dict",
+    "gram", "elementwise", "spec_from_dict", "spec_to_dict",
     "Dataset", "Scenario", "get_family", "get_scenario", "list_scenarios",
     "simulate_dataset",
-    "mmd_sq_vstat", "ObjectiveValue", "objective", "link_term",
-    "GradValue", "grad_objective_estimate", "PairCache", "build_pair_cache",
+    "mmd_sq_vstat", "ObjectiveValue", "objective",
+    "grad_objective_estimate", "PairCache", "build_pair_cache",
     "top_pairs", "sample_pair_indices",
     "ESTIMATORS", "FitConfig", "FitResult", "default_kernel",
     "fit", "fit_mmd", "fit_baseline",

@@ -19,14 +19,14 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .contamination import RECIPES, SCHEMES, ContaminationSpec, contaminate
+from .dataio import fit_config_from_dict
 from .errors import ConfigError, DomainError, FormatError, NumericalError
-from .fitting import ESTIMATORS, FitConfig, fit
-from .kernels import spec_from_dict
+from .fitting import ESTIMATORS, fit
 from .models import Dataset, check_seed, get_scenario, simulate_dataset
 
 SCHEMA_VERSION = 1
@@ -62,7 +62,9 @@ class ExperimentPlan:
 
     ``fit_overrides`` maps an estimator name to FitConfig keyword
     overrides (iteration counts, pair budgets, kernel config); seeds
-    and estimator names are derived and cannot be overridden.
+    and estimator names are derived and cannot be overridden.  Each
+    estimator's FitConfig is built once here, so a bad override refuses
+    the plan before any work; ``fit_configs`` holds them.
     """
 
     scenario: str
@@ -75,6 +77,7 @@ class ExperimentPlan:
     scheme: str = "adversarial"
     fixed_base: bool = False
     fit_overrides: dict = field(default_factory=dict)
+    fit_configs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         get_scenario(self.scenario)
@@ -113,6 +116,14 @@ class ExperimentPlan:
             banned = {"estimator", "seed"} & set(over)
             if banned:
                 raise ConfigError(f"fit overrides cannot set {sorted(banned)}")
+        configs = {}
+        for name in self.estimators:
+            try:
+                configs[name] = fit_config_from_dict({**self.fit_overrides.get(name, {}),
+                                                      "estimator": name})
+            except ConfigError as exc:
+                raise ConfigError(f"fit override for {name!r}: {exc}") from None
+        object.__setattr__(self, "fit_configs", configs)
 
     def cells(self):
         """Grid cells in canonical order; the clean rate appears once
@@ -224,13 +235,7 @@ def _run_task(plan, cell, rep):
     family, ds = _cell_dataset(plan, scenario, cell, rep)
     records = []
     for i_est, estimator in enumerate(plan.estimators):
-        kwargs = {"estimator": estimator,
-                  "seed": _derive_seed(plan.master_seed, 3, cell.index, rep, i_est)}
-        kwargs.update(plan.fit_overrides.get(estimator, {}))
-        if isinstance(kwargs.get("kernel"), dict):
-            kwargs["kernel"] = spec_from_dict(kwargs["kernel"])
-        if isinstance(kwargs.get("init"), (list, tuple)):
-            kwargs["init"] = np.asarray(kwargs["init"], dtype=float)
+        seed = _derive_seed(plan.master_seed, 3, cell.index, rep, i_est)
         record = {
             "cell": cell.index, "n": cell.n, "epsilon": cell.epsilon,
             "recipe": cell.recipe, "estimator": estimator, "rep": rep,
@@ -239,7 +244,7 @@ def _run_task(plan, cell, rep):
         }
         t0 = time.perf_counter()
         try:
-            result = fit(family, ds, FitConfig(**kwargs))
+            result = fit(family, ds, replace(plan.fit_configs[estimator], seed=seed))
         except (ConfigError, DomainError, FormatError, NumericalError,
                 np.linalg.LinAlgError, FloatingPointError) as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"

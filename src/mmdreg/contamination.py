@@ -69,9 +69,12 @@ class ContaminationSpec:
         if self.mean is not None:
             if self.recipe not in _DEFAULT_MEANS:
                 raise ConfigError(f"recipe {self.recipe!r} takes no mean")
-            if not math.isfinite(float(self.mean)):
+            mean = self.mean
+            if not isinstance(mean, (int, float, np.floating)) or isinstance(mean, bool):
+                raise ConfigError(f"recipe mean must be a real number, got {mean!r}")
+            if not math.isfinite(float(mean)):
                 raise ConfigError("recipe mean must be finite")
-            object.__setattr__(self, "mean", float(self.mean))
+            object.__setattr__(self, "mean", float(mean))
         if self.recipe == "custom":
             if not isinstance(self.sampler_id, str) or not self.sampler_id:
                 raise ConfigError("custom recipe requires a sampler_id")

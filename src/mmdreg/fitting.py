@@ -441,7 +441,7 @@ def fit_mmd(family, dataset, config=None):
             pairs=config.mc_pairs,
             rng_draws=rng_draws,
             rng_pairs=rng_pairs,
-        ).vector
+        )
         if not np.all(np.isfinite(g)):
             error = "nonfinite_gradient"
             break

@@ -30,14 +30,6 @@ from .objective import (
 )
 
 
-@dataclass(frozen=True)
-class GradValue:
-    """A gradient evaluation in raw coordinates."""
-
-    vector: np.ndarray
-    mode: str
-
-
 def _linear_from_pair(i, j, n):
     # row-major enumeration of unordered pairs i < j
     i = np.asarray(i, dtype=np.int64)
@@ -188,7 +180,6 @@ def grad_objective_estimate(
     estimator="tilde",
     *,
     cache=None,
-    m_det=None,
     m_samp=None,
     pairs=1,
     rng_draws=None,
@@ -209,9 +200,8 @@ def grad_objective_estimate(
         theta: raw parameter vector.
         dataset: observations.
         kernel: response kernel; a product kernel is required for ``"hat"``.
-        cache: optional prebuilt :class:`PairCache` (``"hat"`` only).
-        m_det: deterministic pair count when building a cache here;
-            defaults to ``n``.
+        cache: optional prebuilt :class:`PairCache` (``"hat"`` only);
+            built here with ``n`` deterministic pairs when omitted.
         m_samp: sampled pair count per replicate; defaults to ``n``.
         pairs: number of independent draw replicates to average.
         rng_draws: stream for model draws.
@@ -219,7 +209,7 @@ def grad_objective_estimate(
         seed: convenience; derives both streams when neither is given.
 
     Returns:
-        GradValue with the summed gradient, shape ``(raw_dim,)``.
+        The summed gradient, shape ``(raw_dim,)``.
     """
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)
@@ -241,7 +231,7 @@ def grad_objective_estimate(
     if estimator == "hat":
         kernel = _require_product(kernel)
         if cache is None:
-            cache = build_pair_cache(kernel.x_kernel, x, n if m_det is None else m_det)
+            cache = build_pair_cache(kernel.x_kernel, x, n)
         if m_samp is None:
             m_samp = n
         m_samp = min(int(m_samp), cache.remaining)
@@ -260,7 +250,7 @@ def grad_objective_estimate(
             contrib = (2.0 * factor * weight * w_ij) @ scores[idx_i]
             contrib += (2.0 * factor * weight * w_ji) @ scores[idx_j]
             grad += contrib
-    return GradValue(grad / pairs, "mc")
+    return grad / pairs
 
 
 def _pair_batches(cache, m_samp, rng_pairs):

@@ -1,10 +1,9 @@
 """Kernels on covariates, responses, and joint covariate-response points.
 
-Two scalar building blocks are exposed directly: the bounded
-reparameterization ``psi`` of the real line and the half-integer Matern
-family ``matern_halfint``.  Everything else is described declaratively by
-:class:`KernelSpec` and evaluated with :func:`gram`, :func:`elementwise`,
-or :func:`kernel_eval`, so a kernel read from a config file and a kernel
+One scalar building block is exposed directly: the bounded
+reparameterization ``psi`` of the real line.  Every kernel is described
+declaratively by :class:`KernelSpec` and evaluated with :func:`gram` or
+:func:`elementwise`, so a kernel read from a config file and a kernel
 built in code go through the same path.
 """
 
@@ -20,9 +19,6 @@ from .errors import ConfigError, DomainError
 _RADIAL_FAMILIES = ("exponential", "gaussian", "matern", "psi_matern")
 _FAMILIES = _RADIAL_FAMILIES + ("affine_shift", "product")
 _MATERN_ORDERS = (1, 3, 5)
-
-_SQRT3 = math.sqrt(3.0)
-_SQRT5 = math.sqrt(5.0)
 
 
 def psi(v):
@@ -56,51 +52,8 @@ def _psi(v):
     return 0.5 + v / (2.0 * (root + 2.0))
 
 
-def psi_inverse(u):
-    """Inverse of :func:`psi` on (0, 1).
-
-    Isolating the radical in ``u = psi(v)`` and squaring leaves an
-    equation linear in ``v``; in terms of ``u`` the unique solution is
-    ``v = (2 u - 1) / (u (1 - u))``.
-    """
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise DomainError("psi_inverse requires finite input")
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise DomainError("psi_inverse requires u in the open interval (0, 1)")
-    out = (2.0 * u - 1.0) / (u * (1.0 - u))
-    return float(out) if out.ndim == 0 else out
-
-
-def matern_halfint(r, gamma, m):
-    """Matern kernel of half-integer order ``m/2`` as a function of distance.
-
-    Supported orders and their closed forms, with ``s = sqrt(m) r / gamma``:
-
-    * ``m = 1``: ``exp(-s)``
-    * ``m = 3``: ``(1 + s) exp(-s)``
-    * ``m = 5``: ``(1 + s + s^2 / 3) exp(-s)``
-
-    Args:
-        r: nonnegative distance, scalar or array.
-        gamma: positive length scale.
-        m: order numerator, one of 1, 3, 5.
-
-    Returns:
-        Kernel value(s) in (0, 1], equal to 1 exactly at ``r = 0``.
-    """
-    if m not in _MATERN_ORDERS:
-        raise ConfigError(f"matern_halfint supports m in {_MATERN_ORDERS}, got {m!r}")
-    if not (np.isfinite(gamma) and gamma > 0.0):
-        raise DomainError("matern_halfint requires a positive finite gamma")
-    r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)) or np.any(r < 0.0):
-        raise DomainError("matern_halfint requires finite nonnegative distances")
-    out = _matern(r, gamma, m)
-    return float(out) if out.ndim == 0 else out
-
-
 def _matern(r, gamma, m):
+    # M_m of the KernelSpec docstring at distance r
     s = (math.sqrt(float(m)) / gamma) * r
     if m == 1:
         return np.exp(-s)
@@ -117,9 +70,11 @@ class KernelSpec:
 
     * ``"exponential"``: ``c * exp(-||z - z'|| / gamma)``
     * ``"gaussian"``: ``c * exp(-||z - z'||^2 / (2 gamma^2))``
-    * ``"matern"``: ``c *`` :func:`matern_halfint` at ``||z - z'||``
+    * ``"matern"``: ``c * M_m(||z - z'||)``, the half-integer Matern of
+      order ``m/2`` with ``s = sqrt(m) r / gamma``: ``M_1 = exp(-s)``,
+      ``M_3 = (1 + s) exp(-s)``, ``M_5 = (1 + s + s^2 / 3) exp(-s)``
     * ``"psi_matern"``: Matern evaluated on coordinate-wise psi-mapped
-      points, ``c * matern_halfint(||psi(z) - psi(z')||, gamma, m)``
+      points, ``c * M_m(||psi(z) - psi(z')||)``
     * ``"affine_shift"``: ``beta * child(z, z') + (1 - beta)``
     * ``"product"``: ``x_kernel(x, x') * y_kernel(y, y')`` on joint
       points ``z = (x, y)``
@@ -224,16 +179,9 @@ def _cross_dists(a, b):
 def _aligned_dists(a, b):
     if a.shape != b.shape:
         raise DomainError(f"aligned evaluation needs equal shapes, got {a.shape} vs {b.shape}")
+    # the same reduction as _cross_dists, so each value equals its gram entry
     d = a - b
-    return np.sqrt(np.sum(d * d, axis=1))
-
-
-def _single_dists(a, b):
-    if a.shape[0] != 1 or b.shape[0] != 1:
-        raise DomainError("kernel_eval takes single points; use gram for sets")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("kernel evaluation requires finite points")
-    return _aligned_dists(a, b)
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
 def _radial(spec, r):
@@ -289,11 +237,6 @@ def elementwise(spec, a, b):
     finite and are not checked here; only shapes are.
     """
     return _evaluate(spec, a, b, _aligned_dists)
-
-
-def kernel_eval(spec, z, zp):
-    """Scalar kernel value between two single points; non-finite points raise."""
-    return float(_evaluate(spec, z, zp, _single_dists)[0])
 
 
 _SPEC_KEYS = {"family", "gamma", "m", "beta", "c", "child", "x_kernel", "y_kernel"}

@@ -99,8 +99,9 @@ class Family:
 
     Subclasses define ``raw_dim``, ``kind``, ``exact`` (whether the
     response support is finite or truncatable, enabling exact loss
-    evaluation), and the three core operations ``sample``,
-    ``log_density`` and ``grad_log_density``.
+    evaluation), and the two core operations ``sample`` and
+    ``grad_log_density``.  The estimators only draw from a family and
+    use its score, so no family needs a density.
     """
 
     name = "family"
@@ -123,19 +124,12 @@ class Family:
 
     # core operations -------------------------------------------------
 
-    def sample(self, theta, x, rng, n=None):
+    def sample(self, theta, x, rng):
         """Draw responses, one per row of ``x``.
-
-        With a single covariate row and ``n`` given, draws ``n``
-        i.i.d. responses at that covariate.
 
         Precondition: ``theta`` and ``x`` are finite.  Only their shapes
         are checked here; the fit loop passes arrays checked at its entry.
         """
-        raise NotImplementedError
-
-    def log_density(self, theta, x, y):
-        """Log density/mass of aligned responses, shape ``(n,)``."""
         raise NotImplementedError
 
     def grad_log_density(self, theta, x, y):
@@ -156,7 +150,7 @@ class Family:
 
     # validation helpers ---------------------------------------------
     # ``_theta``, ``_rows`` and ``_shape_y`` check shapes only, for the
-    # fit loop's trusted arrays; the ``check`` forms also scan values.
+    # fit loop's trusted arrays; ``check_theta`` also scans values.
 
     def _theta(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -172,24 +166,12 @@ class Family:
             raise DomainError("raw parameters must be finite")
         return theta
 
-    def _rows(self, x, n=None):
+    def _rows(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(1, -1)
         if x.ndim != 2 or x.shape[1] != self.d:
             raise DomainError(f"{self.name} expects covariates with d={self.d}, got shape {x.shape}")
-        if n is not None:
-            if x.shape[0] != 1:
-                raise DomainError("pass n only with a single covariate row")
-            if not (isinstance(n, (int, np.integer)) and n >= 1):
-                raise DomainError("sample count must be a positive integer")
-            x = np.repeat(x, int(n), axis=0)
-        return x
-
-    def _check_x(self, x):
-        x = self._rows(x)
-        if not np.all(np.isfinite(x)):
-            raise DomainError("covariates must be finite")
         return x
 
     def _shape_y(self, y, n):
@@ -197,14 +179,6 @@ class Family:
         if y.shape != ((n, 2) if self.kind == "censored" else (n,)):
             raise DomainError(f"{self.name} expects {n} responses, got shape {y.shape}")
         return y
-
-    def _check_y(self, y, n):
-        y = np.asarray(y)
-        if y.ndim == 0:
-            y = y.reshape(1)
-        elif self.kind == "censored" and y.shape == (2,):
-            y = y.reshape(1, 2)
-        return _check_responses(self.kind, y, n)
 
 
 class GaussianLinear(Family):
@@ -227,20 +201,12 @@ class GaussianLinear(Family):
     def natural_names(self):
         return [f"beta{i + 1}" for i in range(self.d)] + ["sigma"]
 
-    def sample(self, theta, x, rng, n=None):
+    def sample(self, theta, x, rng):
         theta = self._theta(theta)
-        x = self._rows(x, n)
+        x = self._rows(x)
         mean = x @ theta[: self.d]
         sigma = np.exp(theta[self.d])
         return mean + sigma * rng.standard_normal(x.shape[0])
-
-    def log_density(self, theta, x, y):
-        theta = self.check_theta(theta)
-        x = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
-        log_sigma = theta[self.d]
-        z = (y - x @ theta[: self.d]) * np.exp(-log_sigma)
-        return -0.5 * _LOG_2PI - log_sigma - 0.5 * z * z
 
     def grad_log_density(self, theta, x, y):
         theta = self._theta(theta)
@@ -274,19 +240,11 @@ class Logistic(Family):
     def _prob(self, theta, x):
         return special.expit(x @ theta)
 
-    def sample(self, theta, x, rng, n=None):
+    def sample(self, theta, x, rng):
         theta = self._theta(theta)
-        x = self._rows(x, n)
+        x = self._rows(x)
         p = self._prob(theta, x)
         return (rng.random(x.shape[0]) < p).astype(np.int64)
-
-    def log_density(self, theta, x, y):
-        theta = self.check_theta(theta)
-        x = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
-        eta = x @ theta
-        # y * eta - log(1 + exp(eta)), stable for both signs of eta.
-        return y * eta - np.logaddexp(0.0, eta)
 
     def grad_log_density(self, theta, x, y):
         theta = self._theta(theta)
@@ -296,7 +254,7 @@ class Logistic(Family):
 
     def support(self, theta, x):
         theta = self.check_theta(theta)
-        x = self._check_x(x)
+        x = self._rows(x)
         p = self._prob(theta, x)
         return np.array([0.0, 1.0]), np.column_stack([1.0 - p, p])
 
@@ -318,20 +276,13 @@ class Poisson(Family):
     def natural_names(self):
         return [f"theta{i + 1}" for i in range(self.d)]
 
-    def sample(self, theta, x, rng, n=None):
+    def sample(self, theta, x, rng):
         theta = self._theta(theta)
-        x = self._rows(x, n)
+        x = self._rows(x)
         try:
             return rng.poisson(np.exp(x @ theta)).astype(np.int64)
         except ValueError as exc:  # numpy rejects rates beyond about 1e19
             raise NumericalError(f"poisson rate out of range: {exc}") from None
-
-    def log_density(self, theta, x, y):
-        theta = self.check_theta(theta)
-        x = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
-        eta = x @ theta
-        return y * eta - np.exp(eta) - special.gammaln(y + 1.0)
 
     def grad_log_density(self, theta, x, y):
         theta = self._theta(theta)
@@ -341,7 +292,7 @@ class Poisson(Family):
 
     def support(self, theta, x):
         theta = self.check_theta(theta)
-        x = self._check_x(x)
+        x = self._rows(x)
         rate = np.exp(x @ theta)
         # Truncate where the remaining tail mass drops below 1e-12.
         top = stats.poisson.ppf(1.0 - _COUNT_TAIL_MASS, rate.max())
@@ -378,27 +329,11 @@ class GammaRegression(Family):
     def natural_names(self):
         return [f"beta{i + 1}" for i in range(self.d)] + ["shape"]
 
-    def sample(self, theta, x, rng, n=None):
+    def sample(self, theta, x, rng):
         theta = self._theta(theta)
-        x = self._rows(x, n)
+        x = self._rows(x)
         nu = np.exp(theta[self.d])
         return rng.gamma(shape=nu, scale=np.exp(x @ theta[: self.d]) / nu)
-
-    def log_density(self, theta, x, y):
-        theta = self.check_theta(theta)
-        x = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
-        if np.any(y <= 0.0):
-            raise DomainError("gamma responses must be strictly positive")
-        log_nu = theta[self.d]
-        nu = np.exp(log_nu)
-        xb = x @ theta[: self.d]
-        return (
-            nu * (log_nu - xb)
-            - special.gammaln(nu)
-            + (nu - 1.0) * np.log(y)
-            - nu * y * np.exp(-xb)
-        )
 
     def grad_log_density(self, theta, x, y):
         theta = self._theta(theta)
@@ -485,8 +420,8 @@ class Heckman(Family):
         rho = np.tanh(theta[2 * self.d + 1])
         return mu1, mu2, sigma, rho
 
-    def sample(self, theta, x, rng, n=None):
-        x = self._rows(x, n)
+    def sample(self, theta, x, rng):
+        x = self._rows(x)
         mu1, mu2, sigma, rho = self._params(self._theta(theta), x)
         e1 = rng.standard_normal(x.shape[0])
         e2 = rng.standard_normal(x.shape[0])
@@ -494,20 +429,6 @@ class Heckman(Family):
         z2 = mu2 + rho * e1 + np.sqrt(1.0 - rho * rho) * e2
         selected = z2 > 0.0
         return np.column_stack([np.where(selected, z1, 0.0), selected.astype(float)])
-
-    def log_density(self, theta, x, y):
-        x = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
-        mu1, mu2, sigma, rho = self._params(self.check_theta(theta), x)
-        selected = y[:, 1] == 1.0
-        z1 = (y[:, 0] - mu1) / sigma
-        arg = (mu2 + rho * z1) / np.sqrt(1.0 - rho * rho)
-        out = np.where(
-            selected,
-            -0.5 * _LOG_2PI - np.log(sigma) - 0.5 * z1 * z1 + special.log_ndtr(arg),
-            special.log_ndtr(-mu2),
-        )
-        return out
 
     def grad_log_density(self, theta, x, y):
         x = self._rows(x)
@@ -570,30 +491,20 @@ class GaussianMixture(Family):
         names += [f"weight_{j + 1}" for j in range(m)]
         return names
 
-    def sample(self, theta, x, rng, n=None):
+    def sample(self, theta, x, rng):
         betas, sigmas, weights = self._split(self._theta(theta))
-        x = self._rows(x, n)
+        x = self._rows(x)
         rows = x.shape[0]
         comp = rng.choice(self.n_components, size=rows, p=weights)
         means = np.take_along_axis(x @ betas.T, comp[:, None], axis=1)[:, 0]
         return means + sigmas[comp] * rng.standard_normal(rows)
 
-    def _log_components(self, theta, x, y):
-        betas, sigmas, weights = self._split(theta)
-        z = (y[:, None] - x @ betas.T) / sigmas[None, :]
-        logphi = -0.5 * _LOG_2PI - np.log(sigmas)[None, :] - 0.5 * z * z
-        return logphi + np.log(weights)[None, :], z, sigmas, weights
-
-    def log_density(self, theta, x, y):
-        x = self._check_x(x)
-        y = self._check_y(y, x.shape[0])
-        logc, _, _, _ = self._log_components(self.check_theta(theta), x, y)
-        return special.logsumexp(logc, axis=1)
-
     def grad_log_density(self, theta, x, y):
         x = self._rows(x)
         y = self._shape_y(y, x.shape[0])
-        logc, z, sigmas, weights = self._log_components(self._theta(theta), x, y)
+        betas, sigmas, weights = self._split(self._theta(theta))
+        z = (y[:, None] - x @ betas.T) / sigmas[None, :]
+        logc = -0.5 * _LOG_2PI - np.log(sigmas)[None, :] - 0.5 * z * z + np.log(weights)[None, :]
         resp = np.exp(logc - special.logsumexp(logc, axis=1, keepdims=True))
         m, d = self.n_components, self.d
         g = np.empty((x.shape[0], self.raw_dim))

@@ -4,9 +4,7 @@ The quadratic-cost objective sums, over all ordered covariate pairs, the
 expected kernel between model draws at one covariate and the observed
 response at the other; the linear-cost objective keeps only the diagonal
 terms.  Their difference is a sum over unordered pairs weighted by the
-covariate kernel, exposed here as :func:`link_term`, so the three
-quantities satisfy an exact decomposition when losses are evaluated in
-exact mode.
+covariate kernel.
 
 Families with finite (or truncatable) response support evaluate every
 expectation by summation over the support ("exact" mode); the others use
@@ -203,44 +201,3 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
         totals[p] = np.sum(kx * (cross - 2.0 * data))
     value, se = _summarize(totals)
     return ObjectiveValue(value, se, "mc", "hat")
-
-
-def link_term(family, theta, dataset, kernel, *, mode=None, budget=100, rng=None, seed=None):
-    """Off-diagonal part of the quadratic objective.
-
-    Sums, over unordered covariate pairs ``i < j``, the covariate kernel
-    times both orientations of the bandwidth-free cross loss (model
-    draws at one covariate against the observation at the other).  By
-    construction the quadratic objective equals the diagonal objective
-    plus this term; in exact mode the identity holds to rounding.
-
-    Vanishes as the covariate kernel localizes (bandwidth to zero) when
-    covariate rows are distinct.
-    """
-    dataset = _dataset_for(family, dataset)
-    theta = family.check_theta(theta)
-    mode = _resolve_mode(family, mode)
-    kernel = _require_product(kernel)
-    n = dataset.n
-    kx = gram(kernel.x_kernel, dataset.x, dataset.x)
-    iu, ju = np.triu_indices(n, k=1)
-    kx_pairs = kx[iu, ju]
-    ky = kernel.y_kernel
-    if mode == "exact":
-        probs, kyy, kdata = _exact_tables(family, theta, dataset, ky)
-        cross = probs @ kyy @ probs.T
-        data = probs @ kdata
-        pair_vals = 2.0 * cross[iu, ju] - 2.0 * data[iu, ju] - 2.0 * data[ju, iu]
-        return ObjectiveValue(float(np.sum(kx_pairs * pair_vals)), 0.0, "exact", "link")
-    rng = _resolve_rng(rng, seed)
-    budget = _check_budget(budget)
-    totals = np.empty(budget)
-    for p in range(budget):
-        ya = family.sample(theta, dataset.x, rng)
-        yb = family.sample(theta, dataset.x, rng)
-        cross = gram(ky, ya, yb)
-        data = gram(ky, ya, dataset.y)
-        pair_vals = cross[iu, ju] + cross[ju, iu] - 2.0 * data[iu, ju] - 2.0 * data[ju, iu]
-        totals[p] = np.sum(kx_pairs * pair_vals)
-    value, se = _summarize(totals)
-    return ObjectiveValue(value, se, "mc", "link")

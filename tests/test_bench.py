@@ -23,6 +23,7 @@ from mmdreg.bench import (
     _resolve_threads,
 )
 from mmdreg.errors import ConfigError, DomainError
+from mmdreg.kernels import spec_from_dict
 from mmdreg.models import get_scenario
 
 
@@ -62,6 +63,24 @@ class TestPlanValidation:
             tiny_plan(fit_overrides={"hat": {"iters": 5}})
         with pytest.raises(ConfigError, match="cannot set"):
             tiny_plan(fit_overrides={"tilde": {"seed": 3}})
+        # values and keys are checked when the plan is built, not per replication
+        with pytest.raises(ConfigError, match="'tilde'.*eta"):
+            tiny_plan(fit_overrides={"tilde": {"eta": "0.1"}})
+        with pytest.raises(ConfigError, match="unknown fit config keys"):
+            tiny_plan(fit_overrides={"tilde": {"bogus": 1}})
+        with pytest.raises(ConfigError, match="gamma"):
+            tiny_plan(fit_overrides={"tilde": {"kernel": {"family": "exponential", "gamma": "x"}}})
+
+    def test_override_configs_built_once(self):
+        kernel = {"family": "exponential", "gamma": 0.5}
+        plan = tiny_plan(fit_overrides={"tilde": {"iters": 25, "kernel": kernel,
+                                                  "init": [0.0] * 9}})
+        cfg = plan.fit_configs["tilde"]
+        assert cfg.estimator == "tilde" and cfg.iters == 25
+        assert cfg.kernel == spec_from_dict(kernel) and cfg.init.dtype == float
+        assert plan.fit_configs["ols"].estimator == "ols"
+        assert plan_to_config(plan)["fit"] == {"tilde": {"iters": 25, "kernel": kernel,
+                                                         "init": [0.0] * 9}}
 
     def test_cells_canonical(self):
         plan = tiny_plan(

@@ -197,6 +197,11 @@ BAD_TYPES = [
     pytest.param(fit_with({"init": ["a", "b"]}), id="fit-init"),
     pytest.param(bench_with(n=50), id="bench-n"),
     pytest.param(bench_with(reps="two"), id="bench-reps"),
+    # a bad fit override refuses the whole plan before any replication runs
+    pytest.param(bench_with(estimators=["tilde"], fit={"tilde": {"eta": "0.1"}}),
+                 id="bench-override-eta"),
+    pytest.param(bench_with(estimators=["tilde"], fit={"tilde": {"bogus": 1}}),
+                 id="bench-override-key"),
 ]
 
 

@@ -51,6 +51,9 @@ class TestSpecValidation:
             ContaminationSpec(epsilon=0.1, recipe="selection_flip", mean=3.0)
         spec = ContaminationSpec(epsilon=0.1, recipe="type_x", mean=-0.5)
         assert spec.resolved_mean() == -0.5
+        for bad in ("abc", True, float("inf")):
+            with pytest.raises(ConfigError, match="mean"):
+                spec_from_config({"eps": 0.1, "recipe_mean": bad})
 
     def test_default_means(self):
         assert ContaminationSpec(epsilon=0.1, recipe="type_x").resolved_mean() == 5.0

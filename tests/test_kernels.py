@@ -1,4 +1,9 @@
-"""Unit tests for the kernel primitives and the KernelSpec evaluator."""
+"""Unit tests for the kernel primitives and the KernelSpec evaluator.
+
+Pointwise values are checked against closed forms and against the scalar
+reference evaluator ``kernel_value`` of ``tests/oracles.py``, which
+computes each kernel with ``math`` from the ``KernelSpec`` docstring.
+"""
 
 import math
 import warnings
@@ -15,16 +20,14 @@ from mmdreg.kernels import (
     exponential_kernel,
     gaussian_kernel,
     gram,
-    kernel_eval,
-    matern_halfint,
     matern_kernel,
     product_kernel,
     psi,
-    psi_inverse,
     psi_matern_kernel,
     spec_from_dict,
     spec_to_dict,
 )
+from oracles import kernel_value
 
 
 class TestPsi:
@@ -46,10 +49,15 @@ class TestPsi:
         assert np.all(np.diff(u) > 0.0)
 
     def test_round_trip(self):
+        # Isolating the radical in u = psi(v) and squaring leaves an
+        # equation linear in v, solved by v = (2u - 1) / (u (1 - u)).
+        def inverse(u):
+            return (2.0 * u - 1.0) / (u * (1.0 - u))
+
         u = np.linspace(1e-6, 1.0 - 1e-6, 5001)
-        assert np.max(np.abs(psi(psi_inverse(u)) - u)) < 1e-12
+        assert np.max(np.abs(psi(inverse(u)) - u)) < 1e-12
         v = np.linspace(-50.0, 50.0, 2001)
-        assert np.max(np.abs(psi_inverse(psi(v)) - v) / (1.0 + np.abs(v))) < 1e-9
+        assert np.max(np.abs(inverse(psi(v)) - v) / (1.0 + np.abs(v))) < 1e-9
 
     def test_huge_inputs(self):
         # v * v overflows past about 1.3e154; psi must still saturate
@@ -69,44 +77,47 @@ class TestPsi:
         v = np.concatenate([v, -v])
         assert np.array_equal(psi(v), 0.5 + v / (2.0 * (np.sqrt(v * v + 4.0) + 2.0)))
 
-    def test_inverse_domain(self):
-        with pytest.raises(DomainError):
-            psi_inverse(0.0)
-        with pytest.raises(DomainError):
-            psi_inverse(1.0)
+    def test_domain(self):
         with pytest.raises(DomainError):
             psi(np.array([1.0, np.inf]))
+        with pytest.raises(DomainError):
+            psi(np.nan)
+
+
+def matern_at(r, gamma, m):
+    """The half-integer Matern kernel at distances ``r`` from the origin."""
+    return gram(matern_kernel(gamma, m=m), np.zeros(1), np.atleast_1d(r))[0]
 
 
 class TestMaternHalfint:
     def test_frozen_values(self):
         # m=1 at r = gamma reduces to exp(-1).
-        assert abs(matern_halfint(0.01, 0.01, 1) - 0.3678794) < 1e-7
+        assert abs(matern_at(0.01, 0.01, 1)[0] - 0.3678794) < 1e-7
         # m=3 at r = gamma: (1 + sqrt(3)) exp(-sqrt(3)).
-        assert abs(matern_halfint(1.0, 1.0, 3) - 0.4833577) < 1e-7
+        assert abs(matern_at(1.0, 1.0, 3)[0] - 0.4833577) < 1e-7
 
     def test_closed_forms_on_grid(self):
         r = np.linspace(0.0, 5.0, 101)
         g = 0.7
         s3 = math.sqrt(3.0) * r / g
         s5 = math.sqrt(5.0) * r / g
-        assert np.allclose(matern_halfint(r, g, 1), np.exp(-r / g), atol=1e-15)
-        assert np.allclose(matern_halfint(r, g, 3), (1 + s3) * np.exp(-s3), atol=1e-15)
-        assert np.allclose(matern_halfint(r, g, 5), (1 + s5 + s5 ** 2 / 3) * np.exp(-s5), atol=1e-15)
+        assert np.allclose(matern_at(r, g, 1), np.exp(-r / g), atol=1e-15)
+        assert np.allclose(matern_at(r, g, 3), (1 + s3) * np.exp(-s3), atol=1e-15)
+        assert np.allclose(matern_at(r, g, 5), (1 + s5 + s5 ** 2 / 3) * np.exp(-s5), atol=1e-15)
 
     def test_normalization_and_decay(self):
         for m in (1, 3, 5):
-            assert matern_halfint(0.0, 0.3, m) == 1.0
-            vals = matern_halfint(np.linspace(0, 10, 200), 0.3, m)
+            assert matern_at(0.0, 0.3, m)[0] == 1.0
+            vals = matern_at(np.linspace(0, 10, 200), 0.3, m)
             assert np.all(np.diff(vals) < 0)
 
     def test_bad_inputs(self):
         with pytest.raises(ConfigError):
-            matern_halfint(1.0, 1.0, 2)
-        with pytest.raises(DomainError):
-            matern_halfint(-0.5, 1.0, 1)
-        with pytest.raises(DomainError):
-            matern_halfint(1.0, 0.0, 1)
+            matern_kernel(1.0, m=2)
+        with pytest.raises(ConfigError):
+            matern_kernel(0.0)
+        with pytest.raises(ConfigError):
+            matern_kernel(float("nan"))
 
 
 class TestKernelSpec:
@@ -176,14 +187,14 @@ class TestKernelSpec:
     def test_affine_shift_value(self):
         child = exponential_kernel(1.0)
         spec = affine_shift_kernel(child, beta=0.25)
-        val = kernel_eval(spec, 0.0, 1.0)
+        val = elementwise(spec, 0.0, 1.0)[0]
         assert abs(val - (0.25 * math.exp(-1.0) + 0.75)) < 1e-15
 
     def test_product_factorizes(self):
         spec = product_kernel(exponential_kernel(2.0), gaussian_kernel(1.0))
         x, xp = np.array([0.3]), np.array([1.1])
         y, yp = np.array([0.0]), np.array([2.0])
-        got = kernel_eval(spec, (x, y), (xp, yp))
+        got = elementwise(spec, (x, y), (xp, yp))[0]
         want = math.exp(-0.8 / 2.0) * math.exp(-4.0 / 2.0)
         assert abs(got - want) < 1e-15
 
@@ -191,15 +202,38 @@ class TestKernelSpec:
         rng = np.random.default_rng(19)
         a = rng.normal(size=(6, 2))
         b = rng.normal(size=(5, 2))
-        spec = psi_matern_kernel(0.4, m=3)
-        k = gram(spec, a, b)
+        radial = [exponential_kernel(0.8), gaussian_kernel(1.1, c=0.4)]
+        radial += [matern_kernel(0.6, m=m) for m in (1, 3, 5)]
+        radial += [psi_matern_kernel(0.4, m=m) for m in (1, 3, 5)]
+        for spec in radial + [affine_shift_kernel(radial[-1], beta=0.3)]:
+            k = gram(spec, a, b)
+            for i in range(6):
+                for j in range(5):
+                    assert abs(k[i, j] - kernel_value(spec, a[i], b[j])) < 1e-12, spec
+        spec = product_kernel(psi_matern_kernel(0.4, m=3), exponential_kernel(1.0))
+        ya, yb = rng.normal(size=6), rng.normal(size=5)
+        k = gram(spec, (a, ya), (b, yb))
         for i in range(6):
             for j in range(5):
-                assert abs(k[i, j] - kernel_eval(spec, a[i : i + 1], b[j : j + 1])) < 1e-12
+                assert abs(k[i, j] - kernel_value(spec, (a[i], ya[i]), (b[j], yb[j]))) < 1e-12
 
     def test_elementwise_scalar_inputs(self):
         spec = exponential_kernel(1.0)
-        assert abs(kernel_eval(spec, 0.0, 1.0) - math.exp(-1.0)) < 1e-15
+        val = elementwise(spec, 0.0, 1.0)
+        assert val.shape == (1,)
+        assert abs(val[0] - math.exp(-1.0)) < 1e-15
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    def test_elementwise_equals_gram_bitwise(self, width):
+        # Both reduce squared differences in the same order, so each
+        # aligned value is its Gram entry bit for bit.
+        rng = np.random.default_rng(40 + width)
+        a = rng.normal(size=(300, width))
+        b = rng.normal(size=(300, width))
+        for spec in (exponential_kernel(0.7), psi_matern_kernel(0.3, m=3)):
+            got = elementwise(spec, a, b)
+            want = [gram(spec, a[i : i + 1], b[i : i + 1])[0, 0] for i in range(a.shape[0])]
+            assert np.array_equal(got, want), spec
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -214,8 +248,6 @@ class TestKernelSpec:
             KernelSpec(family="product", x_kernel=exponential_kernel())
         with pytest.raises(ConfigError):
             KernelSpec(family="exponential", c=1.5)
-        with pytest.raises(DomainError):
-            kernel_eval(exponential_kernel(), np.nan, 0.0)
 
 
 class TestSpecSerialization:
