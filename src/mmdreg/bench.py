@@ -104,6 +104,8 @@ class ExperimentPlan:
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
             raise ConfigError("replications must be a positive integer")
         check_seed(self.master_seed)
+        if not isinstance(self.fixed_base, (bool, np.bool_)):
+            raise ConfigError(f"fixed_base must be true or false, got {self.fixed_base!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.fit_overrides, dict):
@@ -169,7 +171,7 @@ def plan_from_config(cfg):
         replications=cfg["reps"],
         master_seed=cfg["seed"],
         scheme=cfg.get("scheme", "adversarial"),
-        fixed_base=bool(cfg.get("fixed_base", False)),
+        fixed_base=cfg.get("fixed_base", False),
         fit_overrides=cfg.get("fit", {}),
     )
 

@@ -49,6 +49,11 @@ def default_kernel():
     return product_kernel(default_covariate_kernel(), default_response_kernel())
 
 
+def _whole(v):
+    # an integer, and not a bool, which Python counts as one
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Settings for one fit.
@@ -83,14 +88,16 @@ class FitConfig:
             real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
             if not (real and v > 0.0 and np.isfinite(v)):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
-        if self.iters is not None and not (isinstance(self.iters, (int, np.integer)) and self.iters >= 1):
+        if self.iters is not None and not (_whole(self.iters) and self.iters >= 1):
             raise ConfigError("iters must be a positive integer")
-        if not (isinstance(self.mc_pairs, (int, np.integer)) and self.mc_pairs >= 1):
+        if not (_whole(self.mc_pairs) and self.mc_pairs >= 1):
             raise ConfigError("mc_pairs must be a positive integer")
         for name in ("m1", "m2"):
             v = getattr(self, name)
-            if v is not None and not (isinstance(v, (int, np.integer)) and v >= 0):
+            if v is not None and not (_whole(v) and v >= 0):
                 raise ConfigError(f"{name} must be a nonnegative integer")
+        if not isinstance(self.polyak, (bool, np.bool_)):
+            raise ConfigError(f"polyak must be true or false, got {self.polyak!r}")
         if isinstance(self.init, str):
             if self.init not in ("mle", "zero"):
                 raise ConfigError(f"init must be 'mle', 'zero', or a vector, got {self.init!r}")
@@ -103,7 +110,7 @@ class FitConfig:
                 raise ConfigError(f"custom init must be a finite 1-D vector, got {self.init!r}")
             object.__setattr__(self, "init", arr)
         check_seed(self.seed)
-        if not (isinstance(self.trace_objective_every, (int, np.integer)) and self.trace_objective_every >= 0):
+        if not (_whole(self.trace_objective_every) and self.trace_objective_every >= 0):
             raise ConfigError("trace_objective_every must be a nonnegative integer")
 
     def resolved_iters(self):

@@ -11,17 +11,23 @@ The quadratic objective has one pair loss per ordered covariate pair.
 Rather than touching all of them every step, the full-gradient estimator
 keeps a deterministic set of the heaviest pairs (by covariate kernel
 weight) and reweights a without-replacement sample of the rest, which
-stays unbiased for the complete sum.
+stays unbiased for the complete sum.  No ``n x n`` array is formed: the
+heaviest pairs are found by a k-d tree radius search, and sampled pairs
+are weighed when drawn, so the pair cache holds O(n + m1) numbers and
+its weights equal the dense covariate Gram's entries bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DomainError
-from .kernels import elementwise, gram
+# gram is bound here, unused, so probes that wrap this module's kernel
+# calls (perfbench/probes.py) still find it: nothing here builds a Gram
+from .kernels import KernelSpec, _as_points, _psi, _radial, elementwise, gram  # noqa: F401
 from .objective import (
     _dataset_for,
     _require_product,
@@ -52,37 +58,138 @@ def _pair_from_linear(t, n):
     return i, j
 
 
-def top_pairs(kx, m):
+def _leaf(spec):
+    # the radial kernel under a chain of affine shifts
+    while spec.family == "affine_shift":
+        spec = spec.child
+    if spec.family == "product":
+        raise ConfigError("the covariate kernel must be radial or an affine shift of one")
+    return spec
+
+
+def _dewarp(spec):
+    if spec.family == "affine_shift":
+        return replace(spec, child=_dewarp(spec.child))
+    return replace(spec, family="matern")
+
+
+def _kernel_coords(x_kernel, x):
+    """The covariates as the kernel measures them, and the kernel there.
+
+    For a ``psi_matern`` leaf the points are psi-warped once and the
+    leaf becomes the plain ``matern`` of the same order and scale, so
+    ``elementwise`` on gathered warped rows equals the ``gram`` entries
+    of the original kernel bit for bit.
+    """
+    x = _as_points(x)
+    if _leaf(x_kernel).family != "psi_matern":
+        return x_kernel, x
+    return _dewarp(x_kernel), _psi(x)
+
+
+def _shift(spec, v):
+    # spec's affine shifts applied to leaf values, as kernels._evaluate does
+    if spec.family == "affine_shift":
+        return spec.beta * _shift(spec.child, v) + (1.0 - spec.beta)
+    return v
+
+
+def _bound_beyond(spec, r):
+    """Upper bound on ``spec`` at every distance of at least ``r``.
+
+    Every radial leaf decreases with distance in exact arithmetic, but
+    its rounded value can rise by a few ulps (or subnormal steps) along
+    the way, so the leaf at ``r`` is padded before the affine shifts,
+    which round monotonically, are applied.  A leaf that has underflowed
+    to 0 stays 0 further out.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(_radial(_leaf(spec), np.array([r]))[0])
+    if v != 0.0:
+        v = v * (1.0 + 2.0**-40) + 1e-320
+    return _shift(spec, v)
+
+
+def _widen(r, fits):
+    # smallest radius above r, to a relative 1e-12, at which fits() holds
+    lo, hi = r, max(2.0 * r, np.finfo(float).tiny)
+    while not fits(hi):
+        lo, hi = hi, 2.0 * hi
+        if not np.isfinite(hi):
+            return hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
+def _pairs_outside(base, ranks, n):
+    # the pairs of the given ranks, in (i, j) order, among those whose
+    # linear index is not held; base is the sorted held indices minus
+    # their positions
+    return _pair_from_linear(ranks + np.searchsorted(base, ranks, side="right"), n)
+
+
+def top_pairs(x_kernel, x, m):
     """Indices of the ``m`` unordered pairs with the largest kernel weight.
 
-    Ties break toward the lexicographically smallest ``(i, j)``, and NaN
-    weights rank last.  ``np.partition`` finds the ``m``-th largest
-    weight; only the pairs not below it are sorted, so beyond the
-    ``n(n-1)/2`` upper-triangle weights the work and memory scale with
-    the kept set plus any ties at the cut.
+    Ties break toward the lexicographically smallest ``(i, j)``: the
+    result is the first ``m`` pairs of the full ranking by
+    ``(-k(x_i, x_j), i, j)``, without forming the ``n x n`` matrix.
+
+    Every radial kernel is non-increasing in (psi-warped) distance, and
+    scaling by ``c`` or an affine shift with ``beta > 0`` keeps that
+    order, so the heaviest pairs are the closest ones.  A k-d tree
+    (Bentley 1975; Friedman, Bentley & Finkel 1977) gives each point's
+    ``ceil(2m/n) + 1`` nearest others; the ``2m``-th smallest of those
+    distances is a radius holding at least ``m`` pairs, since each pair
+    is listed at most twice.  The pairs within it are weighed with
+    ``elementwise`` and ranked.  The ranking is final once the kernel's
+    bound beyond the radius is strictly below the ``m``-th weight;
+    where the kernel is flat at the cut the radius widens until it is.
+    A cut at the kernel's floor (its value once the leaf underflows to
+    0, or everywhere when some ``beta`` is 0) is filled with the
+    lexicographically first pairs that weigh exactly the floor.  Memory
+    scales with ``n`` plus the pairs within the final radius.
 
     Args:
-        kx: symmetric covariate kernel matrix, shape ``(n, n)``.
+        x_kernel: covariate kernel, radial or an affine shift of one.
+        x: covariates, shape ``(n, p)`` (1-D input is ``(n, 1)``).
         m: number of pairs to keep (capped at the pair count).
 
     Returns:
         Pair of int arrays ``(i, j)`` with ``i < j``, heaviest first.
     """
-    kx = np.asarray(kx)
-    n = kx.shape[0]
-    if kx.shape != (n, n):
-        raise DomainError(f"kx must be square, got {kx.shape}")
-    # boolean indexing is row-major, so position t holds pair _pair_from_linear(t, n)
-    w = kx[np.arange(n)[:, None] < np.arange(n)]
-    m = min(max(0, int(m)), w.size)
-    if m == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    kth = -np.partition(-w, m - 1)[m - 1]
-    # "not below" rather than ">=" keeps NaN weights when fewer than m are finite
-    cand = np.flatnonzero(~(w < kth))
-    ci, cj = _pair_from_linear(cand, n)
-    keep = np.lexsort((cj, ci, -w[cand]))[:m]
-    return ci[keep], cj[keep]
+    spec, z = _kernel_coords(x_kernel, x)
+    n = z.shape[0]
+    total = n * (n - 1) // 2
+    m = min(max(0, int(m)), total)
+    floor = _shift(spec, 0.0)
+    if m == 0 or _bound_beyond(spec, 0.0) <= floor:
+        # every pair weighs the floor (some beta is 0)
+        return _pair_from_linear(np.arange(m, dtype=np.int64), n)
+    tree = cKDTree(z)
+    dist, idx = tree.query(z, k=min(n, -(-2 * m // n) + 2))
+    r = float(np.partition(dist[idx != np.arange(n)[:, None]], 2 * m - 1)[2 * m - 1])
+    while True:
+        # the relative slack covers the tree's and elementwise's rounding
+        # of the same distance, so a pair left out is farther than r
+        ci, cj = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
+        w = elementwise(spec, z[ci], z[cj])
+        order = np.lexsort((cj, ci, -w))
+        cut = w[order[m - 1]]
+        beyond = _bound_beyond(spec, r)
+        if beyond < cut or not np.isfinite(r):
+            return ci[order[:m]], cj[order[:m]]
+        if beyond <= floor:
+            heavy = order[: np.count_nonzero(w > floor)]
+            base = np.sort(_linear_from_pair(ci[heavy], cj[heavy], n)) - np.arange(heavy.size)
+            fi, fj = _pairs_outside(base, np.arange(m - heavy.size, dtype=np.int64), n)
+            return np.concatenate([ci[heavy], fi]), np.concatenate([cj[heavy], fj])
+        # widen until the bound falls below the cut, or to the floor when
+        # the cut is the floor (the bound never falls below it)
+        limit = max(cut, np.nextafter(floor, np.inf))
+        r = _widen(r, lambda s: _bound_beyond(spec, s) < limit)
 
 
 def sample_pair_indices(total, m, rng):
@@ -126,13 +233,17 @@ def sample_pair_indices(total, m, rng):
 class PairCache:
     """Precomputed pair structure for repeated quadratic-gradient steps.
 
-    Holds the covariate kernel matrix, the deterministic heavy-pair set,
-    and the bookkeeping needed to sample uniformly from the remaining
-    unordered pairs.
+    Holds the covariates as the kernel measures them (``kx``, psi-warped
+    for a ``psi_matern`` leaf), the kernel on those coordinates, the
+    deterministic heavy-pair set with its weights, and the bookkeeping
+    needed to sample uniformly from the remaining unordered pairs.
+    Every array is of size ``n`` or ``m_det``; sampled pairs are weighed
+    when drawn, by :meth:`weights`.
     """
 
     n: int
     kx: np.ndarray
+    kernel: KernelSpec
     det_i: np.ndarray
     det_j: np.ndarray
     det_kx: np.ndarray
@@ -147,28 +258,30 @@ class PairCache:
     def sample_remaining(self, m, rng):
         """Uniform SRSWOR of ``m`` non-deterministic pairs, as index arrays."""
         ranks = sample_pair_indices(self.remaining, m, rng)
-        shift = np.searchsorted(self.comp_base, ranks, side="right")
-        return _pair_from_linear(ranks + shift, self.n)
+        return _pairs_outside(self.comp_base, ranks, self.n)
+
+    def weights(self, i, j):
+        """Covariate kernel weights of pairs ``(i, j)``, equal bit for bit
+        to the entries ``gram(x_kernel, x, x)[i, j]``."""
+        return elementwise(self.kernel, self.kx[i], self.kx[j])
 
 
 def build_pair_cache(x_kernel, x, m_det):
     """Rank covariate pairs by kernel weight and freeze the top ``m_det``."""
-    x = np.asarray(x, dtype=float)
-    kx = gram(x_kernel, x, x)
-    n = x.shape[0]
-    total = n * (n - 1) // 2
-    det_i, det_j = top_pairs(kx, min(int(m_det), total))
+    kernel, kx = _kernel_coords(x_kernel, x)
+    n = kx.shape[0]
+    det_i, det_j = top_pairs(kernel, kx, m_det)
     det_linear = np.sort(_linear_from_pair(det_i, det_j, n))
-    comp_base = det_linear - np.arange(det_linear.size)
     return PairCache(
         n=n,
         kx=kx,
+        kernel=kernel,
         det_i=det_i,
         det_j=det_j,
-        det_kx=kx[det_i, det_j],
+        det_kx=elementwise(kernel, kx[det_i], kx[det_j]),
         det_linear=det_linear,
-        comp_base=comp_base,
-        total_pairs=total,
+        comp_base=det_linear - np.arange(det_linear.size),
+        total_pairs=n * (n - 1) // 2,
     )
 
 
@@ -258,4 +371,4 @@ def _pair_batches(cache, m_samp, rng_pairs):
         yield cache.det_i, cache.det_j, cache.det_kx, 1.0
     if m_samp > 0 and cache.remaining > 0:
         si, sj = cache.sample_remaining(m_samp, rng_pairs)
-        yield si, sj, cache.kx[si, sj], cache.remaining / m_samp
+        yield si, sj, cache.weights(si, sj), cache.remaining / m_samp

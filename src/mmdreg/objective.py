@@ -22,6 +22,17 @@ from .kernels import elementwise, gram
 from .models import Dataset
 
 _NEGATIVE_TOL = 1e-12
+# Largest Gram matrix, in cells, that the quadratic objective and
+# mmd_sq_vstat build: 80 MB in float64, n up to 3,162 for a square one.
+_GRAM_MAX_CELLS = 10_000_000
+
+
+def _check_gram_side(n):
+    # n x n is the largest Gram the caller builds
+    if n * n > _GRAM_MAX_CELLS:
+        raise NumericalError(
+            f"a {n} x {n} Gram matrix needs {n * n:.3g} cells, above the cap of {_GRAM_MAX_CELLS}"
+        )
 
 
 def _as_weights(w, count, side):
@@ -64,11 +75,16 @@ def mmd_sq_vstat(kernel, points_a, points_b, weights_a=None, weights_b=None):
 
     Returns:
         Nonnegative float.
+
+    Raises:
+        NumericalError: when a Gram matrix would exceed
+            ``_GRAM_MAX_CELLS`` cells; checked before anything is built.
     """
     na = _point_count(points_a)
     nb = _point_count(points_b)
     wa = _as_weights(weights_a, na, "a")
     wb = _as_weights(weights_b, nb, "b")
+    _check_gram_side(max(na, nb))
     k_aa = gram(kernel, points_a, points_a)
     k_bb = gram(kernel, points_b, points_b)
     k_ab = gram(kernel, points_a, points_b)
@@ -158,7 +174,9 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
 
     In Monte Carlo mode the standard error refers to the whole sum and
     is estimated across the ``budget`` independent replicates; it is nan
-    when ``budget == 1``.
+    when ``budget == 1``.  The quadratic objective builds ``n x n``
+    matrices and raises ``NumericalError`` before building one past
+    ``_GRAM_MAX_CELLS`` cells.
     """
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)
@@ -183,6 +201,7 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
     if estimator != "hat":
         raise ConfigError(f"estimator must be 'tilde' or 'hat', got {estimator!r}")
     kernel = _require_product(kernel)
+    _check_gram_side(dataset.n)
     kx = gram(kernel.x_kernel, dataset.x, dataset.x)
     ky = kernel.y_kernel
     if mode == "exact":

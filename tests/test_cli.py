@@ -202,6 +202,16 @@ BAD_TYPES = [
                  id="bench-override-eta"),
     pytest.param(bench_with(estimators=["tilde"], fit={"tilde": {"bogus": 1}}),
                  id="bench-override-key"),
+    # JSON strings and booleans are not switches or counts
+    pytest.param(fit_with({"polyak": "false"}), id="fit-polyak-string"),
+    pytest.param(fit_with({"polyak": 0}), id="fit-polyak-int"),
+    pytest.param(fit_with({"iters": True}), id="fit-iters-bool"),
+    pytest.param(fit_with({"mc_pairs": True}), id="fit-mc-pairs-bool"),
+    pytest.param(fit_with({"estimator": "hat", "m1": True}), id="fit-m1-bool"),
+    pytest.param(fit_with({"estimator": "hat", "m2": False}), id="fit-m2-bool"),
+    pytest.param(fit_with({"trace_objective_every": True}), id="fit-trace-bool"),
+    pytest.param(bench_with(fixed_base="false"), id="bench-fixed-base-string"),
+    pytest.param(bench_with(fixed_base=1), id="bench-fixed-base-int"),
 ]
 
 
@@ -232,6 +242,17 @@ class TestMmd:
         }))
         assert run("mmd", "--a", gauss_csv, "--b", gauss_csv, "--kernel", kernel) == 0
         assert abs(float(capsys.readouterr().out)) < 1e-12
+
+    def test_oversized_inputs_exit_3(self, tmp_path, capsys):
+        # 4,000 points need a 4,000 x 4,000 Gram, above the cap; refused
+        # before any Gram is built
+        a = tmp_path / "a.csv"
+        a.write_text("x1,y\n" + "".join(f"{i},{i % 7}\n" for i in range(4000)))
+        kernel = tmp_path / "k.json"
+        kernel.write_text('{"family": "exponential", "gamma": 1.0}')
+        capsys.readouterr()
+        assert run("mmd", "--a", a, "--b", a, "--kernel", kernel) == 3
+        assert "numerical failure: a 4000 x 4000 Gram matrix" in capsys.readouterr().err
 
     def test_shifted_datasets_score_positive(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -1,5 +1,7 @@
 """Tests for the baselines and the AdaGrad discrepancy fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
@@ -12,7 +14,13 @@ from mmdreg.fitting import (
     fit_baseline,
     fit_mmd,
 )
-from mmdreg.kernels import exponential_kernel, product_kernel, psi_matern_kernel
+from mmdreg.kernels import (
+    affine_shift_kernel,
+    exponential_kernel,
+    gaussian_kernel,
+    product_kernel,
+    psi_matern_kernel,
+)
 from mmdreg.models import Dataset, get_family, get_scenario, simulate_dataset
 from mmdreg.objective import objective
 
@@ -245,6 +253,16 @@ class TestFitMmd:
             "0x1.78b585d795ccbp+1", "0x1.b78d4e95b12d2p+0", "0x1.f1040455279bep+0",
             "0x1.1c87c16699fc1p+0", "0x1.87c0096422bfbp-1", "0x1.0fae970ed5eb4p-5",
         ]
+        # an affine-shifted gaussian on width-2 covariates
+        fam = get_family("gaussian_linear", 2)
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((200, 2))
+        ds = Dataset(x, fam.sample(np.array([1.5, -0.5, 0.0]), x, rng), "real")
+        kern = product_kernel(affine_shift_kernel(gaussian_kernel(0.5), 0.5), exponential_kernel(1.0))
+        res = fit_mmd(fam, ds, FitConfig(estimator="hat", kernel=kern, m1=200, m2=200, iters=200, seed=7))
+        assert [float(v).hex() for v in res.theta_raw] == [
+            "0x1.95a0102d7fd15p+0", "-0x1.7fe28e2945167p-2", "0x1.4143011672d84p-4",
+        ]
 
     def test_nonfinite_gradient_aborts(self):
         fam_g = get_family("gaussian_linear", 2)
@@ -304,6 +322,27 @@ class TestFitMmd:
         assert res.estimator == "tilde"
         assert res.wall_time > 0.0
         assert res.natural_names == tuple(fam.natural_names())
+
+    def test_hat_objective_trace_is_bounded(self):
+        # The traced objective of a hat fit builds n x n matrices: at
+        # n = 20,000 one would be 3.2 GB, so the fit stops before it.
+        fam, ds = simulate_dataset(get_scenario("gauss_linear_laplace"), 20_000, seed=24)
+        cfg = FitConfig(estimator="hat", m1=100, m2=100, iters=3, seed=0, trace_objective_every=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="Gram matrix"):
+                fit_mmd(fam, ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_bool_fields_are_refused(self):
+        for bad in ({"polyak": "false"}, {"polyak": 1}, {"iters": True}, {"mc_pairs": True},
+                    {"m1": True}, {"m2": False}, {"trace_objective_every": True}):
+            with pytest.raises(ConfigError):
+                FitConfig(estimator="hat", **bad)
+        assert FitConfig(polyak=np.bool_(True)).polyak
 
     def test_polyak_switch(self):
         fam, ds = logistic_case(25, 19)

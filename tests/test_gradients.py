@@ -5,11 +5,13 @@ which central finite differences of the exact objective check in turn,
 a pathwise common-random-numbers gradient of the Monte Carlo objective
 for the continuous family, direct
 enumeration for the pair-sampling combinatorics, and plain reference
-implementations (a Python-loop Floyd sampler, a full lexsort of all
-pairs) for the vectorised pair sampler and top-pair selection.
+implementations (a Python-loop Floyd sampler, a full lexsort of every
+pair of the dense covariate Gram) for the vectorised pair sampler and
+the Gram-free top-pair selection.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,12 +28,15 @@ from mmdreg.gradients import (
 )
 from mmdreg.gradients import _linear_from_pair, _pair_from_linear
 from mmdreg.kernels import (
+    affine_shift_kernel,
     exponential_kernel,
+    gaussian_kernel,
     gram,
+    matern_kernel,
     product_kernel,
     psi_matern_kernel,
 )
-from mmdreg.models import Dataset, get_family
+from mmdreg.models import Dataset, get_family, simulate_dataset
 from mmdreg.objective import objective
 from oracles import cross_grad, diag_grad, link_term, repeated
 
@@ -205,18 +210,20 @@ class TestPairIndexing:
         assert np.array_equal(_linear_from_pair(i, j, n), t)
 
     def test_top_pairs_ranking(self):
-        n = 4
-        kx = np.eye(n)
-        kx[1, 3] = kx[3, 1] = 0.9
-        kx[0, 2] = kx[2, 0] = 0.8
-        kx[0, 1] = kx[1, 0] = 0.3
-        i, j = top_pairs(kx, 3)
-        assert list(zip(i, j)) == [(1, 3), (0, 2), (0, 1)]
+        # distances 0.3, 0.8, 2.2, 2.5, 3.0, 3.3: the closest pairs weigh most
+        x = np.array([0.0, 3.0, 0.8, 3.3])
+        i, j = top_pairs(exponential_kernel(1.0), x, 3)
+        assert list(zip(i, j)) == [(1, 3), (0, 2), (1, 2)]
 
     def test_top_pairs_tie_order(self):
-        kx = np.ones((4, 4))
-        i, j = top_pairs(kx, 6)
-        assert list(zip(i, j)) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        every = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        same = np.zeros((4, 2))
+        flat = affine_shift_kernel(gaussian_kernel(1.0), 0.0)
+        apart = np.arange(8.0).reshape(4, 2)
+        for kern, x in ((gaussian_kernel(1.0), same), (flat, apart)):
+            for m in (6, 4):
+                i, j = top_pairs(kern, x, m)
+                assert list(zip(i, j)) == every[:m]
 
     def test_srswor_basic(self):
         rng = np.random.default_rng(5)
@@ -275,6 +282,54 @@ def top_pairs_oracle(kx, m):
     return iu[keep], ju[keep]
 
 
+def assert_top_pairs_match(kern, x, ms=None):
+    """The Gram-free selection equals the full lexsort of the dense Gram."""
+    kx = gram(kern, x, x)
+    n = kx.shape[0]
+    total = n * (n - 1) // 2
+    if ms is None:
+        w = np.sort(kx[np.triu_indices(n, k=1)])[::-1]
+        at_tie = int(np.flatnonzero(w == w[total // 2])[0]) + 1 if total else 0
+        ms = (0, 1, at_tie, total // 2, total, total + 5)
+    for m in ms:
+        got = top_pairs(kern, x, m)
+        want = top_pairs_oracle(kx, m)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), m
+        assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+
+
+def _duplicates(rng, width):
+    return np.repeat(rng.standard_normal((8, width)), 4, axis=0)
+
+
+def _lattice(rng, width):
+    # integer grid points: many pairs at exactly equal distance
+    return rng.integers(0, 3, size=(40, width)).astype(float)
+
+
+def _spread(rng, width):
+    return rng.standard_normal((40, width))
+
+
+def _huddle(rng, width):
+    # pairwise distances near 1e-9, where the kernel rounds to 1.0
+    return 1e-9 * rng.standard_normal((40, width))
+
+
+# name -> (covariate kernel, point-set maker); every case puts exact ties
+# at or beyond the cut for some m
+TIE_CASES = {
+    "duplicates": (psi_matern_kernel(0.01), _duplicates),
+    "lattice": (matern_kernel(1.0, m=3), _lattice),
+    "underflow": (gaussian_kernel(1e-3), _spread),
+    "flat_at_one": (gaussian_kernel(1.0), _huddle),
+    "flat_at_one_psi": (psi_matern_kernel(1.0, m=5), _huddle),
+    "shift_beta_0": (affine_shift_kernel(gaussian_kernel(0.5), 0.0), _spread),
+    "shift_beta_half": (affine_shift_kernel(exponential_kernel(0.5), 0.5), _lattice),
+    "shift_beta_half_underflow": (affine_shift_kernel(gaussian_kernel(1e-3), 0.5), _spread),
+}
+
+
 def assert_sampler_matches_oracle(total, m, seed):
     rng = np.random.default_rng(seed)
     ref = np.random.default_rng(seed)
@@ -296,30 +351,62 @@ class TestPairOracles:
 
     def test_top_pairs_matches_full_lexsort(self):
         rng = np.random.default_rng(17)
+        kernels = (psi_matern_kernel(0.5), exponential_kernel(0.7), gaussian_kernel(1.5),
+                   matern_kernel(2.0, m=3), affine_shift_kernel(gaussian_kernel(1.0), 0.5))
         for trial in range(60):
             n = int(rng.integers(2, 40))
-            # few distinct integer weights, so ties straddle every cut
-            upper = np.triu(rng.integers(0, 4, size=(n, n)).astype(float), 1)
-            kx = upper + upper.T + np.eye(n)
-            if trial % 6 == 0:
-                kx[0, 1] = kx[1, 0] = np.nan
-            total = n * (n - 1) // 2
-            w = np.sort(kx[np.triu_indices(n, k=1)])[::-1]
-            at_tie = int(np.flatnonzero(w == w[total // 2])[0]) + 1
-            for m in (0, 1, at_tie, total // 2, total, total + 5):
-                got = top_pairs(kx, m)
-                want = top_pairs_oracle(kx, m)
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-                assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+            # small integer lattices: few distinct distances, so ties straddle every cut
+            x = rng.integers(0, 3, size=(n, 1 + trial % 3)).astype(float)
+            assert_top_pairs_match(kernels[trial % len(kernels)], x)
 
     def test_top_pairs_matches_full_lexsort_on_gram(self):
         rng = np.random.default_rng(18)
         x = np.round(rng.standard_normal((300, 2)), 1)  # repeated rows tie
-        kx = gram(psi_matern_kernel(0.05, m=1), x, x)
         for m in (1, 300, 5000):
-            got = top_pairs(kx, m)
+            assert_top_pairs_match(psi_matern_kernel(0.05, m=1), x, (m,))
+
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    @pytest.mark.parametrize("case", sorted(TIE_CASES))
+    def test_top_pairs_tie_cases(self, case, width):
+        kern, make = TIE_CASES[case]
+        assert_top_pairs_match(kern, make(np.random.default_rng(19), width))
+
+    def test_top_pairs_on_scenario_covariates(self):
+        kern = psi_matern_kernel(0.01, m=1)
+        for name in ("gauss_linear_laplace", "heckman_synthetic", "gamma_synthetic"):
+            _, ds = simulate_dataset(name, 1000, seed=20)
+            assert_top_pairs_match(kern, ds.x, (1, 1000, 4000))
+
+    def test_cache_matches_top_pairs_oracle(self):
+        x = np.random.default_rng(21).integers(0, 3, size=(30, 2)).astype(float)
+        kern = affine_shift_kernel(psi_matern_kernel(0.5, m=3), 0.5)
+        kx = gram(kern, x, x)
+        for m in (0, 7, 435, 500):
+            cache = build_pair_cache(kern, x, m)
             want = top_pairs_oracle(kx, m)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(cache.det_i, want[0]) and np.array_equal(cache.det_j, want[1])
+            assert cache.det_kx.tobytes() == kx[want].tobytes()
+
+    @PROPERTY
+    @given(st.data())
+    def test_top_pairs_property(self, data):
+        n = data.draw(st.integers(0, 30), label="n")
+        width = data.draw(st.sampled_from([1, 2, 8]), label="width")
+        # a coarse grid at a drawn scale, so duplicates and exact ties are common
+        step = data.draw(st.sampled_from([1e-9, 0.25, 1.0, 40.0]), label="step")
+        x = step * np.array(data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=width,
+                                                        max_size=width),
+                                               min_size=n, max_size=n)), dtype=float)
+        x = x.reshape(n, width)
+        gamma = data.draw(st.sampled_from([1e-3, 0.1, 1.0, 1e3]), label="gamma")
+        leaf = data.draw(st.sampled_from([
+            exponential_kernel(gamma), gaussian_kernel(gamma, c=0.5), matern_kernel(gamma, m=5),
+            psi_matern_kernel(gamma, m=3)]), label="leaf")
+        beta = data.draw(st.sampled_from([None, 0.0, 0.5, 1.0]), label="beta")
+        kern = leaf if beta is None else affine_shift_kernel(leaf, beta)
+        total = n * (n - 1) // 2
+        m = data.draw(st.integers(0, total + 2), label="m")
+        assert_top_pairs_match(kern, x, (m,))
 
     @PROPERTY
     @given(st.data())
@@ -344,6 +431,52 @@ class TestPairOracles:
         ti = _linear_from_pair(a, b, n)
         back = _pair_from_linear(np.array([ti]), n)
         assert (int(back[0][0]), int(back[1][0])) == (a, b)
+
+
+WEIGHT_KERNELS = {
+    "exponential": exponential_kernel(0.7),
+    "gaussian": gaussian_kernel(1.3),
+    "matern1": matern_kernel(0.9, m=1),
+    "matern3": matern_kernel(0.9, m=3),
+    "matern5": matern_kernel(0.9, m=5),
+    "psi_matern1": psi_matern_kernel(0.05, m=1),
+    "psi_matern3": psi_matern_kernel(0.05, m=3),
+    "psi_matern5": psi_matern_kernel(0.05, m=5),
+    "gaussian_c": gaussian_kernel(1.3, c=0.4),
+    "psi_matern_c": psi_matern_kernel(0.05, m=3, c=0.7),
+    "shift": affine_shift_kernel(psi_matern_kernel(0.05, m=1), 0.3),
+    "shift_nested": affine_shift_kernel(affine_shift_kernel(gaussian_kernel(1.3, c=0.5), 0.6), 0.8),
+}
+
+
+class TestPairCacheWeights:
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    @pytest.mark.parametrize("name", sorted(WEIGHT_KERNELS))
+    def test_weights_equal_gram_entries(self, name, width):
+        # the pair weights of every step, and the deterministic set's,
+        # are the dense Gram's entries bit for bit
+        kern = WEIGHT_KERNELS[name]
+        rng = np.random.default_rng(22)
+        x = 2.0 * rng.standard_normal((60, width))
+        kx = gram(kern, x, x)
+        cache = build_pair_cache(kern, x, 40)
+        assert cache.det_kx.tobytes() == kx[cache.det_i, cache.det_j].tobytes()
+        si, sj = cache.sample_remaining(cache.remaining, rng)
+        assert cache.weights(si, sj).tobytes() == kx[si, sj].tobytes()
+        assert cache.weights(sj, si).tobytes() == kx[sj, si].tobytes()
+
+    def test_build_memory_is_linear(self):
+        # The dense 6,000 x 6,000 Gram alone is 288 MB.  tracemalloc sees
+        # numpy's arrays, not the k-d tree's own nodes, which are O(n).
+        x = np.random.default_rng(23).standard_normal((6000, 8))
+        tracemalloc.start()
+        try:
+            cache = build_pair_cache(psi_matern_kernel(0.01), x, 6000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache.det_i.size == 6000
+        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def logistic_dataset(n, seed, d=2):
