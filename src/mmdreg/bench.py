@@ -26,7 +26,7 @@ import numpy as np
 from .contamination import RECIPES, SCHEMES, ContaminationSpec, contaminate
 from .dataio import fit_config_from_dict
 from .errors import ConfigError, DomainError, FormatError, NumericalError
-from .fitting import ESTIMATORS, fit
+from .fitting import ESTIMATORS, _whole, fit
 from .models import Dataset, check_seed, get_scenario, simulate_dataset
 
 SCHEMA_VERSION = 1
@@ -81,12 +81,13 @@ class ExperimentPlan:
 
     def __post_init__(self):
         get_scenario(self.scenario)
-        object.__setattr__(self, "n_values", _listed(self.n_values, "n_values", int))
+        n_values = _listed(self.n_values, "n_values", lambda n: n)
+        if not n_values or not all(_whole(n) and n >= 1 for n in n_values):
+            raise ConfigError(f"n_values must be positive integers, got {self.n_values!r}")
+        object.__setattr__(self, "n_values", tuple(int(n) for n in n_values))
         object.__setattr__(self, "epsilons", _listed(self.epsilons, "epsilons", float))
         object.__setattr__(self, "recipes", _listed(self.recipes, "recipes"))
         object.__setattr__(self, "estimators", _listed(self.estimators, "estimators"))
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ConfigError("n_values must be positive integers")
         if not self.epsilons or any(not (0.0 <= e < 1.0) for e in self.epsilons):
             raise ConfigError("epsilons must lie in [0, 1)")
         if len(set(self.epsilons)) != len(self.epsilons):
@@ -101,7 +102,7 @@ class ExperimentPlan:
             raise ConfigError(
                 f"estimators must be drawn from {ESTIMATORS}, got {self.estimators}"
             )
-        if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
+        if not (_whole(self.replications) and self.replications >= 1):
             raise ConfigError("replications must be a positive integer")
         check_seed(self.master_seed)
         if not isinstance(self.fixed_base, (bool, np.bool_)):

@@ -3,6 +3,8 @@
 The dataset format is a UTF-8 CSV with header ``x1,...,xd,y`` for
 scalar responses or ``x1,...,xd,y1,y2`` for censored pairs.  Floats are
 written with 17 significant digits so a write/load round trip is exact.
+Blank lines are skipped; a ``#`` line is refused like any other malformed
+row, and every row error names its line number.
 Config files are JSON everywhere; TOML is accepted when the interpreter
 ships ``tomllib`` (3.11+).
 """
@@ -20,26 +22,20 @@ from .models import Dataset
 _SCALAR_KINDS = ("real", "count", "binary")
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 def write_csv(dataset, path):
     """Write a dataset to ``path`` in the standard CSV layout."""
+    y = dataset.y if dataset.kind == "censored" else dataset.y[:, None]
     d = dataset.x.shape[1]
     cols = [f"x{j + 1}" for j in range(d)]
     cols += ["y1", "y2"] if dataset.kind == "censored" else ["y"]
+    # y stays apart from x so "%d" prints int64 counts past 2**53 exactly
+    yfmt = "%d" if dataset.kind in ("count", "binary") else "%.17g"
+    row = ",".join(["%.17g"] * d + [yfmt] * y.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(dataset.x.shape[0]):
-            row = [_fmt(v) for v in dataset.x[i]]
-            if dataset.kind == "censored":
-                row += [_fmt(dataset.y[i, 0]), _fmt(dataset.y[i, 1])]
-            elif dataset.kind in ("count", "binary"):
-                row.append(str(int(dataset.y[i])))
-            else:
-                row.append(_fmt(dataset.y[i]))
-            fh.write(",".join(row) + "\n")
+        for i in range(0, len(y), 4096):  # blocks bound the Python objects held at once
+            rows = zip(dataset.x[i : i + 4096].tolist(), y[i : i + 4096].tolist())
+            fh.write("".join([row % (*a, *b) for a, b in rows]))
 
 
 def _parse_header(line, path):
@@ -68,6 +64,66 @@ def _parse_float(tok, path, lineno):
     return v
 
 
+def _checked_array(body, ncols, kind, strict):
+    # numpy's C parse when every row check passes, else None.  It takes a
+    # subset of what float() takes and warns on no rows; the caller re-scans.
+    if not any(line.strip() for line in body):
+        return None
+    try:
+        arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if arr.shape[1] != ncols or not np.isfinite(arr).all():
+        return None
+    y, bad = arr[:, -1], False
+    if kind == "censored":
+        unselected = (y == 0.0) & (arr[:, -2] != 0.0)
+        bad = ((y != 0.0) & (y != 1.0)) | (unselected if strict else False)
+    elif kind != "real":
+        bad = (y != np.floor(y)) | (y < 0.0) | (y > (1.0 if kind == "binary" else np.inf))
+    return None if np.any(bad) else arr
+
+
+def _scan_rows(lines, path, ncols, kind, strict):
+    # The per-line parse, the only code that words a row error and its line.
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        toks = line.split(",")
+        if len(toks) != ncols:
+            raise FormatError(
+                f"{path}: line {lineno}: expected {ncols} fields, found {len(toks)}"
+            )
+        vals = [_parse_float(t, path, lineno) for t in toks]
+        if kind == "censored":
+            y1, y2 = vals[-2:]
+            if y2 not in (0.0, 1.0):
+                raise FormatError(
+                    f"{path}: line {lineno}: selection indicator must be 0 or 1"
+                )
+            if strict and y2 == 0.0 and y1 != 0.0:
+                raise FormatError(
+                    f"{path}: line {lineno}: unselected row must have y1=0 "
+                    f"(got y1={y1!r}); pass strict=False to keep it"
+                )
+        elif kind in ("count", "binary"):
+            yv = vals[-1]
+            if yv != int(yv) or yv < 0:
+                raise FormatError(
+                    f"{path}: line {lineno}: {kind} response must be a "
+                    f"nonnegative integer, got {toks[-1]!r}"
+                )
+            if kind == "binary" and yv > 1:
+                raise FormatError(
+                    f"{path}: line {lineno}: binary response must be 0 or 1"
+                )
+        rows.append(vals)
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)
+
+
 def load_csv(path, kind=None, expect_d=None, strict=True):
     """Load a dataset written by :func:`write_csv`.
 
@@ -79,7 +135,10 @@ def load_csv(path, kind=None, expect_d=None, strict=True):
     that on purpose and are read back with ``strict=False``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    # numpy's parser strips U+001F around a number, where float() refuses it
+    lines, fast = text.splitlines(), "\x1f" not in text
+    del text
     if not lines:
         raise FormatError(f"{path}: empty file")
     d, censored = _parse_header(lines[0], path)
@@ -101,47 +160,12 @@ def load_csv(path, kind=None, expect_d=None, strict=True):
         )
 
     ncols = d + (2 if censored else 1)
-    xs, ys = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        toks = line.split(",")
-        if len(toks) != ncols:
-            raise FormatError(
-                f"{path}: line {lineno}: expected {ncols} fields, found {len(toks)}"
-            )
-        vals = [_parse_float(t, path, lineno) for t in toks]
-        xs.append(vals[:d])
-        if censored:
-            y1, y2 = vals[d], vals[d + 1]
-            if y2 not in (0.0, 1.0):
-                raise FormatError(
-                    f"{path}: line {lineno}: selection indicator must be 0 or 1"
-                )
-            if strict and y2 == 0.0 and y1 != 0.0:
-                raise FormatError(
-                    f"{path}: line {lineno}: unselected row must have y1=0 "
-                    f"(got y1={y1!r}); pass strict=False to keep it"
-                )
-            ys.append([y1, y2])
-        else:
-            yv = vals[d]
-            if kind in ("count", "binary"):
-                if yv != int(yv) or yv < 0:
-                    raise FormatError(
-                        f"{path}: line {lineno}: {kind} response must be a "
-                        f"nonnegative integer, got {toks[d]!r}"
-                    )
-                if kind == "binary" and yv > 1:
-                    raise FormatError(
-                        f"{path}: line {lineno}: binary response must be 0 or 1"
-                    )
-            ys.append(yv)
-    if not xs:
-        raise FormatError(f"{path}: no data rows")
+    arr = _checked_array(lines[1:], ncols, kind, strict) if fast else None
+    if arr is None:
+        arr = _scan_rows(lines, path, ncols, kind, strict)
     return Dataset(
-        x=np.asarray(xs, dtype=float),
-        y=np.asarray(ys),
+        x=np.ascontiguousarray(arr[:, :d]),
+        y=arr[:, d:].copy() if censored else arr[:, d].copy(),
         kind=kind,
         meta={"source": os.fspath(path)},
     )

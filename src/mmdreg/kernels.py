@@ -53,8 +53,11 @@ def _psi(v):
 
 
 def _matern(r, gamma, m):
-    # M_m of the KernelSpec docstring at distance r
-    s = (math.sqrt(float(m)) / gamma) * r
+    # M_m of the KernelSpec docstring at distance r.  exp(-s) is 0 from
+    # s = 745.2 on, so capping s near 800 changes no value, while an s
+    # that overflows would turn the product into inf * 0 = NaN.
+    scale = math.sqrt(float(m)) / gamma
+    s = scale * np.minimum(r, 800.0 / scale)
     if m == 1:
         return np.exp(-s)
     if m == 3:

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against.
 
 None of them is built on the code it checks: nothing here imports
-``mmdreg.objective`` or ``mmdreg.gradients``, nor any private package
-name, and ``tests/test_oracles.py`` checks that.  Inputs are not checked.
+``mmdreg.objective``, ``mmdreg.gradients`` or ``mmdreg.dataio``, nor any
+private package name, and ``tests/test_oracles.py`` checks that.  Inputs
+are not checked.
 
 Per-observation losses and gradients.  Each enumerates a discrete
 family's response support at one covariate row (the diagonal loss) or
@@ -29,7 +30,10 @@ estimate from ``B`` draw pairs.
 ``scipy.stats`` and decoding the raw parameters itself; the package has
 no densities, only samplers and scores.  :func:`kernel_value` evaluates
 a ``KernelSpec`` at two single points with ``math``, from the formulas in
-the ``KernelSpec`` docstring.
+the ``KernelSpec`` docstring.  :func:`top_pairs_oracle` ranks every pair
+of a dense covariate Gram.  :func:`csv_text` and :func:`csv_read` are the
+dataset CSV format value by value and line by line; they import nothing
+from ``mmdreg.dataio``.
 """
 
 import math
@@ -202,3 +206,100 @@ def kernel_value(spec, z, zp):
         s = math.sqrt(spec.m) * r / spec.gamma
         k = {1: 1.0, 3: 1.0 + s, 5: 1.0 + s + s * s / 3.0}[spec.m] * math.exp(-s)
     return spec.c * k
+
+
+def top_pairs_oracle(kx, m):
+    """The ``m`` heaviest upper-triangle pairs of a dense covariate Gram
+    ``kx``: a full lexsort of every pair by ``(-k, i, j)``."""
+    iu, ju = np.triu_indices(kx.shape[0], k=1)
+    order = np.lexsort((ju, iu, -kx[iu, ju]))
+    keep = order[: max(0, int(m))]
+    return iu[keep], ju[keep]
+
+
+def csv_text(dataset):
+    """The bytes a dataset CSV holds: the header, then every value as
+    ``format(v, ".17g")``, or ``str(int(v))`` for count and binary
+    responses, comma-separated, one ``\\n``-terminated line per row."""
+    d = dataset.x.shape[1]
+    names = [f"x{j}" for j in range(1, d + 1)]
+    names += ["y1", "y2"] if dataset.kind == "censored" else ["y"]
+    out = [",".join(names) + "\n"]
+    for i in range(dataset.x.shape[0]):
+        cells = [format(float(v), ".17g") for v in dataset.x[i]]
+        if dataset.kind == "censored":
+            cells += [format(float(v), ".17g") for v in dataset.y[i]]
+        elif dataset.kind in ("count", "binary"):
+            cells.append(str(int(dataset.y[i])))
+        else:
+            cells.append(format(float(dataset.y[i]), ".17g"))
+        out.append(",".join(cells) + "\n")
+    return "".join(out).encode("utf-8")
+
+
+def csv_read(path, kind=None, strict=True):
+    """What loading the dataset CSV at ``path`` gives, by a per-line,
+    per-token ``float()`` scan.
+
+    Returns ``(x, y, kind)`` with float arrays (``y`` of shape ``(n,)``,
+    or ``(n, 2)`` for a ``y1,y2`` header), or the text of the error the
+    loader raises: the first fault in file order, with its 1-based line
+    number.  Lines are those of ``str.splitlines``; blank and
+    whitespace-only ones are skipped but keep their numbers.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        return f"{path}: empty file"
+    names = [name.strip() for name in lines[0].split(",")]
+    if len(names) >= 3 and names[-2:] == ["y1", "y2"]:
+        n_y = 2
+    elif len(names) >= 2 and names[-1] == "y":
+        n_y = 1
+    else:
+        return f"{path}: header must be x1,...,xd,y or x1,...,xd,y1,y2, got {lines[0]!r}"
+    d = len(names) - n_y
+    if names[:d] != [f"x{j}" for j in range(1, d + 1)]:
+        return f"{path}: covariate columns must be named x1..x{d}"
+    if n_y == 2:
+        if kind not in (None, "censored"):
+            return f"{path}: pair header implies censored responses, not {kind!r}"
+        kind = "censored"
+    elif kind is None:
+        kind = "real"
+    elif kind not in ("real", "count", "binary"):
+        return f"{path}: scalar header cannot hold {kind!r} responses"
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        at = f"{path}: line {lineno}:"
+        toks = line.split(",")
+        if len(toks) != d + n_y:
+            return f"{at} expected {d + n_y} fields, found {len(toks)}"
+        vals = []
+        for tok in toks:
+            try:
+                v = float(tok)
+            except ValueError:
+                return f"{at} not a number: {tok!r}"
+            if not math.isfinite(v):
+                return f"{at} non-finite value {tok!r}"
+            vals.append(v)
+        y = vals[d:]
+        if kind == "censored":
+            if y[1] != 0.0 and y[1] != 1.0:
+                return f"{at} selection indicator must be 0 or 1"
+            if strict and y[1] == 0.0 and y[0] != 0.0:
+                return (f"{at} unselected row must have y1=0 (got y1={y[0]!r}); "
+                        "pass strict=False to keep it")
+        elif kind != "real":
+            if y[0] < 0.0 or y[0] != math.floor(y[0]):
+                return f"{at} {kind} response must be a nonnegative integer, got {toks[d]!r}"
+            if kind == "binary" and y[0] > 1.0:
+                return f"{at} binary response must be 0 or 1"
+        rows.append(vals)
+    if not rows:
+        return f"{path}: no data rows"
+    arr = np.array(rows, dtype=float)
+    return arr[:, :d], (arr[:, d:] if n_y == 2 else arr[:, d]), kind

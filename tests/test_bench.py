@@ -58,6 +58,14 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="replications"):
             tiny_plan(replications=0)
 
+    def test_counts_are_integers(self):
+        # booleans are not counts, and a fractional n is not truncated
+        for over in ({"replications": True}, {"replications": 2.0},
+                     {"n_values": (True,)}, {"n_values": (40, 100.7)}, {"n_values": ("40",)}):
+            with pytest.raises(ConfigError, match="replications|n_values"):
+                tiny_plan(**over)
+        assert tiny_plan(n_values=(np.int64(40), 80)).n_values == (40, 80)
+
     def test_override_rules(self):
         with pytest.raises(ConfigError, match="unused"):
             tiny_plan(fit_overrides={"hat": {"iters": 5}})

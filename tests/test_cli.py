@@ -197,6 +197,9 @@ BAD_TYPES = [
     pytest.param(fit_with({"init": ["a", "b"]}), id="fit-init"),
     pytest.param(bench_with(n=50), id="bench-n"),
     pytest.param(bench_with(reps="two"), id="bench-reps"),
+    pytest.param(bench_with(reps=True), id="bench-reps-bool"),
+    pytest.param(bench_with(n=[True]), id="bench-n-bool"),
+    pytest.param(bench_with(n=[100.7]), id="bench-n-fraction"),
     # a bad fit override refuses the whole plan before any replication runs
     pytest.param(bench_with(estimators=["tilde"], fit={"tilde": {"eta": "0.1"}}),
                  id="bench-override-eta"),

@@ -1,10 +1,19 @@
-"""Tests for CSV persistence and config parsing."""
+"""Tests for CSV persistence and config parsing.
+
+The CSV writer and loader are also checked against the value-by-value
+and line-by-line references ``csv_text`` and ``csv_read`` of
+``tests/oracles.py``.
+"""
 
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmdreg.contamination import ContaminationSpec, contaminate
 from mmdreg.dataio import (
@@ -19,7 +28,8 @@ from mmdreg.dataio import (
 from mmdreg.errors import ConfigError, FormatError
 from mmdreg.fitting import FitConfig, fit
 from mmdreg.kernels import KernelSpec
-from mmdreg.models import Dataset, simulate_dataset
+from mmdreg.models import Dataset, get_family, list_scenarios, simulate_dataset
+from oracles import csv_read, csv_text
 
 
 class TestCsvRoundTrip:
@@ -242,3 +252,180 @@ class TestFitResultJson:
         assert back["error"] is None
         d = fit_result_to_dict(res)
         assert isinstance(d["trace"], list)
+
+
+FAMILIES = ("gaussian_linear", "logistic", "poisson", "gamma", "heckman", "mixture")
+
+
+def assert_written_bytes(ds, tmp_path):
+    path = tmp_path / f"{ds.kind}.csv"
+    write_csv(ds, path)
+    assert path.read_bytes() == csv_text(ds)
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_scenarios(self, name, tmp_path):
+        _, ds = simulate_dataset(name, 300, seed=4)
+        assert_written_bytes(ds, tmp_path)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_family_draws(self, name, tmp_path):
+        family = get_family(name, 3)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((200, 3))
+        y = family.sample(0.3 * rng.standard_normal(family.raw_dim), x, rng)
+        # rescaled rows after the draw, so every exponent range gets written
+        x *= 10.0 ** rng.integers(-300, 300, size=(200, 1))
+        assert_written_bytes(Dataset(x, y, family.kind), tmp_path)
+
+    def test_awkward_values(self, tmp_path):
+        awkward = [-0.0, 1e-300, 2.0**-52, -1.2345678901234567e17, 5e-324, 0.1 + 0.2]
+        x = np.array([awkward, awkward[::-1]]).T
+        cases = {
+            # 2**60 + 1 has no float64; a count must still print every digit
+            "count": [0, 7, 2**60 + 1, 3, 0, 12],
+            "binary": [0, 1, 1, 0, 1, 0],
+            "real": awkward,
+            "censored": np.column_stack([awkward, [0, 1, 1, 0, 1, 1]]),
+        }
+        for kind, y in cases.items():
+            assert_written_bytes(Dataset(x, np.array(y), kind), tmp_path)
+
+
+VALID_PADS = ("", " ", "  ", "\t", "\u00a0")
+# numbers float() reads that numpy's C parser refuses (1_0, a full-width 1)
+# or reads alike
+ODD_NUMBERS = ("1_0", "\uff11", "1e-400", "-0.0", "+2", "3.", ".5")
+ODD_WHOLE = ("1_0", "\uff11", "1e-400", "2.0")
+# tokens or rows the loader must refuse, each with its line number
+FAULTY_TOKENS = ("nan", "inf", "-inf", "1e400", "zap", "", "1\x1f", "0x10", "#1")
+
+
+@st.composite
+def csv_cases(draw):
+    """(file bytes, kind argument, strict) for a small dataset CSV that
+    mixes blank and whitespace-only lines, CRLF endings and padded
+    tokens.  Some files also carry tokens numpy's parser refuses but
+    float() reads, and some carry faults the loader must name."""
+    kind = draw(st.sampled_from(["real", "count", "binary", "censored"]), label="kind")
+    strict = draw(st.booleans(), label="strict")
+    odd = draw(st.booleans(), label="odd tokens")
+    faulty = draw(st.booleans(), label="faulty")
+    d = draw(st.integers(1, 3), label="d")
+    names = [f"x{j}" for j in range(1, d + 1)]
+    names += ["y1", "y2"] if kind == "censored" else ["y"]
+
+    def pad(tok):
+        return draw(st.sampled_from(VALID_PADS)) + tok + draw(st.sampled_from(VALID_PADS))
+
+    def number(whole=False):
+        if odd and draw(st.integers(0, 3)) == 0:
+            tok = draw(st.sampled_from(ODD_WHOLE if whole else ODD_NUMBERS))
+        elif whole:
+            tok = str(draw(st.integers(0, 12)))
+        else:
+            v = draw(st.floats(allow_nan=False, allow_infinity=False))
+            tok = draw(st.sampled_from([repr(v), format(v, ".17g"), format(v, ".6g")]))
+        return pad(tok)
+
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 6), label="rows")):
+        form = draw(st.sampled_from(["row"] * 5 + ["blank", "spaces"]))
+        if form == "blank":
+            lines.append("")
+        elif form == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t  "])))
+        else:
+            toks = [number() for _ in range(d)]
+            if kind == "censored":
+                sel = draw(st.sampled_from(["0", "1", "1.0", "-0.0"] + (["\uff11"] if odd else [])))
+                unselected = float(sel) == 0.0
+                toks += [pad("0") if unselected and strict else number(), pad(sel)]
+            elif kind == "binary":
+                toks.append(pad(str(draw(st.integers(0, 1)))))
+            else:
+                toks.append(number(kind == "count"))
+            lines.append(toks)
+    rows = [i for i, line in enumerate(lines) if isinstance(line, list)]
+    if faulty and rows:
+        # one fault in one row, so the first fault is the one placed
+        toks = lines[draw(st.sampled_from(rows), label="faulty row")]
+        fault = draw(st.sampled_from(["token", "short", "comma", "bad_y", "hash"]), label="fault")
+        if fault == "token":
+            toks[draw(st.integers(0, len(toks) - 1))] = pad(draw(st.sampled_from(FAULTY_TOKENS)))
+        elif fault == "short":
+            toks.pop()
+        elif fault == "comma":
+            toks.append("")
+        elif fault == "hash":
+            toks[0] = "# " + toks[0]
+        elif kind == "censored" and draw(st.booleans()):
+            toks[-2:] = ["1.3", "0"]  # an unselected row with an outcome
+        else:
+            toks[-1] = {"real": "1e400", "count": "2.5", "binary": "2", "censored": "2"}[kind]
+    lines = [",".join(line) if isinstance(line, list) else line for line in lines]
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans(), label="drop last newline"):
+        text = text.rstrip("\r\n")
+    if kind == "censored":
+        arg = draw(st.sampled_from([None, "censored"]))
+    else:
+        arg = draw(st.sampled_from([None, kind])) if kind == "real" else kind
+    return text.encode("utf-8"), arg, strict
+
+
+class TestLoaderParity:
+    """``load_csv`` gives what the per-token ``float()`` scan gives: the
+    same arrays and kind, or the same error text with the same line."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(csv_cases())
+    # the places numpy's parser and float() part ways, and each row check
+    @example((b"x1,y\n1\x1f,2\n", None, True))
+    @example((b"x1,y\n1_0,\xef\xbc\x91\n \r\n", "count", True))
+    @example((b"x1,y\n1,0\n\n1,2\n", "binary", True))
+    @example((b"x1,y\n1,0\n1,-1\n", "count", True))
+    @example((b"x1,y\n1,0\n1,0.5\n", "count", True))
+    @example((b"x1,y1,y2\n1,0,0\n1,1.3,0\n", None, True))
+    @example((b"x1,y1,y2\n1,0,0\n1,1.3,0.5\n", None, False))
+    @example((b"x1,y\n1,2\n1,nan\n", None, True))
+    @example((b"x1,y\n\n  \n", None, True))
+    @example((b"x1,x2,y\n1,2\n\n3,4\n", None, True))
+    def test_matches_line_scan(self, case):
+        raw, kind, strict = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "case.csv"
+            path.write_bytes(raw)
+            want = csv_read(path, kind=kind, strict=strict)
+            if isinstance(want, str):
+                with pytest.raises(FormatError) as err:
+                    load_csv(path, kind=kind, strict=strict)
+                assert str(err.value) == want
+                return
+            got = load_csv(path, kind=kind, strict=strict)
+        x, y, want_kind = want
+        assert got.kind == want_kind
+        assert got.x.shape == x.shape and got.x.tobytes() == x.tobytes()
+        if want_kind in ("count", "binary"):
+            assert got.y.dtype == np.int64 and np.array_equal(got.y, y)
+        else:
+            assert got.y.shape == y.shape and got.y.tobytes() == y.tobytes()
+
+    def test_cases_reach_both_outcomes(self):
+        # the generator is no good if every file fails, or none does
+        outcomes = set()
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+        @given(csv_cases())
+        def collect(case):
+            raw, kind, strict = case
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "case.csv"
+                path.write_bytes(raw)
+                want = csv_read(path, kind=kind, strict=strict)
+            outcomes.add("error" if isinstance(want, str) else want[2])
+
+        collect()
+        assert outcomes == {"error", "real", "count", "binary", "censored"}

@@ -38,7 +38,7 @@ from mmdreg.kernels import (
 )
 from mmdreg.models import Dataset, get_family, simulate_dataset
 from mmdreg.objective import objective
-from oracles import cross_grad, diag_grad, link_term, repeated
+from oracles import cross_grad, diag_grad, link_term, repeated, top_pairs_oracle
 
 KY = exponential_kernel(1.0)
 
@@ -272,14 +272,6 @@ def floyd_oracle(total, m, rng):
         seen.add(pick)
         out.append(pick)
     return out
-
-
-def top_pairs_oracle(kx, m):
-    # Full lexsort of every upper-triangle pair by (-k, i, j).
-    iu, ju = np.triu_indices(kx.shape[0], k=1)
-    order = np.lexsort((ju, iu, -kx[iu, ju]))
-    keep = order[: max(0, int(m))]
-    return iu[keep], ju[keep]
 
 
 def assert_top_pairs_match(kern, x, ms=None):

@@ -27,7 +27,8 @@ from mmdreg.kernels import (
     spec_from_dict,
     spec_to_dict,
 )
-from oracles import kernel_value
+from mmdreg.gradients import top_pairs
+from oracles import kernel_value, top_pairs_oracle
 
 
 class TestPsi:
@@ -110,6 +111,23 @@ class TestMaternHalfint:
             assert matern_at(0.0, 0.3, m)[0] == 1.0
             vals = matern_at(np.linspace(0, 10, 200), 0.3, m)
             assert np.all(np.diff(vals) < 0)
+
+    def test_overflowing_scale_gives_zero(self):
+        # s = sqrt(m) r / gamma overflows to inf (and s * s for m = 5 earlier);
+        # exp(-s) is 0 there, so the kernel is 0, not inf * 0 = NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (1, 3, 5):
+                assert gram(matern_kernel(1e-300, m=m), [[0.0]], [[1e10]]).tolist() == [[0.0]]
+                assert matern_at([1.0, 1e-100, 1e300], 1e-300, m).tolist() == [0.0, 0.0, 0.0]
+
+    def test_overflowing_scale_ranks_like_dense_gram(self):
+        # with NaN weights the Gram-free selection and the dense lexsort disagreed
+        kern = matern_kernel(1e-300, m=3)
+        x = np.array([[0.0], [1e10], [0.5], [0.0]])
+        got = top_pairs(kern, x, 2)
+        want = top_pairs_oracle(gram(kern, x, x), 2)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want] == [[0, 0], [3, 1]]
 
     def test_bad_inputs(self):
         with pytest.raises(ConfigError):

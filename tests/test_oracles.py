@@ -2,16 +2,17 @@
 
 ``tests/oracles.py`` is parsed, not imported: it may take public
 building blocks from the package (``gram``, ``Dataset``, a family's
-``support`` and score), but nothing from ``mmdreg.objective`` or
-``mmdreg.gradients``, which the tests check against it, and no private
-package name.  The scalar kernel evaluator uses no package kernel code.
+``support`` and score), but nothing from ``mmdreg.objective``,
+``mmdreg.gradients`` or ``mmdreg.dataio``, which the tests check against
+it, and no private package name.  The scalar kernel evaluator uses no
+package kernel code.
 """
 
 import ast
 from pathlib import Path
 
 ORACLES = Path(__file__).with_name("oracles.py")
-CHECKED = {"objective", "gradients"}
+CHECKED = {"objective", "gradients", "dataio"}
 
 
 def _imports(tree):
