@@ -19,6 +19,9 @@ from .errors import ConfigError, DomainError
 _RADIAL_FAMILIES = ("exponential", "gaussian", "matern", "psi_matern")
 _FAMILIES = _RADIAL_FAMILIES + ("affine_shift", "product")
 _MATERN_ORDERS = (1, 3, 5)
+# Outside this range 2 gamma^2 is not a normal float (the exponent turns
+# NaN or loses its bits) or the capped distance 40 gamma squares to inf.
+_GAUSSIAN_GAMMA = (1.1e-154, 3.3e152)
 
 
 def psi(v):
@@ -103,6 +106,8 @@ class KernelSpec:
                 raise ConfigError(f"kernel family {self.family!r} requires gamma > 0")
             if not (0.0 < self.c <= 1.0):
                 raise ConfigError("kernel scale c must lie in (0, 1]")
+        if self.family == "gaussian" and not _GAUSSIAN_GAMMA[0] <= self.gamma <= _GAUSSIAN_GAMMA[1]:
+            raise ConfigError(f"gaussian kernel gamma must lie in {list(_GAUSSIAN_GAMMA)}")
         if self.family in ("matern", "psi_matern") and self.m not in _MATERN_ORDERS:
             raise ConfigError(f"kernel order m must be one of {_MATERN_ORDERS}")
         if self.family == "affine_shift":
@@ -188,9 +193,12 @@ def _aligned_dists(a, b):
 
 
 def _radial(spec, r):
+    # As in _matern, distances are capped where the exponent passes 745,
+    # beyond which exp is 0, so r / gamma and r * r cannot overflow.
     if spec.family == "exponential":
-        out = np.exp(-r / spec.gamma)
+        out = np.exp(-np.minimum(r, 800.0 * spec.gamma) / spec.gamma)
     elif spec.family == "gaussian":
+        r = np.minimum(r, 40.0 * spec.gamma)
         out = np.exp(-(r * r) / (2.0 * spec.gamma * spec.gamma))
     else:
         out = _matern(r, spec.gamma, spec.m)

@@ -34,7 +34,7 @@ def _check_responses(kind, y, n):
 
     Shape ``(n,)``, or ``(n, 2)`` for censored pairs; every value finite;
     selection indicators 0 or 1; count and binary values nonnegative
-    integers (binary at most 1), returned as ``int64``.
+    integers below 2**63 (binary at most 1), returned as ``int64``.
     """
     if kind not in ("real", "count", "binary", "censored"):
         raise ConfigError(f"unknown response kind {kind!r}")
@@ -50,6 +50,8 @@ def _check_responses(kind, y, n):
         raise DomainError(f"{kind} responses must be nonnegative integers")
     if kind == "binary" and np.any(arr > 1):
         raise DomainError("binary responses must lie in {0, 1}")
+    if arr.dtype.kind != "i" and np.any(arr >= 2.0**63):  # would wrap in the cast
+        raise DomainError(f"{kind} responses must lie below 2**63")
     return np.asarray(arr, dtype=np.int64)
 
 
@@ -333,7 +335,11 @@ class GammaRegression(Family):
         theta = self._theta(theta)
         x = self._rows(x)
         nu = np.exp(theta[self.d])
-        return rng.gamma(shape=nu, scale=np.exp(x @ theta[: self.d]) / nu)
+        # Generator.gamma(nu, scale) draws scale * standard_gamma(nu) per
+        # element in row order, so this is the same stream and the same
+        # values; an array scale sends gamma down its slower broadcasting
+        # path, a scalar shape fills all rows in one call.
+        return np.exp(x @ theta[: self.d]) / nu * rng.standard_gamma(nu, size=x.shape[0])
 
     def grad_log_density(self, theta, x, y):
         theta = self._theta(theta)
@@ -379,6 +385,7 @@ class Heckman(Family):
         free[: self.d] = self.outcome_support
         free[self.d : 2 * self.d] = self.selection_support
         self.free_mask = free
+        self._frozen = np.flatnonzero(~free)
 
     def _as_support(self, support):
         if support is None:
@@ -434,22 +441,25 @@ class Heckman(Family):
         x = self._rows(x)
         y = self._shape_y(y, x.shape[0])
         mu1, mu2, sigma, rho = self._params(self._theta(theta), x)
-        selected = y[:, 1] == 1.0
+        sel = np.flatnonzero(y[:, 1] == 1.0)
+        unsel = np.flatnonzero(y[:, 1] != 1.0)
         root = np.sqrt(1.0 - rho * rho)
-        z1 = (y[:, 0] - mu1) / sigma
-        arg = (mu2 + rho * z1) / root
-        mills = _inverse_mills(arg)
-        d_mu1 = np.where(selected, z1 / sigma - mills * rho / (sigma * root), 0.0)
-        d_mu2 = np.where(selected, mills / root, -_inverse_mills(-mu2))
-        d_log_sigma = np.where(selected, z1 * z1 - 1.0 - mills * rho * z1 / root, 0.0)
-        d_arg_d_rho = z1 / root + (mu2 + rho * z1) * rho / root ** 3
-        d_atanh_rho = np.where(selected, mills * d_arg_d_rho * (1.0 - rho * rho), 0.0)
-        g = np.zeros((x.shape[0], self.raw_dim))
-        g[:, : self.d] = d_mu1[:, None] * x
-        g[:, self.d : 2 * self.d] = d_mu2[:, None] * x
+        # Each branch's Mills ratio on that branch's rows only.
+        z1 = (y[sel, 0] - mu1[sel]) / sigma
+        lin = mu2[sel] + rho * z1
+        mills = _inverse_mills(lin / root)
+        d_mu1, d_mu2, d_log_sigma, d_atanh_rho = np.zeros((4, x.shape[0]))
+        d_mu1[sel] = z1 / sigma - mills * rho / (sigma * root)
+        d_mu2[sel] = mills / root
+        d_mu2[unsel] = -_inverse_mills(-mu2[unsel])
+        d_log_sigma[sel] = z1 * z1 - 1.0 - mills * rho * z1 / root
+        d_atanh_rho[sel] = mills * (z1 / root + lin * rho / root ** 3) * (1.0 - rho * rho)
+        g = np.empty((x.shape[0], self.raw_dim))
+        np.multiply(d_mu1[:, None], x, out=g[:, : self.d])
+        np.multiply(d_mu2[:, None], x, out=g[:, self.d : 2 * self.d])
         g[:, 2 * self.d] = d_log_sigma
         g[:, 2 * self.d + 1] = d_atanh_rho
-        g[:, ~self.free_mask] = 0.0
+        g[:, self._frozen] = 0.0
         return g
 
 

@@ -30,7 +30,11 @@ estimate from ``B`` draw pairs.
 ``scipy.stats`` and decoding the raw parameters itself; the package has
 no densities, only samplers and scores.  :func:`kernel_value` evaluates
 a ``KernelSpec`` at two single points with ``math``, from the formulas in
-the ``KernelSpec`` docstring.  :func:`top_pairs_oracle` ranks every pair
+the ``KernelSpec`` docstring.  :func:`gamma_draws` and
+:func:`heckman_score` are the straightforward forms of the gamma sampler
+(``Generator.gamma`` with an array scale) and of the Heckman score
+(every branch on every row, then ``np.where``) that the package's
+faster forms must match bit for bit.  :func:`top_pairs_oracle` ranks every pair
 of a dense covariate Gram.  :func:`csv_text` and :func:`csv_read` are the
 dataset CSV format value by value and line by line; they import nothing
 from ``mmdreg.dataio``.
@@ -176,6 +180,49 @@ def log_density(family, theta, x, y):
         comps = stats.norm.logpdf(y[:, None], x @ betas.T, sigmas) + log_weights
         return special.logsumexp(comps, axis=1)
     raise ValueError(f"no reference density for {family.name!r}")
+
+
+def gamma_draws(family, theta, x, rng):
+    """Gamma regression draws at rows ``x``: ``rng.gamma`` with shape
+    ``nu`` and the array scale ``exp(beta' x) / nu``."""
+    d = family.d
+    nu = np.exp(theta[d])
+    return rng.gamma(shape=nu, scale=np.exp(x @ theta[:d]) / nu)
+
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _mills(a):
+    # phi(a) / Phi(a) in log space
+    return np.exp(-0.5 * _LOG_2PI - 0.5 * a * a - special.log_ndtr(a))
+
+
+def heckman_score(family, theta, x, y):
+    """Heckman raw score ``(n, 2 d + 2)``: both branches' terms on every
+    row, the observed branch picked by ``np.where``, excluded
+    coefficients frozen at zero with zero score."""
+    d = family.d
+    theta = np.where(family.free_mask, theta, 0.0)
+    mu1, mu2 = x @ theta[:d], x @ theta[d : 2 * d]
+    sigma, rho = np.exp(theta[2 * d]), np.tanh(theta[2 * d + 1])
+    selected = y[:, 1] == 1.0
+    root = np.sqrt(1.0 - rho * rho)
+    z1 = (y[:, 0] - mu1) / sigma
+    arg = (mu2 + rho * z1) / root
+    mills = _mills(arg)
+    d_mu1 = np.where(selected, z1 / sigma - mills * rho / (sigma * root), 0.0)
+    d_mu2 = np.where(selected, mills / root, -_mills(-mu2))
+    d_log_sigma = np.where(selected, z1 * z1 - 1.0 - mills * rho * z1 / root, 0.0)
+    d_arg_d_rho = z1 / root + (mu2 + rho * z1) * rho / root**3
+    d_atanh_rho = np.where(selected, mills * d_arg_d_rho * (1.0 - rho * rho), 0.0)
+    g = np.zeros((x.shape[0], 2 * d + 2))
+    g[:, :d] = d_mu1[:, None] * x
+    g[:, d : 2 * d] = d_mu2[:, None] * x
+    g[:, 2 * d] = d_log_sigma
+    g[:, 2 * d + 1] = d_atanh_rho
+    g[:, ~family.free_mask] = 0.0
+    return g
 
 
 def _psi(v):

@@ -234,6 +234,14 @@ class TestBadInputs:
         assert run(*argv(gauss_csv, tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_count_beyond_int64(self, tmp_path, capsys):
+        # an integer-valued count the int64 cast would wrap to -2**63
+        path = tmp_path / "counts.csv"
+        path.write_text("x1,y\n0.5,3\n1.0,1e300\n")
+        capsys.readouterr()
+        assert run("fit", "--in", path, "--model", "poisson", "--estimator", "mle") == 2
+        assert capsys.readouterr().err == "error: count responses must lie below 2**63\n"
+
 
 class TestMmd:
     def test_identical_datasets_score_zero(self, gauss_csv, tmp_path, capsys):

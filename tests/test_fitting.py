@@ -1,5 +1,6 @@
 """Tests for the baselines and the AdaGrad discrepancy fits."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -263,6 +264,39 @@ class TestFitMmd:
         assert [float(v).hex() for v in res.theta_raw] == [
             "0x1.95a0102d7fd15p+0", "-0x1.7fe28e2945167p-2", "0x1.4143011672d84p-4",
         ]
+
+    def test_tilde_fit_pinned(self):
+        # Pins the tilde path on the three scenarios: the draws' streams
+        # (the gamma sampler's among them), the scores (Heckman's per-branch
+        # Mills ratios and frozen coordinates) and the trace of gradient
+        # norms.  Recorded with numpy 2.4 on x86-64, like the hat pin.
+        want = {
+            "gauss_linear_laplace": (
+                ["0x1.fc44f7cfc069cp+1", "0x1.ff06f2e9176acp+1", "0x1.88079c1f6d56bp+1",
+                 "0x1.8737add45c626p+1", "0x1.eb6c5fdce114bp+0", "0x1.e625352d3d043p+0",
+                 "0x1.da618c22835aep-1", "0x1.ea64cd02575f3p-1", "0x1.d4e1245a2304cp-4"],
+                "39ff57353412ac580e64989c0321e38ef34a80c3243f802c2595a69053bc3420",
+            ),
+            "heckman_synthetic": (
+                ["0x1.04271172c5f8dp+2", "0x1.8b0186966b450p+1", "0x1.ff47dc2e8498ap+0",
+                 "0x1.2900ddcac934fp+0"] + ["0x0.0p+0"] * 8
+                + ["0x1.e386a4bc722ecp+1", "0x1.6f8538abdf99dp+1", "0x1.e4aa94069fd91p+0",
+                   "0x1.0f02dbc7e265dp+0", "0x1.83ef6a1c49d1ap-2", "0x1.b80a8520a308cp-1"],
+                "2c9fdfc7ae801fce3ed9015c5a7c730af9e4fcedc83560c39aac2f84c87411ee",
+            ),
+            "gamma_synthetic": (
+                ["0x1.2aad130dc8a71p+0", "0x1.f7739668d1093p-1", "0x1.19bccdc562eafp+0",
+                 "0x1.f35acceedad2bp-1", "0x1.1c49da5d61545p+0", "0x1.f7d6b4a37320bp-1",
+                 "0x1.c458075b598f3p-1", "0x1.127056b119fe5p+0", "0x1.91c06f5034598p-3"],
+                "dd7afea6762d096e10e749ab22e775742c159714b7e20646fb667cfe3ac05886",
+            ),
+        }
+        for name, (theta_hex, norms_sha256) in want.items():
+            fam, ds = simulate_dataset(name, 200, seed=31)
+            res = fit_mmd(fam, ds, FitConfig(estimator="tilde", iters=60, seed=5))
+            assert [float(v).hex() for v in res.theta_raw] == theta_hex, name
+            norms = np.ascontiguousarray(res.trace[:, 1]).tobytes()
+            assert res.trace.shape == (60, 3) and hashlib.sha256(norms).hexdigest() == norms_sha256
 
     def test_nonfinite_gradient_aborts(self):
         fam_g = get_family("gaussian_linear", 2)

@@ -138,6 +138,47 @@ class TestMaternHalfint:
             matern_kernel(float("nan"))
 
 
+class TestRadialCap:
+    """Exponential and gaussian leaves cap the distance where the kernel
+    is exactly 0, so far points give 0 with no overflow."""
+
+    def test_far_points_give_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # r / gamma and r * r / (2 gamma^2) overflowed here
+            assert gram(exponential_kernel(1e-300), [[0.0]], [[1e10]]).tolist() == [[0.0]]
+            assert gram(gaussian_kernel(1.1e-154), [[0.0]], [[1e10]]).tolist() == [[0.0]]
+            for spec in (exponential_kernel(1e300), gaussian_kernel(3.3e152)):
+                assert gram(spec, [[0.0], [1.0]], [[np.inf], [1.0]]).tolist() == [[0.0, 1.0]] * 2
+
+    def test_finite_values_keep_their_bits(self):
+        # distances r exactly (1-D points, r^2 a normal float), including
+        # either side of each cap; the uncapped formulas are the reference
+        r = np.concatenate([[0.0], np.logspace(-150, 150, 601)])
+        gammas = [1.1e-154, 1e-150, 1e-20, 0.01, 0.7, 1.0, 3.0, 1e20, 3.3e152]
+        for g in gammas:
+            caps = np.array([800.0 * g, 40.0 * g])
+            caps = caps[(caps > 1e-150) & (caps < 1e150)]
+            grid = np.concatenate([r, caps, np.nextafter(caps, 0.0), np.nextafter(caps, np.inf)])
+            with np.errstate(all="ignore"):
+                plain = {"exponential": np.exp(-grid / g),
+                         "gaussian": np.exp(-(grid * grid) / (2.0 * g * g))}
+            for c in (1.0, 0.5):
+                for spec in (exponential_kernel(g, c=c), gaussian_kernel(g, c=c)):
+                    got = gram(spec, np.zeros(1), grid)[0]
+                    assert got.tobytes() == (c * plain[spec.family]).tobytes(), (spec, g)
+
+    def test_gaussian_gamma_range(self):
+        # below 1.1e-154, 2 gamma^2 is not a normal float and k(z, z) came out NaN
+        for gamma in (1e-200, 1e-154, 1e153):
+            with pytest.raises(ConfigError, match="gaussian kernel gamma"):
+                gaussian_kernel(gamma)
+            with pytest.raises(ConfigError):
+                spec_from_dict({"family": "gaussian", "gamma": gamma})
+        for gamma in (1.1e-154, 3.3e152):
+            assert gram(gaussian_kernel(gamma), [[0.0]], [[0.0]]).tolist() == [[1.0]]
+
+
 class TestKernelSpec:
     def test_normalization_at_zero(self):
         rng = np.random.default_rng(7)

@@ -8,6 +8,8 @@ quadrature, and the discrete supports to sum to one.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from mmdreg.errors import ConfigError, DomainError, NumericalError
@@ -20,7 +22,9 @@ from mmdreg.models import (
     list_scenarios,
     simulate_dataset,
 )
-from oracles import log_density
+from oracles import gamma_draws, heckman_score, log_density
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
 def fd_grad(fun, theta, h=1e-6):
@@ -223,6 +227,62 @@ class TestSampling:
             fam.sample(theta, x[:, :2], rng)
 
 
+def _draw_case(data, family, scale):
+    """Raw parameters and covariates at a drawn scale; the linear
+    predictor reaches past exp's overflow at the largest scales."""
+    n = data.draw(st.integers(0, 40), label="n")
+    theta = scale * np.array(data.draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=family.raw_dim, max_size=family.raw_dim)))
+    x = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n * family.d,
+                                    max_size=n * family.d))).reshape(n, family.d)
+    return theta, x
+
+
+class TestFastPaths:
+    """The sampler and score forms the fit loop runs equal the plain
+    forms of ``tests/oracles.py`` bit for bit."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_gamma_draws_match_oracle(self, data):
+        fam = get_family("gamma", data.draw(st.integers(1, 4), label="d"))
+        scale = data.draw(st.sampled_from([0.3, 3.0, 300.0]), label="scale")
+        theta, x = _draw_case(data, fam, scale)
+        # nu = 0, below 1, exactly 1, above 1, and near overflow
+        theta[fam.d] = data.draw(st.one_of(
+            st.sampled_from([-800.0, -690.0, np.log(0.3), 0.0, np.log(2.5), 690.0]),
+            st.floats(-5.0, 5.0)), label="log_nu")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            got = fam.sample(theta, x, got_rng)
+            want = gamma_draws(fam, theta, x, want_rng)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @PROPERTY
+    @given(st.data())
+    def test_heckman_score_matches_oracle(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        masks = [data.draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(any),
+                           label=label) for label in ("outcome", "selection")]
+        fam = get_family("heckman", d, outcome_support=masks[0], selection_support=masks[1])
+        scale = data.draw(st.sampled_from([0.3, 3.0, 40.0]), label="scale")
+        theta, x = _draw_case(data, fam, scale)
+        n = x.shape[0]
+        pattern = data.draw(st.sampled_from(["all", "none", "mixed"]), label="selected")
+        if pattern == "mixed":
+            selected = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            selected = np.full(n, pattern == "all")
+        outcome = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+        y = np.column_stack([np.where(selected, outcome, 0.0), selected.astype(float)])
+        with np.errstate(all="ignore"):
+            got = fam.grad_log_density(theta, x, y)
+            want = heckman_score(fam, theta, x, y)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestDataset:
     def test_kind_validation(self):
         x = np.zeros((3, 2))
@@ -237,6 +297,17 @@ class TestDataset:
             Dataset(x, np.zeros(3), "complex")
         with pytest.raises(DomainError):
             Dataset(x, np.array([[1.0, 0.5], [0.0, 0.0], [0.0, 1.0]]), "censored")
+
+    def test_counts_beyond_int64_refused(self):
+        # the int64 cast would wrap them to -2**63
+        x = np.zeros((2, 1))
+        for big in (1e300, 2.0**63):
+            with pytest.raises(DomainError, match="below 2\\*\\*63"):
+                Dataset(x, np.array([1.0, big]), "count")
+        top = np.nextafter(2.0**63, 0.0)
+        assert Dataset(x, np.array([1.0, top]), "count").y.tolist() == [1, int(top)]
+        imax = np.iinfo(np.int64).max
+        assert Dataset(x, np.array([0, imax]), "count").y.tolist() == [0, imax]
 
     def test_copy_is_deep(self):
         ds = Dataset(np.zeros((2, 2)), np.zeros(2), "real", {"tag": 1})
