@@ -17,13 +17,7 @@ from .bench import (
     run_plan,
     write_results,
 )
-from .contamination import (
-    ContaminationSpec,
-    contaminate,
-    register_custom_sampler,
-    spec_from_config,
-    spec_to_config,
-)
+from .contamination import ContaminationSpec, contaminate
 from .dataio import (
     export_contaminated,
     fit_config_from_dict,
@@ -64,7 +58,6 @@ from .kernels import (
     psi,
     psi_matern_kernel,
     spec_from_dict,
-    spec_to_dict,
 )
 from .models import (
     Dataset,
@@ -88,7 +81,7 @@ __all__ = [
     "exponential_kernel", "gaussian_kernel", "matern_kernel",
     "psi_matern_kernel", "affine_shift_kernel", "product_kernel",
     "default_covariate_kernel", "default_response_kernel",
-    "gram", "elementwise", "spec_from_dict", "spec_to_dict",
+    "gram", "elementwise", "spec_from_dict",
     "Dataset", "Scenario", "get_family", "get_scenario", "list_scenarios",
     "simulate_dataset",
     "mmd_sq_vstat", "ObjectiveValue", "objective",
@@ -96,8 +89,7 @@ __all__ = [
     "top_pairs", "sample_pair_indices",
     "ESTIMATORS", "FitConfig", "FitResult", "default_kernel",
     "fit", "fit_mmd", "fit_baseline",
-    "ContaminationSpec", "contaminate", "register_custom_sampler",
-    "spec_from_config", "spec_to_config",
+    "ContaminationSpec", "contaminate",
     "load_csv", "write_csv", "export_contaminated", "load_config",
     "fit_config_from_dict", "fit_result_to_dict", "write_fit_result",
     "ExperimentPlan", "ResultTable", "plan_from_config", "plan_to_config",

@@ -26,12 +26,10 @@ import numpy as np
 from .contamination import RECIPES, SCHEMES, ContaminationSpec, contaminate
 from .dataio import fit_config_from_dict
 from .errors import ConfigError, DomainError, FormatError, NumericalError
-from .fitting import ESTIMATORS, _whole, fit
-from .models import Dataset, check_seed, get_scenario, simulate_dataset
+from .fitting import ESTIMATORS, fit
+from .models import Dataset, _real, _whole, check_seed, get_scenario, simulate_dataset
 
 SCHEMA_VERSION = 1
-
-_PLAN_RECIPES = tuple(r for r in RECIPES if r != "custom")
 
 
 @dataclass(frozen=True)
@@ -85,17 +83,18 @@ class ExperimentPlan:
         if not n_values or not all(_whole(n) and n >= 1 for n in n_values):
             raise ConfigError(f"n_values must be positive integers, got {self.n_values!r}")
         object.__setattr__(self, "n_values", tuple(int(n) for n in n_values))
-        object.__setattr__(self, "epsilons", _listed(self.epsilons, "epsilons", float))
+        epsilons = _listed(self.epsilons, "epsilons", lambda e: e)
+        if not epsilons or not all(_real(e) and 0.0 <= e < 1.0 for e in epsilons):
+            raise ConfigError(f"epsilons must be numbers in [0, 1), got {self.epsilons!r}")
+        object.__setattr__(self, "epsilons", tuple(float(e) for e in epsilons))
         object.__setattr__(self, "recipes", _listed(self.recipes, "recipes"))
         object.__setattr__(self, "estimators", _listed(self.estimators, "estimators"))
-        if not self.epsilons or any(not (0.0 <= e < 1.0) for e in self.epsilons):
-            raise ConfigError("epsilons must lie in [0, 1)")
         if len(set(self.epsilons)) != len(self.epsilons):
             raise ConfigError("epsilons must be distinct")
-        bad = set(self.recipes) - set(_PLAN_RECIPES)
+        bad = set(self.recipes) - set(RECIPES)
         if bad or (not self.recipes and any(e > 0 for e in self.epsilons)):
             raise ConfigError(
-                f"plan recipes must be drawn from {_PLAN_RECIPES}, got {self.recipes}"
+                f"plan recipes must be drawn from {RECIPES}, got {self.recipes}"
             )
         bad = set(self.estimators) - set(ESTIMATORS)
         if bad or not self.estimators:

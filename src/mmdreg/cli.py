@@ -29,10 +29,8 @@ from .dataio import (
 from .errors import ConfigError, DomainError, FormatError, NumericalError
 from .fitting import fit
 from .kernels import spec_from_dict
-from .models import get_family, list_scenarios, simulate_dataset
+from .models import _FAMILY_REGISTRY, get_family, list_scenarios, simulate_dataset
 from .objective import mmd_sq_vstat
-
-_FAMILIES = ("gaussian_linear", "logistic", "poisson", "gamma", "heckman", "mixture")
 
 
 def _cmd_simulate(args):
@@ -55,21 +53,13 @@ def _cmd_contaminate(args):
     return 0
 
 
-def _peek_dimension(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-    names = [c.strip() for c in header.split(",")]
-    return len(names) - (2 if names[-2:] == ["y1", "y2"] else 1)
-
-
 def _cmd_fit(args):
-    d = _peek_dimension(args.infile)
-    family_kwargs = {"n_components": args.components} if args.model == "mixture" else {}
-    family = get_family(args.model, d, **family_kwargs)
     # A contamination sidecar marks data corrupted on purpose, so the
     # selection-structure check is waived for it automatically.
     lenient = args.lenient or os.path.exists(_sidecar_path(args.infile))
-    ds = load_csv(args.infile, kind=family.kind, strict=not lenient)
+    ds = load_csv(args.infile, kind=_FAMILY_REGISTRY[args.model].kind, strict=not lenient)
+    family_kwargs = {"n_components": args.components} if args.model == "mixture" else {}
+    family = get_family(args.model, ds.d, **family_kwargs)
     cfg = load_config(args.config) if args.config else {}
     if args.estimator is not None:
         cfg["estimator"] = args.estimator
@@ -147,7 +137,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit one model to one dataset")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--model", required=True, choices=_FAMILIES)
+    p.add_argument("--model", required=True, choices=list(_FAMILY_REGISTRY))
     p.add_argument("--estimator", default=None)
     p.add_argument("--config", default=None, help="fit config (JSON/TOML)")
     p.add_argument("--components", type=int, default=2,

@@ -32,8 +32,8 @@ from .kernels import (
     default_response_kernel,
     product_kernel,
 )
-from .models import _inverse_mills, check_seed
-from .objective import _dataset_for, objective
+from .models import _inverse_mills, _real, _whole, check_seed
+from .objective import _dataset_for, _require_product, objective
 
 ESTIMATORS = ("tilde", "hat", "mle", "ols")
 
@@ -48,11 +48,6 @@ _DIVERGENCE_NORM = 30.0
 def default_kernel():
     """Product of the default covariate and response kernels."""
     return product_kernel(default_covariate_kernel(), default_response_kernel())
-
-
-def _whole(v):
-    # an integer, and not a bool, which Python counts as one
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -86,8 +81,7 @@ class FitConfig:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         for name in ("eta", "adagrad_eps"):
             v = getattr(self, name)
-            real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            if not (real and v > 0.0 and np.isfinite(v)):
+            if not (_real(v) and v > 0.0 and np.isfinite(v)):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
         if self.iters is not None and not (_whole(self.iters) and self.iters >= 1):
             raise ConfigError("iters must be a positive integer")
@@ -420,18 +414,13 @@ def fit_mmd(family, dataset, config=None):
     theta, warning = _resolve_init(family, dataset, config)
     init_used = theta.copy()
     iters = config.resolved_iters()
-    n = dataset.n
     rng_draws = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(11,)))
     rng_pairs = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(13,)))
     rng_trace = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(17,)))
     cache = None
-    m2 = None
     if config.estimator == "hat":
-        if kernel.family != "product":
-            raise ConfigError("the quadratic-cost estimator needs a product kernel")
-        m1 = n if config.m1 is None else config.m1
-        cache = build_pair_cache(kernel.x_kernel, dataset.x, m1)
-        m2 = n if config.m2 is None else config.m2
+        m1 = dataset.n if config.m1 is None else config.m1
+        cache = build_pair_cache(_require_product(kernel).x_kernel, dataset.x, m1)
     trace = np.full((iters, 3), np.nan)
     sumsq = np.zeros(family.raw_dim)
     polyak_sum = np.zeros(family.raw_dim)
@@ -445,7 +434,7 @@ def fit_mmd(family, dataset, config=None):
             kernel,
             config.estimator,
             cache=cache,
-            m_samp=m2,
+            m_samp=config.m2,
             pairs=config.mc_pairs,
             rng_draws=rng_draws,
             rng_pairs=rng_pairs,

@@ -28,6 +28,7 @@ from .errors import ConfigError, DomainError
 # gram is bound here, unused, so probes that wrap this module's kernel
 # calls (perfbench/probes.py) still find it: nothing here builds a Gram
 from .kernels import KernelSpec, _as_points, _psi, _radial, elementwise, gram  # noqa: F401
+from .models import _whole
 from .objective import (
     _dataset_for,
     _require_product,
@@ -326,7 +327,7 @@ def grad_objective_estimate(
     """
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)
-    if not (isinstance(pairs, (int, np.integer)) and pairs >= 1):
+    if not (_whole(pairs) and pairs >= 1):
         raise ConfigError("pairs must be a positive integer")
     if estimator not in ("tilde", "hat"):
         raise ConfigError(f"estimator must be 'tilde' or 'hat', got {estimator!r}")

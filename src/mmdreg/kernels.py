@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .models import _real, _whole
 
 _RADIAL_FAMILIES = ("exponential", "gaussian", "matern", "psi_matern")
 _FAMILIES = _RADIAL_FAMILIES + ("affine_shift", "product")
@@ -101,6 +102,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown kernel family {self.family!r}")
+        for name in ("gamma", "beta", "c"):
+            if not _real(getattr(self, name)):
+                raise ConfigError(f"kernel parameter {name!r} must be a number")
         if self.family in _RADIAL_FAMILIES:
             if not (np.isfinite(self.gamma) and self.gamma > 0.0):
                 raise ConfigError(f"kernel family {self.family!r} requires gamma > 0")
@@ -108,7 +112,8 @@ class KernelSpec:
                 raise ConfigError("kernel scale c must lie in (0, 1]")
         if self.family == "gaussian" and not _GAUSSIAN_GAMMA[0] <= self.gamma <= _GAUSSIAN_GAMMA[1]:
             raise ConfigError(f"gaussian kernel gamma must lie in {list(_GAUSSIAN_GAMMA)}")
-        if self.family in ("matern", "psi_matern") and self.m not in _MATERN_ORDERS:
+        matern = self.family in ("matern", "psi_matern")
+        if matern and not (_whole(self.m) and self.m in _MATERN_ORDERS):
             raise ConfigError(f"kernel order m must be one of {_MATERN_ORDERS}")
         if self.family == "affine_shift":
             if self.child is None:
@@ -264,30 +269,20 @@ def spec_from_dict(d):
         raise ConfigError("kernel config requires a 'family' key")
     kwargs = {}
     for key, convert in (("gamma", float), ("beta", float), ("c", float), ("m", int)):
-        if key in d:
-            try:
-                kwargs[key] = convert(d[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"kernel parameter {key!r} must be a number, got {d[key]!r}") from None
+        if key not in d:
+            continue
+        v = d[key]
+        bad = ConfigError(f"kernel parameter {key!r} must be a number, got {v!r}")
+        if isinstance(v, bool):
+            raise bad
+        try:
+            kwargs[key] = convert(v)
+        except (TypeError, ValueError, OverflowError):
+            raise bad from None
+        if key == "m" and not isinstance(v, str) and kwargs[key] != v:  # int(3.9) is 3
+            raise ConfigError(f"kernel order m must be a whole number, got {v!r}")
     for key in ("child", "x_kernel", "y_kernel"):
         if key in d:
             kwargs[key] = spec_from_dict(d[key])
     return KernelSpec(family=d["family"], **kwargs)
 
-
-def spec_to_dict(spec):
-    """Inverse of :func:`spec_from_dict`, emitting only the relevant keys."""
-    d = {"family": spec.family}
-    if spec.family in _RADIAL_FAMILIES:
-        d["gamma"] = spec.gamma
-        if spec.c != 1.0:
-            d["c"] = spec.c
-        if spec.family in ("matern", "psi_matern"):
-            d["m"] = spec.m
-    elif spec.family == "affine_shift":
-        d["beta"] = spec.beta
-        d["child"] = spec_to_dict(spec.child)
-    else:
-        d["x_kernel"] = spec_to_dict(spec.x_kernel)
-        d["y_kernel"] = spec_to_dict(spec.y_kernel)
-    return d

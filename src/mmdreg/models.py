@@ -55,10 +55,20 @@ def _check_responses(kind, y, n):
     return np.asarray(arr, dtype=np.int64)
 
 
+def _whole(v):
+    # an integer, and not a bool, which Python counts as one
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _real(v):
+    # a real number, and not a bool
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def check_seed(seed):
     """Raise ConfigError unless ``seed`` is a nonnegative integer, the
     entropy ``np.random.SeedSequence`` accepts."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not (_whole(seed) and seed >= 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
@@ -111,7 +121,7 @@ class Family:
     exact = False
 
     def __init__(self, d):
-        if not (isinstance(d, (int, np.integer)) and d >= 1):
+        if not (_whole(d) and d >= 1):
             raise ConfigError(f"covariate dimension must be a positive integer, got {d!r}")
         self.d = int(d)
 
@@ -477,7 +487,7 @@ class GaussianMixture(Family):
 
     def __init__(self, d, n_components=2):
         super().__init__(d)
-        if not (isinstance(n_components, (int, np.integer)) and n_components >= 2):
+        if not (_whole(n_components) and n_components >= 2):
             raise ConfigError("mixture needs at least two components")
         self.n_components = int(n_components)
         self.raw_dim = self.n_components * (self.d + 1) + self.n_components - 1
@@ -653,7 +663,7 @@ def simulate_dataset(scenario, n, seed):
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (_whole(n) and n >= 1):
         raise ConfigError(f"sample size must be a positive integer, got {n!r}")
     check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .kernels import elementwise, gram
-from .models import Dataset
+from .models import Dataset, _whole
 
 _NEGATIVE_TOL = 1e-12
 # Largest Gram matrix, in cells, that the quadratic objective and
@@ -113,7 +113,7 @@ def _resolve_rng(rng, seed):
 
 
 def _check_budget(budget):
-    if not (isinstance(budget, (int, np.integer)) and budget >= 1):
+    if not (_whole(budget) and budget >= 1):
         raise ConfigError(f"budget must be a positive integer, got {budget!r}")
     return int(budget)
 

@@ -194,12 +194,24 @@ BAD_TYPES = [
         "x_kernel": {"family": "psi_matern", "gamma": 0.01, "m": 1},
         "y_kernel": {"family": "exponential", "gamma": "abc"},
     }}), id="fit-kernel-gamma"),
+    pytest.param(fit_with({"kernel": {
+        "family": "product",
+        "x_kernel": {"family": "psi_matern", "gamma": 0.01, "m": 3.9},
+        "y_kernel": {"family": "exponential", "gamma": 1.0},
+    }}), id="fit-kernel-m-fraction"),
+    pytest.param(fit_with({"kernel": {
+        "family": "product",
+        "x_kernel": {"family": "psi_matern", "gamma": 0.01, "m": 1, "c": True},
+        "y_kernel": {"family": "exponential", "gamma": True},
+    }}), id="fit-kernel-bool"),
     pytest.param(fit_with({"init": ["a", "b"]}), id="fit-init"),
     pytest.param(bench_with(n=50), id="bench-n"),
     pytest.param(bench_with(reps="two"), id="bench-reps"),
     pytest.param(bench_with(reps=True), id="bench-reps-bool"),
     pytest.param(bench_with(n=[True]), id="bench-n-bool"),
     pytest.param(bench_with(n=[100.7]), id="bench-n-fraction"),
+    pytest.param(bench_with(eps=["0.1"], recipes=["type_y"]), id="bench-eps-string"),
+    pytest.param(bench_with(eps=[False]), id="bench-eps-bool"),
     # a bad fit override refuses the whole plan before any replication runs
     pytest.param(bench_with(estimators=["tilde"], fit={"tilde": {"eta": "0.1"}}),
                  id="bench-override-eta"),

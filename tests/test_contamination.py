@@ -5,16 +5,12 @@ floor(eps * n) exactly, and the Huber touched count is Binomial(n, eps),
 checked against 4-sigma bands on its mean and variance.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mmdreg.contamination import (
-    ContaminationSpec,
-    contaminate,
-    register_custom_sampler,
-    spec_from_config,
-    spec_to_config,
-)
+from mmdreg.contamination import ContaminationSpec, contaminate
 from mmdreg.errors import ConfigError, DomainError
 from mmdreg.models import Dataset, simulate_dataset
 
@@ -53,7 +49,7 @@ class TestSpecValidation:
         assert spec.resolved_mean() == -0.5
         for bad in ("abc", True, float("inf")):
             with pytest.raises(ConfigError, match="mean"):
-                spec_from_config({"eps": 0.1, "recipe_mean": bad})
+                ContaminationSpec(epsilon=0.1, mean=bad)
 
     def test_default_means(self):
         assert ContaminationSpec(epsilon=0.1, recipe="type_x").resolved_mean() == 5.0
@@ -61,22 +57,6 @@ class TestSpecValidation:
         assert ContaminationSpec(
             epsilon=0.1, recipe="selection_flip"
         ).resolved_mean() is None
-
-    def test_custom_needs_sampler_id(self):
-        with pytest.raises(ConfigError, match="sampler_id"):
-            ContaminationSpec(epsilon=0.1, recipe="custom")
-        with pytest.raises(ConfigError, match="sampler_id"):
-            ContaminationSpec(epsilon=0.1, recipe="type_y", sampler_id="q")
-
-    def test_config_round_trip(self):
-        spec = ContaminationSpec(
-            epsilon=0.03, scheme="huber", recipe="type_x", mean=-0.5, seed=7
-        )
-        assert spec_from_config(spec_to_config(spec)) == spec
-        with pytest.raises(ConfigError, match="unknown"):
-            spec_from_config({"eps": 0.1, "rate": 0.2})
-        with pytest.raises(ConfigError, match="eps"):
-            spec_from_config({"scheme": "huber"})
 
 
 class TestRowSelection:
@@ -156,7 +136,7 @@ class TestRowSelection:
         a = contaminate(ds, spec)
         b = contaminate(ds, spec)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        c = contaminate(ds, spec.with_seed(34))
+        c = contaminate(ds, replace(spec, seed=34))
         assert a.meta["contamination"]["indices"] != c.meta["contamination"]["indices"]
 
 
@@ -219,41 +199,6 @@ class TestRecipes:
             contaminate(
                 real_dataset(50),
                 ContaminationSpec(epsilon=0.0, recipe="selection_flip"),
-            )
-
-    def test_custom_recipe(self):
-        def zero_out(x_rows, y_rows, rng):
-            return np.zeros_like(x_rows), np.full_like(y_rows, 7.0)
-
-        register_custom_sampler("zero7", zero_out)
-        ds = real_dataset(200, seed=17)
-        out = contaminate(
-            ds,
-            ContaminationSpec(epsilon=0.1, recipe="custom", sampler_id="zero7", seed=18),
-        )
-        idx = out.meta["contamination"]["indices"]
-        assert len(idx) == 20
-        assert np.all(out.x[idx] == 0.0)
-        assert np.all(out.y[idx] == 7.0)
-        keep = np.setdiff1d(np.arange(200), idx)
-        assert np.array_equal(out.x[keep], ds.x[keep])
-
-        with pytest.raises(ConfigError, match="registered"):
-            contaminate(
-                ds,
-                ContaminationSpec(
-                    epsilon=0.1, recipe="custom", sampler_id="missing", seed=1
-                ),
-            )
-
-    def test_custom_sampler_shape_check(self):
-        register_custom_sampler("bad_shape", lambda x, y, rng: (x[:1], y))
-        with pytest.raises(DomainError, match="shape"):
-            contaminate(
-                real_dataset(100),
-                ContaminationSpec(
-                    epsilon=0.1, recipe="custom", sampler_id="bad_shape", seed=2
-                ),
             )
 
     def test_record_contents(self):

@@ -392,7 +392,7 @@ class TestFitMmd:
 
     def test_hat_requires_product_kernel(self):
         fam, ds = logistic_case(10, 21)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="product kernel .* is required"):
             fit_mmd(fam, ds, FitConfig(estimator="hat", kernel=exponential_kernel(1.0), iters=5))
 
     def test_dispatcher(self):

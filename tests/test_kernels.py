@@ -25,7 +25,6 @@ from mmdreg.kernels import (
     psi,
     psi_matern_kernel,
     spec_from_dict,
-    spec_to_dict,
 )
 from mmdreg.gradients import top_pairs
 from oracles import kernel_value, top_pairs_oracle
@@ -307,6 +306,14 @@ class TestKernelSpec:
             KernelSpec(family="product", x_kernel=exponential_kernel())
         with pytest.raises(ConfigError):
             KernelSpec(family="exponential", c=1.5)
+        for fields in (
+            {"family": "gaussian", "gamma": "1"},
+            {"family": "exponential", "c": "1"},
+            {"family": "affine_shift", "beta": "0.5", "child": exponential_kernel()},
+            {"family": "matern", "m": True},
+        ):
+            with pytest.raises(ConfigError):
+                KernelSpec(**fields)
 
 
 class TestSpecSerialization:
@@ -315,12 +322,20 @@ class TestSpecSerialization:
             affine_shift_kernel(psi_matern_kernel(0.01, m=1), beta=0.9),
             exponential_kernel(1.0),
         )
-        again = spec_from_dict(spec_to_dict(spec))
+        again = spec_from_dict({
+            "family": "product",
+            "x_kernel": {"family": "affine_shift", "beta": 0.9,
+                         "child": {"family": "psi_matern", "gamma": 0.01, "m": 1}},
+            "y_kernel": {"family": "exponential", "gamma": 1.0},
+        })
         assert again == spec
 
     def test_from_dict_defaults(self):
         spec = spec_from_dict({"family": "matern", "gamma": 0.5, "m": 5})
         assert spec.m == 5 and spec.c == 1.0
+        spec = spec_from_dict({"family": "matern", "gamma": "0.5", "m": "3", "c": "1"})
+        assert spec == matern_kernel(0.5, m=3)
+        assert spec_from_dict({"family": "matern", "gamma": 0.5, "m": 3.0}).m == 3
 
     def test_bad_configs(self):
         with pytest.raises(ConfigError):
@@ -329,3 +344,14 @@ class TestSpecSerialization:
             spec_from_dict({"family": "exponential", "scale": 2.0})
         with pytest.raises(ConfigError):
             spec_from_dict([1, 2, 3])
+        # int() would read 3.9 as 3, and float() would read true as 1.0
+        for entry in (
+            {"family": "matern", "gamma": 0.5, "m": 3.9},
+            {"family": "matern", "gamma": 0.5, "m": True},
+            {"family": "matern", "gamma": 0.5, "m": "3.9"},
+            {"family": "matern", "gamma": True},
+            {"family": "exponential", "c": True},
+            {"family": "affine_shift", "beta": True, "child": {"family": "exponential"}},
+        ):
+            with pytest.raises(ConfigError):
+                spec_from_dict(entry)

@@ -13,15 +13,19 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from mmdreg.errors import ConfigError, DomainError, NumericalError
+from mmdreg.gradients import grad_objective_estimate
+from mmdreg.kernels import default_response_kernel
 from mmdreg.models import (
     Dataset,
     GaussianMixture,
     Heckman,
+    check_seed,
     get_family,
     get_scenario,
     list_scenarios,
     simulate_dataset,
 )
+from mmdreg.objective import objective
 from oracles import gamma_draws, heckman_score, log_density
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -375,6 +379,21 @@ class TestConstruction:
             GaussianMixture(2, n_components=1)
         with pytest.raises(ConfigError):
             Heckman(3, outcome_support=[False, False, False])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda at: get_family("logistic", True), "covariate dimension"),
+        (lambda at: GaussianMixture(2, n_components=True), "two components"),
+        (lambda at: simulate_dataset("gauss_linear_laplace", True, 0), "sample size"),
+        (lambda at: check_seed(True), "seed"),
+        (lambda at: objective(*at, budget=True), "budget"),
+        (lambda at: grad_objective_estimate(*at, pairs=True), "pairs"),
+    ], ids=["d", "n_components", "n", "seed", "budget", "pairs"])
+    def test_counts_refuse_booleans(self, call, message):
+        # Python counts True as 1; every count check refuses it alike
+        fam, ds = simulate_dataset("gauss_linear_laplace", 20, 0)
+        at = (fam, get_scenario("gauss_linear_laplace").truth_raw, ds, default_response_kernel())
+        with pytest.raises(ConfigError, match=message):
+            call(at)
 
     def test_raw_dims(self):
         assert get_family("gaussian_linear", 8).raw_dim == 9
