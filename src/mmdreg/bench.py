@@ -262,10 +262,6 @@ def _run_task(plan, cell, rep):
     return records
 
 
-def _star_task(args):
-    return _run_task(*args)
-
-
 def _resolve_threads(threads):
     raw = os.environ.get("MMDR_THREADS")
     try:
@@ -285,14 +281,11 @@ def _resolve_threads(threads):
     return threads
 
 
-def rmse(estimates, truth, mask=None, normalize=True):
-    """Root mean squared parameter error over replications.
+def rmse(estimates, truth, mask=None):
+    """Root mean squared Euclidean parameter error over replications.
 
     ``estimates`` is an (R, p) stack, ``truth`` the length-p target.
-    ``mask`` restricts scoring to selected coordinates.  With
-    ``normalize`` the squared error is divided by the scored dimension,
-    so a unit-norm error in any dimension scores 1/sqrt(dim); the
-    benchmark tables use the plain Euclidean norm instead.
+    ``mask`` restricts scoring to selected coordinates.
     """
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     truth = np.asarray(truth, dtype=float)
@@ -306,10 +299,7 @@ def rmse(estimates, truth, mask=None, normalize=True):
         if mask.shape != truth.shape:
             raise DomainError("mask shape must match truth shape")
         err = err[:, mask]
-    sq = np.sum(err**2, axis=1)
-    if normalize:
-        sq = sq / err.shape[1]
-    return float(np.sqrt(np.mean(sq)))
+    return float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
 
 
 @dataclass
@@ -388,7 +378,7 @@ def run_plan(plan, threads=None):
         results = [_run_task(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            results = list(pool.map(_star_task, tasks, chunksize=1))
+            results = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
 
     per_rep = [rec for task_recs in results for rec in task_recs]
     per_rep.sort(key=lambda r: (r["cell"], r["rep"], plan.estimators.index(r["estimator"])))
@@ -404,7 +394,7 @@ def run_plan(plan, threads=None):
             row = {
                 "n": cell.n, "epsilon": cell.epsilon, "recipe": cell.recipe,
                 "estimator": estimator,
-                "rmse": rmse(np.asarray(good), truth, mask=mask, normalize=False)
+                "rmse": rmse(np.asarray(good), truth, mask=mask)
                 if good else float("nan"),
                 "reps_ok": len(good),
                 "reps_failed": len(recs) - len(good),

@@ -49,7 +49,7 @@ class ContaminationSpec:
         if self.mean is not None:
             if self.recipe not in _DEFAULT_MEANS:
                 raise ConfigError(f"recipe {self.recipe!r} takes no mean")
-            if not (_real(self.mean) and math.isfinite(self.mean)):
+            if not _real(self.mean):
                 raise ConfigError(f"recipe mean must be a finite real number, got {self.mean!r}")
             object.__setattr__(self, "mean", float(self.mean))
         check_seed(self.seed)

@@ -124,14 +124,13 @@ def _scan_rows(lines, path, ncols, kind, strict):
     return np.asarray(rows, dtype=float)
 
 
-def load_csv(path, kind=None, expect_d=None, strict=True):
+def load_csv(path, kind=None, strict=True):
     """Load a dataset written by :func:`write_csv`.
 
     ``kind`` defaults to ``"real"`` for scalar files and is forced to
-    ``"censored"`` by a pair header.  ``expect_d`` cross-checks the
-    covariate count against a configured model dimension.  For censored
-    files, ``strict`` enforces the selection structure: an unselected
-    row must carry a zero outcome.  Contaminated exports can violate
+    ``"censored"`` by a pair header; the covariate count is read from
+    the header.  For censored files, ``strict`` enforces the selection
+    structure: an unselected row must carry a zero outcome.  Contaminated exports can violate
     that on purpose and are read back with ``strict=False``.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -154,10 +153,6 @@ def load_csv(path, kind=None, expect_d=None, strict=True):
             raise FormatError(
                 f"{path}: scalar header cannot hold {kind!r} responses"
             )
-    if expect_d is not None and d != expect_d:
-        raise FormatError(
-            f"{path}: expected {expect_d} covariate columns, found {d}"
-        )
 
     ncols = d + (2 if censored else 1)
     arr = _checked_array(lines[1:], ncols, kind, strict) if fast else None

@@ -81,7 +81,7 @@ class FitConfig:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         for name in ("eta", "adagrad_eps"):
             v = getattr(self, name)
-            if not (_real(v) and v > 0.0 and np.isfinite(v)):
+            if not (_real(v) and v > 0.0):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
         if self.iters is not None and not (_whole(self.iters) and self.iters >= 1):
             raise ConfigError("iters must be a positive integer")

@@ -29,12 +29,7 @@ from .errors import ConfigError, DomainError
 # calls (perfbench/probes.py) still find it: nothing here builds a Gram
 from .kernels import KernelSpec, _as_points, _psi, _radial, elementwise, gram  # noqa: F401
 from .models import _whole
-from .objective import (
-    _dataset_for,
-    _require_product,
-    _resolve_rng,
-    _y_kernel,
-)
+from .objective import _dataset_for, _require_product, _y_kernel
 
 
 def _linear_from_pair(i, j, n):
@@ -298,7 +293,6 @@ def grad_objective_estimate(
     pairs=1,
     rng_draws=None,
     rng_pairs=None,
-    seed=None,
 ):
     """Unbiased Monte Carlo gradient of an empirical objective.
 
@@ -314,13 +308,15 @@ def grad_objective_estimate(
         theta: raw parameter vector.
         dataset: observations.
         kernel: response kernel; a product kernel is required for ``"hat"``.
-        cache: optional prebuilt :class:`PairCache` (``"hat"`` only);
-            built here with ``n`` deterministic pairs when omitted.
+        cache: the :class:`PairCache` of the covariates, required for
+            ``"hat"``; :func:`build_pair_cache` makes one.
         m_samp: sampled pair count per replicate; defaults to ``n``.
         pairs: number of independent draw replicates to average.
         rng_draws: stream for model draws.
         rng_pairs: stream for pair subsampling.
-        seed: convenience; derives both streams when neither is given.
+
+    Each stream is drawn from as passed; an omitted one is a fresh
+    unseeded generator.
 
     Returns:
         The summed gradient, shape ``(raw_dim,)``.
@@ -331,21 +327,16 @@ def grad_objective_estimate(
         raise ConfigError("pairs must be a positive integer")
     if estimator not in ("tilde", "hat"):
         raise ConfigError(f"estimator must be 'tilde' or 'hat', got {estimator!r}")
-    if rng_draws is None and rng_pairs is None and seed is not None:
-        ss = np.random.SeedSequence(seed)
-        kids = ss.spawn(2)
-        rng_draws = np.random.default_rng(kids[0])
-        rng_pairs = np.random.default_rng(kids[1])
-    rng_draws = _resolve_rng(rng_draws, None)
-    rng_pairs = _resolve_rng(rng_pairs, None)
+    rng_draws = np.random.default_rng(rng_draws)
+    rng_pairs = np.random.default_rng(rng_pairs)
     ky = _y_kernel(kernel)
     x = dataset.x
     n = dataset.n
     yobs = np.asarray(dataset.y, dtype=float)
     if estimator == "hat":
-        kernel = _require_product(kernel)
+        _require_product(kernel)
         if cache is None:
-            cache = build_pair_cache(kernel.x_kernel, x, n)
+            raise ConfigError("the quadratic-cost gradient needs a pair cache")
         if m_samp is None:
             m_samp = n
         m_samp = min(int(m_samp), cache.remaining)

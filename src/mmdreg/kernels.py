@@ -104,9 +104,9 @@ class KernelSpec:
             raise ConfigError(f"unknown kernel family {self.family!r}")
         for name in ("gamma", "beta", "c"):
             if not _real(getattr(self, name)):
-                raise ConfigError(f"kernel parameter {name!r} must be a number")
+                raise ConfigError(f"kernel parameter {name!r} must be a finite number")
         if self.family in _RADIAL_FAMILIES:
-            if not (np.isfinite(self.gamma) and self.gamma > 0.0):
+            if not self.gamma > 0.0:
                 raise ConfigError(f"kernel family {self.family!r} requires gamma > 0")
             if not (0.0 < self.c <= 1.0):
                 raise ConfigError("kernel scale c must lie in (0, 1]")

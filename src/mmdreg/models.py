@@ -61,8 +61,13 @@ def _whole(v):
 
 
 def _real(v):
-    # a real number, and not a bool
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    # a real number, not a bool, whose float value is finite
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return bool(np.isfinite(float(v)))
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def check_seed(seed):
@@ -101,9 +106,6 @@ class Dataset:
     @property
     def d(self):
         return self.x.shape[1]
-
-    def copy(self):
-        return Dataset(self.x.copy(), self.y.copy(), self.kind, dict(self.meta))
 
 
 class Family:

@@ -22,8 +22,8 @@ from .kernels import elementwise, gram
 from .models import Dataset, _whole
 
 _NEGATIVE_TOL = 1e-12
-# Largest Gram matrix, in cells, that the quadratic objective and
-# mmd_sq_vstat build: 80 MB in float64, n up to 3,162 for a square one.
+# Largest Gram matrix, in cells, that the objectives and mmd_sq_vstat
+# build: 80 MB in float64, n up to 3,162 for a square one.
 _GRAM_MAX_CELLS = 10_000_000
 
 
@@ -104,20 +104,6 @@ def _resolve_mode(family, mode):
     return mode
 
 
-def _resolve_rng(rng, seed):
-    if rng is not None:
-        return rng
-    if seed is not None:
-        return np.random.default_rng(np.random.SeedSequence(seed))
-    return np.random.default_rng()
-
-
-def _check_budget(budget):
-    if not (_whole(budget) and budget >= 1):
-        raise ConfigError(f"budget must be a positive integer, got {budget!r}")
-    return int(budget)
-
-
 def _y_kernel(kernel):
     return kernel.y_kernel if kernel.family == "product" else kernel
 
@@ -128,16 +114,6 @@ def _require_product(kernel):
     return kernel
 
 
-def _summarize(totals):
-    totals = np.asarray(totals)
-    value = float(totals.mean())
-    if totals.size >= 2:
-        se = float(totals.std(ddof=1) / np.sqrt(totals.size))
-    else:
-        se = float("nan")
-    return value, se
-
-
 @dataclass(frozen=True)
 class ObjectiveValue:
     """An empirical objective evaluation."""
@@ -145,14 +121,6 @@ class ObjectiveValue:
     value: float
     std_error: float
     mode: str
-    estimator: str
-
-
-def _exact_tables(family, theta, dataset, ky):
-    values, probs = family.support(theta, dataset.x)
-    kyy = gram(ky, values, values)
-    kdata = gram(ky, values, np.asarray(dataset.y, dtype=float))
-    return probs, kyy, kdata
 
 
 def _dataset_for(family, dataset):
@@ -165,7 +133,7 @@ def _dataset_for(family, dataset):
     return dataset
 
 
-def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, budget=100, rng=None, seed=None):
+def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, budget=100, rng=None):
     """Empirical objective over a dataset.
 
     ``estimator="tilde"`` sums the diagonal losses, at linear cost;
@@ -174,49 +142,43 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
 
     In Monte Carlo mode the standard error refers to the whole sum and
     is estimated across the ``budget`` independent replicates; it is nan
-    when ``budget == 1``.  The quadratic objective builds ``n x n``
-    matrices and raises ``NumericalError`` before building one past
-    ``_GRAM_MAX_CELLS`` cells.
+    when ``budget == 1``.  Monte Carlo draws come from ``rng``, a fresh
+    unseeded generator when it is omitted.  The quadratic objective
+    builds ``n x n`` matrices, and exact mode a ``k x k`` one over the
+    response support; either raises ``NumericalError`` before building
+    one past ``_GRAM_MAX_CELLS`` cells.
     """
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)
     mode = _resolve_mode(family, mode)
-    if estimator == "tilde":
-        ky = _y_kernel(kernel)
-        if mode == "exact":
-            probs, kyy, kdata = _exact_tables(family, theta, dataset, ky)
+    if estimator not in ("tilde", "hat"):
+        raise ConfigError(f"estimator must be 'tilde' or 'hat', got {estimator!r}")
+    ky = _y_kernel(kernel)
+    if estimator == "hat":
+        kernel = _require_product(kernel)
+        _check_gram_side(dataset.n)
+        kx = gram(kernel.x_kernel, dataset.x, dataset.x)
+    if mode == "exact":
+        values, probs = family.support(theta, dataset.x)
+        _check_gram_side(values.size)
+        kyy = gram(ky, values, values)
+        kdata = gram(ky, values, np.asarray(dataset.y, dtype=float))
+        if estimator == "tilde":
             first = np.einsum("nk,nk->n", probs @ kyy, probs)
             second = np.einsum("nk,kn->n", probs, kdata)
-            return ObjectiveValue(float(np.sum(first - 2.0 * second)), 0.0, "exact", "tilde")
-        rng = _resolve_rng(rng, seed)
-        budget = _check_budget(budget)
-        totals = np.empty(budget)
-        for p in range(budget):
-            ya = family.sample(theta, dataset.x, rng)
-            yb = family.sample(theta, dataset.x, rng)
-            terms = elementwise(ky, ya, yb) - 2.0 * elementwise(ky, ya, dataset.y)
-            totals[p] = terms.sum()
-        value, se = _summarize(totals)
-        return ObjectiveValue(value, se, "mc", "tilde")
-    if estimator != "hat":
-        raise ConfigError(f"estimator must be 'tilde' or 'hat', got {estimator!r}")
-    kernel = _require_product(kernel)
-    _check_gram_side(dataset.n)
-    kx = gram(kernel.x_kernel, dataset.x, dataset.x)
-    ky = kernel.y_kernel
-    if mode == "exact":
-        probs, kyy, kdata = _exact_tables(family, theta, dataset, ky)
+            return ObjectiveValue(float(np.sum(first - 2.0 * second)), 0.0, "exact")
         cross = probs @ kyy @ probs.T
-        data = probs @ kdata
-        return ObjectiveValue(float(np.sum(kx * (cross - 2.0 * data))), 0.0, "exact", "hat")
-    rng = _resolve_rng(rng, seed)
-    budget = _check_budget(budget)
-    totals = np.empty(budget)
-    for p in range(budget):
+        return ObjectiveValue(float(np.sum(kx * (cross - 2.0 * (probs @ kdata)))), 0.0, "exact")
+    rng = np.random.default_rng(rng)
+    if not (_whole(budget) and budget >= 1):
+        raise ConfigError(f"budget must be a positive integer, got {budget!r}")
+    totals = np.empty(int(budget))
+    for p in range(totals.size):
         ya = family.sample(theta, dataset.x, rng)
         yb = family.sample(theta, dataset.x, rng)
-        cross = gram(ky, ya, yb)
-        data = gram(ky, ya, dataset.y)
-        totals[p] = np.sum(kx * (cross - 2.0 * data))
-    value, se = _summarize(totals)
-    return ObjectiveValue(value, se, "mc", "hat")
+        if estimator == "tilde":
+            totals[p] = (elementwise(ky, ya, yb) - 2.0 * elementwise(ky, ya, dataset.y)).sum()
+        else:
+            totals[p] = np.sum(kx * (gram(ky, ya, yb) - 2.0 * gram(ky, ya, dataset.y)))
+    se = float(totals.std(ddof=1) / np.sqrt(totals.size)) if totals.size >= 2 else float("nan")
+    return ObjectiveValue(float(totals.mean()), se, "mc")

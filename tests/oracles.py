@@ -105,7 +105,7 @@ def cross_grad(family, theta, x, x_other, y_other, kernel):
     return 2.0 * _kx(kernel, x, x_other) * ((p * w) @ scores)
 
 
-def link_term(family, theta, dataset, kernel, *, mode=None, budget=100, rng=None, seed=None):
+def link_term(family, theta, dataset, kernel, *, mode=None, budget=100, rng=None):
     """Off-diagonal part of the quadratic objective, as a float.
 
     Sums, over unordered covariate pairs ``i < j``, the covariate kernel
@@ -113,8 +113,9 @@ def link_term(family, theta, dataset, kernel, *, mode=None, budget=100, rng=None
     covariate against the observation at the other).  ``mode`` is
     ``"exact"`` (support enumeration, the default for families with a
     finite support) or ``"mc"``: the mean over ``budget`` replicates,
-    drawing as the quadratic objective does, so under a shared seed the
-    identity ``hat = tilde + link`` holds to rounding.
+    drawing as the quadratic objective does, so when all three draw from
+    generators in the same state the identity ``hat = tilde + link``
+    holds to rounding.
     """
     if mode is None:
         mode = "exact" if family.exact else "mc"
@@ -131,8 +132,7 @@ def link_term(family, theta, dataset, kernel, *, mode=None, budget=100, rng=None
         data = probs @ kdata
         pair_vals = 2.0 * cross[iu, ju] - 2.0 * data[iu, ju] - 2.0 * data[ju, iu]
         return float(np.sum(kx_pairs * pair_vals))
-    if rng is None:
-        rng = np.random.default_rng(None if seed is None else np.random.SeedSequence(seed))
+    rng = np.random.default_rng(rng)
     totals = np.empty(budget)
     for p in range(budget):
         ya = family.sample(theta, dataset.x, rng)

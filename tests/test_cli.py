@@ -189,6 +189,8 @@ BAD_SEEDS = [
 
 BAD_TYPES = [
     pytest.param(fit_with({"eta": "0.1"}), id="fit-eta"),
+    # a JSON integer beyond float range
+    pytest.param(fit_with({"eta": 10**400}), id="fit-eta-huge"),
     pytest.param(fit_with({"kernel": {
         "family": "product",
         "x_kernel": {"family": "psi_matern", "gamma": 0.01, "m": 1},

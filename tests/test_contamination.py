@@ -35,6 +35,8 @@ class TestSpecValidation:
             ContaminationSpec(epsilon=-0.01)
         with pytest.raises(ConfigError, match="epsilon"):
             ContaminationSpec(epsilon=float("nan"))
+        with pytest.raises(ConfigError, match="epsilon"):
+            ContaminationSpec(epsilon=10**400)
 
     def test_names_checked(self):
         with pytest.raises(ConfigError, match="scheme"):
@@ -47,9 +49,10 @@ class TestSpecValidation:
             ContaminationSpec(epsilon=0.1, recipe="selection_flip", mean=3.0)
         spec = ContaminationSpec(epsilon=0.1, recipe="type_x", mean=-0.5)
         assert spec.resolved_mean() == -0.5
-        for bad in ("abc", True, float("inf")):
+        for bad in ("abc", True, float("inf"), 10**400):
             with pytest.raises(ConfigError, match="mean"):
                 ContaminationSpec(epsilon=0.1, mean=bad)
+        assert ContaminationSpec(epsilon=0.1, mean=2**64).mean == 2.0**64
 
     def test_default_means(self):
         assert ContaminationSpec(epsilon=0.1, recipe="type_x").resolved_mean() == 5.0

@@ -100,13 +100,6 @@ class TestLoaderValidation:
         with pytest.raises(FormatError, match="scalar"):
             load_csv(scalar, kind="censored")
 
-    def test_expected_dimension(self, tmp_path):
-        path = tmp_path / "d3.csv"
-        path.write_text("x1,x2,x3,y\n1,2,3,4\n")
-        with pytest.raises(FormatError, match="expected 8 covariate columns, found 3"):
-            load_csv(path, expect_d=8)
-        load_csv(path, expect_d=3)
-
     def test_malformed_rows_name_the_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("x1,y\n1.0,2.0\n1.0\n")

@@ -179,6 +179,11 @@ class TestFitConfig:
             FitConfig(init=[1.0, np.nan])
         with pytest.raises(ConfigError):
             FitConfig(m1=-1)
+        # 2**64 is a finite float; 10**400 has none
+        assert FitConfig(eta=2**64).eta == 2**64
+        for name in ("eta", "adagrad_eps"):
+            with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+                FitConfig(**{name: 10**400})
 
 
 def logistic_case(n, seed, d=2):
@@ -297,6 +302,30 @@ class TestFitMmd:
             assert [float(v).hex() for v in res.theta_raw] == theta_hex, name
             norms = np.ascontiguousarray(res.trace[:, 1]).tobytes()
             assert res.trace.shape == (60, 3) and hashlib.sha256(norms).hexdigest() == norms_sha256
+
+    def test_objective_trace_pinned(self):
+        # Pins the traced objective column: the exact tables on a logistic
+        # dataset and the Monte Carlo draws on the trace's own stream
+        # (spawn_key=(17,)) on a gaussian one, for both estimators.
+        # Recorded with numpy 2.4 on x86-64, like the hat pin.
+        want = {
+            ("logistic", "tilde"): "f1f8f3822e057d2757ba856eb27e5672d80f8de7d1ffea4dd2838455afbf6dfb",
+            ("logistic", "hat"): "c960e2624b3ee4a1d108eef9af9d6fc1d55dbd1cefeadeb876dbc775d7fc91ee",
+            ("gaussian_linear", "tilde"): "3cab87de8b5463b90aff9faf2f4b8edd47ebb30c62482c54ced09851d1a8232c",
+            ("gaussian_linear", "hat"): "824724f19e3b615cdd365a773947b1f98b44b75824ee239415247589925cc3a8",
+        }
+        kern = product_kernel(gaussian_kernel(1.0), exponential_kernel(1.0))
+        for (name, est), col_sha256 in want.items():
+            fam = get_family(name, 2)
+            rng = np.random.default_rng(43)
+            x = rng.standard_normal((80, 2))
+            theta = np.concatenate([[1.0, -0.5], np.zeros(fam.raw_dim - 2)])
+            ds = Dataset(x, fam.sample(theta, x, rng), fam.kind)
+            cfg = FitConfig(estimator=est, kernel=kern, m1=80, m2=80, iters=30, seed=9,
+                            trace_objective_every=10)
+            col = np.ascontiguousarray(fit_mmd(fam, ds, cfg).trace[:, 2])
+            assert np.isfinite(col).sum() == 3, (name, est)
+            assert hashlib.sha256(col.tobytes()).hexdigest() == col_sha256, (name, est)
 
     def test_nonfinite_gradient_aborts(self):
         fam_g = get_family("gaussian_linear", 2)

@@ -46,6 +46,16 @@ KY = exponential_kernel(1.0)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
+def stream(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def streams(seed):
+    # draw and pair streams: the two children of one seed
+    draws, pairs = np.random.SeedSequence(seed).spawn(2)
+    return {"rng_draws": np.random.default_rng(draws), "rng_pairs": np.random.default_rng(pairs)}
+
+
 def product(gamma_x):
     return product_kernel(psi_matern_kernel(gamma_x, m=1), KY)
 
@@ -114,13 +124,13 @@ class TestGradTilde:
         ds = repeated(fam, [0.6], 0.2, rows=200)
 
         def crn_loss(t, seed):
-            return objective(fam, t, ds, KY, mode="mc", budget=1, seed=seed).value / 200
+            return objective(fam, t, ds, KY, mode="mc", budget=1, rng=stream(seed)).value / 200
 
         score_reps = []
         path_reps = []
         for trial in range(300):
             score_reps.append(
-                grad_objective_estimate(fam, theta, ds, KY, seed=50_000 + trial) / 200
+                grad_objective_estimate(fam, theta, ds, KY, **streams(50_000 + trial)) / 200
             )
             path_reps.append(fd(lambda t: crn_loss(t, 90_000 + trial), theta, h=1e-5))
         score_reps = np.stack(score_reps)
@@ -187,8 +197,8 @@ class TestPairGradients:
     def test_requires_product_kernel(self):
         fam = get_family("logistic", 1)
         ds = Dataset(np.array([[0.0], [1.0]]), np.array([1, 1]), "binary")
-        with pytest.raises(ConfigError):
-            grad_objective_estimate(fam, np.zeros(1), ds, KY, "hat", seed=0)
+        with pytest.raises(ConfigError, match="product kernel"):
+            grad_objective_estimate(fam, np.zeros(1), ds, KY, "hat")
 
 
 class TestPairIndexing:
@@ -542,7 +552,7 @@ class TestObjectiveGradient:
         ds = Dataset(x, fam.sample(theta, x, rng), "real")
         kern = product(1e-4)
         a = grad_objective_estimate(
-            fam, theta, ds, kern, "hat",
+            fam, theta, ds, kern, "hat", cache=build_pair_cache(kern.x_kernel, ds.x, ds.n),
             rng_draws=np.random.default_rng(200), rng_pairs=np.random.default_rng(201),
         )
         b = grad_objective_estimate(
@@ -553,9 +563,10 @@ class TestObjectiveGradient:
     def test_seed_determinism(self):
         fam, theta, ds = logistic_dataset(7, 17)
         kern = product(0.3)
-        a = grad_objective_estimate(fam, theta, ds, kern, "hat", seed=30)
-        b = grad_objective_estimate(fam, theta, ds, kern, "hat", seed=30)
-        c = grad_objective_estimate(fam, theta, ds, kern, "hat", seed=31)
+        cache = build_pair_cache(kern.x_kernel, ds.x, ds.n)
+        a = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, **streams(30))
+        b = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, **streams(30))
+        c = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, **streams(31))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -581,12 +592,14 @@ class TestObjectiveGradient:
     def test_validation(self):
         fam, theta, ds = logistic_dataset(5, 20)
         with pytest.raises(ConfigError):
-            grad_objective_estimate(fam, theta, ds, KY, "hat", seed=0)
+            grad_objective_estimate(fam, theta, ds, KY, "hat")
+        with pytest.raises(ConfigError, match="pair cache"):
+            grad_objective_estimate(fam, theta, ds, product(0.3), "hat")
         with pytest.raises(ConfigError):
-            grad_objective_estimate(fam, theta, ds, KY, "other", seed=0)
+            grad_objective_estimate(fam, theta, ds, KY, "other")
         with pytest.raises(ConfigError):
-            grad_objective_estimate(fam, theta, ds, KY, "tilde", pairs=0, seed=0)
-        g = grad_objective_estimate(fam, theta, ds, KY, "tilde", seed=0)
+            grad_objective_estimate(fam, theta, ds, KY, "tilde", pairs=0)
+        g = grad_objective_estimate(fam, theta, ds, KY, "tilde", **streams(0))
         assert isinstance(g, np.ndarray) and g.shape == (fam.raw_dim,)
 
 
@@ -604,7 +617,7 @@ class TestLargeBudgetGaussianOracle:
         chunk = 50_000
         ds = repeated(fam, x, y, rows=chunk)
         score_reps = np.stack(
-            [grad_objective_estimate(fam, theta, ds, KY, seed=400 + r) / chunk for r in range(20)]
+            [grad_objective_estimate(fam, theta, ds, KY, **streams(400 + r)) / chunk for r in range(20)]
         )
         score_mean = score_reps.mean(axis=0)
         score_se = score_reps.std(axis=0, ddof=1) / math.sqrt(20)
@@ -621,8 +634,8 @@ class TestLargeBudgetGaussianOracle:
                 dn = theta.copy()
                 up[k] += h
                 dn[k] -= h
-                fu = objective(fam, up, ds, KY, mode="mc", budget=1, seed=seed).value / budget
-                fd_ = objective(fam, dn, ds, KY, mode="mc", budget=1, seed=seed).value / budget
+                fu = objective(fam, up, ds, KY, mode="mc", budget=1, rng=stream(seed)).value / budget
+                fd_ = objective(fam, dn, ds, KY, mode="mc", budget=1, rng=stream(seed)).value / budget
                 g[k] = (fu - fd_) / (2.0 * h)
             fd_reps.append(g)
         fd_reps = np.stack(fd_reps)

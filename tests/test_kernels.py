@@ -311,9 +311,15 @@ class TestKernelSpec:
             {"family": "exponential", "c": "1"},
             {"family": "affine_shift", "beta": "0.5", "child": exponential_kernel()},
             {"family": "matern", "m": True},
+            # integers beyond float range
+            {"family": "matern", "gamma": 10**400},
+            {"family": "exponential", "c": 10**400},
+            {"family": "affine_shift", "beta": -(10**400), "child": exponential_kernel()},
         ):
             with pytest.raises(ConfigError):
                 KernelSpec(**fields)
+        # 2**64 is a finite float
+        assert gram(KernelSpec(family="matern", gamma=2**64), [[0.0]], [[1.0]]).tolist() == [[1.0]]
 
 
 class TestSpecSerialization:

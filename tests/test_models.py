@@ -313,13 +313,6 @@ class TestDataset:
         imax = np.iinfo(np.int64).max
         assert Dataset(x, np.array([0, imax]), "count").y.tolist() == [0, imax]
 
-    def test_copy_is_deep(self):
-        ds = Dataset(np.zeros((2, 2)), np.zeros(2), "real", {"tag": 1})
-        cp = ds.copy()
-        cp.x[0, 0] = 5.0
-        cp.meta["tag"] = 2
-        assert ds.x[0, 0] == 0.0 and ds.meta["tag"] == 1
-
 
 class TestScenarios:
     def test_registry(self):

@@ -10,12 +10,13 @@ objective on B copies, divided by B.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mmdreg.errors import ConfigError, DomainError
+from mmdreg.errors import ConfigError, DomainError, NumericalError
 from mmdreg.kernels import (
     exponential_kernel,
     gram,
@@ -27,6 +28,10 @@ from mmdreg.objective import mmd_sq_vstat, objective
 from oracles import cross_loss, diag_loss, kernel_value, link_term, repeated
 
 KY = exponential_kernel(1.0)
+
+
+def stream(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def product(gamma_x=0.01):
@@ -133,12 +138,26 @@ class TestLossTilde:
         values, probs = fam.support(np.array([3.0]), np.array([[1.0]]))
         assert probs[0].sum() > 1.0 - 1e-12
 
+    def test_exact_support_gram_is_bounded(self):
+        # At rate 3,000 the Poisson support has 3,394 values, so the
+        # response Gram over it would have 1.15e7 cells, past the cap.
+        fam = get_family("poisson", 1)
+        ds = Dataset(np.array([[1.0]]), np.array([3000]), "count")
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="Gram matrix"):
+                objective(fam, np.array([math.log(3000.0)]), ds, KY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_mc_agrees_with_exact(self):
         fam = get_family("logistic", 1)
         theta = np.array([0.4])
         ds = repeated(fam, [1.0], 1, rows=400)
         exact = objective(fam, theta, ds, KY).value
-        mc = objective(fam, theta, ds, KY, mode="mc", budget=100, seed=0)
+        mc = objective(fam, theta, ds, KY, mode="mc", budget=100, rng=stream(0))
         assert mc.mode == "mc" and mc.std_error > 0.0
         assert abs(mc.value - exact) < 4.0 * mc.std_error + 1e-12
 
@@ -148,7 +167,7 @@ class TestLossTilde:
         x = np.array([0.5])
         y = 1.0
         # 10^5 pairs: 100 replicates over 1000 copies of the observation
-        got = objective(fam, theta, repeated(fam, x, y, rows=1000), KY, budget=100, seed=1)
+        got = objective(fam, theta, repeated(fam, x, y, rows=1000), KY, budget=100, rng=stream(1))
         got_value, got_se = got.value / 1000, got.std_error / 1000
         # Oracle: an independent 10^7-pair run, accumulated in chunks.
         rng = np.random.default_rng(999)
@@ -174,7 +193,7 @@ class TestLossTilde:
         ses = {200: [], 400: []}
         for trial in range(50):
             for budget in (200, 400):
-                v = objective(fam, theta, ds, KY, budget=budget, seed=1000 + trial)
+                v = objective(fam, theta, ds, KY, budget=budget, rng=stream(1000 + trial))
                 ses[budget].append(v.std_error)
         ratio = np.mean(ses[200]) / np.mean(ses[400])
         assert 1.2 <= ratio <= 1.7
@@ -220,7 +239,7 @@ class TestLossHat:
         kern = product_kernel(exponential_kernel(1.0), KY)
         ds = Dataset(np.vstack([xa, xb]), np.array([1, 0]), "binary")
         exact = objective(fam, theta, ds, kern, "hat").value
-        mc = objective(fam, theta, ds, kern, "hat", mode="mc", budget=40000, seed=2)
+        mc = objective(fam, theta, ds, kern, "hat", mode="mc", budget=40000, rng=stream(2))
         assert abs(mc.value - exact) < 4.0 * mc.std_error + 1e-12
 
 
@@ -275,9 +294,9 @@ class TestObjective:
     def test_decomposition_identity_mc_shared_seed(self):
         fam, theta, ds = logistic_dataset(10, 16)
         kern = product(0.05)
-        hat = objective(fam, theta, ds, kern, "hat", mode="mc", budget=5, seed=77).value
-        tilde = objective(fam, theta, ds, kern, "tilde", mode="mc", budget=5, seed=77).value
-        link = link_term(fam, theta, ds, kern, mode="mc", budget=5, seed=77)
+        hat = objective(fam, theta, ds, kern, "hat", mode="mc", budget=5, rng=stream(77)).value
+        tilde = objective(fam, theta, ds, kern, "tilde", mode="mc", budget=5, rng=stream(77)).value
+        link = link_term(fam, theta, ds, kern, mode="mc", budget=5, rng=stream(77))
         assert abs(hat - (tilde + link)) < 1e-10
 
     def test_link_term_vanishes_with_local_kernel(self):
@@ -316,15 +335,15 @@ class TestObjective:
         theta = rng.standard_normal(3)
         x = rng.standard_normal((7, 2))
         ds = Dataset(x, fam.sample(theta, x, rng), "real")
-        a = objective(fam, theta, ds, KY, "tilde", budget=4, seed=5)
-        b = objective(fam, theta, ds, KY, "tilde", budget=4, seed=5)
-        c = objective(fam, theta, ds, KY, "tilde", budget=4, seed=6)
+        a = objective(fam, theta, ds, KY, "tilde", budget=4, rng=stream(5))
+        b = objective(fam, theta, ds, KY, "tilde", budget=4, rng=stream(5))
+        c = objective(fam, theta, ds, KY, "tilde", budget=4, rng=stream(6))
         assert a.value == b.value and a.value != c.value
 
     def test_kind_mismatch_rejected(self):
         fam = get_family("gaussian_linear", 2)
         ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), "binary")
         with pytest.raises(DomainError):
-            objective(fam, np.zeros(3), ds, KY, "tilde", seed=0)
+            objective(fam, np.zeros(3), ds, KY, "tilde")
         with pytest.raises(ConfigError):
-            objective(fam, np.zeros(3), Dataset(np.zeros((3, 2)), np.zeros(3), "real"), KY, "unknown", seed=0)
+            objective(fam, np.zeros(3), Dataset(np.zeros((3, 2)), np.zeros(3), "real"), KY, "unknown")
