@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DomainError
 # gram is bound here, unused, so probes that wrap this module's kernel
@@ -164,6 +163,10 @@ def top_pairs(x_kernel, x, m):
     if m == 0 or _bound_beyond(spec, 0.0) <= floor:
         # every pair weighs the floor (some beta is 0)
         return _pair_from_linear(np.arange(m, dtype=np.int64), n)
+    # imported here, not with the module: only hat fits need the tree,
+    # and scipy.spatial is a noticeable share of the package's import
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(z)
     dist, idx = tree.query(z, k=min(n, -(-2 * m // n) + 2))
     r = float(np.partition(dist[idx != np.arange(n)[:, None]], 2 * m - 1)[2 * m - 1])

@@ -23,6 +23,16 @@ _MATERN_ORDERS = (1, 3, 5)
 # Outside this range 2 gamma^2 is not a normal float (the exponent turns
 # NaN or loses its bits) or the capped distance 40 gamma squares to inf.
 _GAUSSIAN_GAMMA = (1.1e-154, 3.3e152)
+# Distances come from squared coordinate differences, so one below 2^-511
+# (about 1.5e-154) comes out rounded or 0 and one above sqrt(max float)
+# (about 1.34e154) comes out inf.  Inside this range neither shows in an
+# exponential (M_1) or Matern value.  From gamma = sqrt(5) 2^-456 = 1.2e-137
+# on, such a small distance has s = sqrt(m) r / gamma < 2^-55, where
+# exp(-s), and so M_m, is exactly 1.0 (2^-54 is not enough: numpy's exp
+# gives 1 - 2^-53 just below it).  Up to gamma = 1.34e154 / 745.14 = 1.8e151,
+# such a large distance has s past 745.14, where exp(-s) is already 0, the
+# value the distance cap gives an inf one.
+_MATERN_GAMMA = (1.3e-137, 1.7e151)
 
 
 def psi(v):
@@ -106,12 +116,11 @@ class KernelSpec:
             if not _real(getattr(self, name)):
                 raise ConfigError(f"kernel parameter {name!r} must be a finite number")
         if self.family in _RADIAL_FAMILIES:
-            if not self.gamma > 0.0:
-                raise ConfigError(f"kernel family {self.family!r} requires gamma > 0")
+            lo, hi = _GAUSSIAN_GAMMA if self.family == "gaussian" else _MATERN_GAMMA
+            if not lo <= self.gamma <= hi:
+                raise ConfigError(f"{self.family} kernel gamma must lie in {[lo, hi]}")
             if not (0.0 < self.c <= 1.0):
                 raise ConfigError("kernel scale c must lie in (0, 1]")
-        if self.family == "gaussian" and not _GAUSSIAN_GAMMA[0] <= self.gamma <= _GAUSSIAN_GAMMA[1]:
-            raise ConfigError(f"gaussian kernel gamma must lie in {list(_GAUSSIAN_GAMMA)}")
         matern = self.family in ("matern", "psi_matern")
         if matern and not (_whole(self.m) and self.m in _MATERN_ORDERS):
             raise ConfigError(f"kernel order m must be one of {_MATERN_ORDERS}")

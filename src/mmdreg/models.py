@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import ConfigError, DomainError, NumericalError
 
@@ -273,6 +273,16 @@ class Logistic(Family):
         return np.array([0.0, 1.0]), np.column_stack([1.0 - p, p])
 
 
+def _poisson_ppf(q, mu):
+    # The Poisson quantile poisson.ppf(q, mu) for 0 < q < 1 and rates
+    # mu >= 0 (or nan, giving nan), by the formula of scipy's
+    # poisson_gen._ppf, so the package loads only the special-function
+    # module.  A scalar rate gives a float64 scalar, as poisson.ppf does.
+    k = np.ceil(special.pdtrik(q, mu))
+    below = np.maximum(k - 1.0, 0.0)
+    return np.where(special.pdtr(below, mu) >= q, below, k)[()]
+
+
 class Poisson(Family):
     """Count response with log link: ``y ~ Poisson(exp(theta' x))``."""
 
@@ -308,12 +318,14 @@ class Poisson(Family):
         theta = self.check_theta(theta)
         x = self._rows(x)
         rate = np.exp(x @ theta)
-        # Truncate where the remaining tail mass drops below 1e-12.
-        top = stats.poisson.ppf(1.0 - _COUNT_TAIL_MASS, rate.max())
+        # Truncate where the remaining tail mass at the largest rate drops
+        # below 1e-12; with no rows the cut-off is that of rate 0, i.e. 0.
+        top_rate = rate.max(initial=0.0)
+        top = _poisson_ppf(1.0 - _COUNT_TAIL_MASS, top_rate)
         cells = x.shape[0] * (top + 1.0)
-        if not cells <= _SUPPORT_MAX_CELLS:  # also false for a nan ppf
+        if not cells <= _SUPPORT_MAX_CELLS:  # also false for a nan cut-off
             raise NumericalError(
-                f"poisson support at rate {rate.max():.3g} needs {cells:.3g} table cells, "
+                f"poisson support at rate {top_rate:.3g} needs {cells:.3g} table cells, "
                 f"above the cap of {_SUPPORT_MAX_CELLS}"
             )
         values = np.arange(int(top) + 1, dtype=float)

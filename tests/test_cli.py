@@ -206,6 +206,12 @@ BAD_TYPES = [
         "x_kernel": {"family": "psi_matern", "gamma": 0.01, "m": 1, "c": True},
         "y_kernel": {"family": "exponential", "gamma": True},
     }}), id="fit-kernel-bool"),
+    # a scale whose reach leaves the normal floats
+    pytest.param(fit_with({"kernel": {
+        "family": "product",
+        "x_kernel": {"family": "matern", "gamma": 1e-300, "m": 1},
+        "y_kernel": {"family": "exponential", "gamma": 1.0},
+    }}), id="fit-kernel-gamma-range"),
     pytest.param(fit_with({"init": ["a", "b"]}), id="fit-init"),
     pytest.param(bench_with(n=50), id="bench-n"),
     pytest.param(bench_with(reps="two"), id="bench-reps"),

@@ -117,12 +117,13 @@ class TestMaternHalfint:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m in (1, 3, 5):
-                assert gram(matern_kernel(1e-300, m=m), [[0.0]], [[1e10]]).tolist() == [[0.0]]
-                assert matern_at([1.0, 1e-100, 1e300], 1e-300, m).tolist() == [0.0, 0.0, 0.0]
+                assert gram(matern_kernel(1.3e-137, m=m), [[0.0]], [[1e300]]).tolist() == [[0.0]]
+                assert matern_at([1.0, 1e-100, 1e300], 1.3e-137, m).tolist() == [0.0, 0.0, 0.0]
 
     def test_overflowing_scale_ranks_like_dense_gram(self):
-        # with NaN weights the Gram-free selection and the dense lexsort disagreed
-        kern = matern_kernel(1e-300, m=3)
+        # with NaN weights the Gram-free selection and the dense lexsort
+        # disagreed; at the smallest scale every distinct pair weighs 0
+        kern = matern_kernel(1.3e-137, m=3)
         x = np.array([[0.0], [1e10], [0.5], [0.0]])
         got = top_pairs(kern, x, 2)
         want = top_pairs_oracle(gram(kern, x, x), 2)
@@ -145,16 +146,16 @@ class TestRadialCap:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # r / gamma and r * r / (2 gamma^2) overflowed here
-            assert gram(exponential_kernel(1e-300), [[0.0]], [[1e10]]).tolist() == [[0.0]]
+            assert gram(exponential_kernel(1.3e-137), [[0.0]], [[1e300]]).tolist() == [[0.0]]
             assert gram(gaussian_kernel(1.1e-154), [[0.0]], [[1e10]]).tolist() == [[0.0]]
-            for spec in (exponential_kernel(1e300), gaussian_kernel(3.3e152)):
+            for spec in (exponential_kernel(1.7e151), gaussian_kernel(3.3e152)):
                 assert gram(spec, [[0.0], [1.0]], [[np.inf], [1.0]]).tolist() == [[0.0, 1.0]] * 2
 
     def test_finite_values_keep_their_bits(self):
         # distances r exactly (1-D points, r^2 a normal float), including
         # either side of each cap; the uncapped formulas are the reference
         r = np.concatenate([[0.0], np.logspace(-150, 150, 601)])
-        gammas = [1.1e-154, 1e-150, 1e-20, 0.01, 0.7, 1.0, 3.0, 1e20, 3.3e152]
+        gammas = [1.1e-154, 1e-150, 1.3e-137, 1e-20, 0.01, 0.7, 1.0, 3.0, 1e20, 1.7e151, 3.3e152]
         for g in gammas:
             caps = np.array([800.0 * g, 40.0 * g])
             caps = caps[(caps > 1e-150) & (caps < 1e150)]
@@ -163,7 +164,10 @@ class TestRadialCap:
                 plain = {"exponential": np.exp(-grid / g),
                          "gaussian": np.exp(-(grid * grid) / (2.0 * g * g))}
             for c in (1.0, 0.5):
-                for spec in (exponential_kernel(g, c=c), gaussian_kernel(g, c=c)):
+                specs = [gaussian_kernel(g, c=c)]
+                if 1.3e-137 <= g <= 1.7e151:  # the exponential's gamma range
+                    specs.append(exponential_kernel(g, c=c))
+                for spec in specs:
                     got = gram(spec, np.zeros(1), grid)[0]
                     assert got.tobytes() == (c * plain[spec.family]).tobytes(), (spec, g)
 
@@ -176,6 +180,31 @@ class TestRadialCap:
                 spec_from_dict({"family": "gaussian", "gamma": gamma})
         for gamma in (1.1e-154, 3.3e152):
             assert gram(gaussian_kernel(gamma), [[0.0]], [[0.0]]).tolist() == [[1.0]]
+
+    def test_matern_gamma_range(self):
+        # outside it the squared distances left the normal floats: a matern
+        # kernel at 1e-300 gave 1.0 at distance 1e-290 (the kernel is 0) and
+        # an exponential one at 1e153 gave 0.0 at 1e155 (it is 3.7e-44)
+        with pytest.raises(ConfigError, match="matern kernel gamma"):
+            gram(matern_kernel(1e-300, m=1), [[0.0]], [[1e-290]])
+        with pytest.raises(ConfigError, match="exponential kernel gamma"):
+            gram(exponential_kernel(1e153), [[0.0]], [[1e155]])
+        for family in ("exponential", "matern", "psi_matern"):
+            for gamma in (0.0, 1.2e-137, 1.8e151):
+                with pytest.raises(ConfigError, match=f"{family} kernel gamma"):
+                    KernelSpec(family=family, gamma=gamma)
+                with pytest.raises(ConfigError):
+                    spec_from_dict({"family": family, "gamma": gamma})
+        # at the end points a distance whose square is subnormal or 0 still
+        # gives exactly 1.0, and one whose square overflows exactly 0.0,
+        # the kernel's own values there
+        near = [[2.0**-511], [1e-160], [5e-324]]
+        for m in (1, 3, 5):
+            for spec in (exponential_kernel(1.3e-137), matern_kernel(1.3e-137, m=m),
+                         psi_matern_kernel(1.3e-137, m=m)):
+                assert gram(spec, [[0.0]], near).tolist() == [[1.0] * 3]
+            for spec in (exponential_kernel(1.7e151), matern_kernel(1.7e151, m=m)):
+                assert gram(spec, [[0.0]], [[1.35e154], [1e300]]).tolist() == [[0.0, 0.0]]
 
 
 class TestKernelSpec:

@@ -19,6 +19,7 @@ from mmdreg.models import (
     Dataset,
     GaussianMixture,
     Heckman,
+    _poisson_ppf,
     check_seed,
     get_family,
     get_scenario,
@@ -133,6 +134,24 @@ class TestDensities:
                 fam.support(np.array([eta]), np.ones((rows, 1)))
         values, _ = fam.support(np.array([12.0]), np.ones((1, 1)))
         assert values.size == 165_602
+
+    def test_poisson_cutoff_matches_scipy(self):
+        # the package computes poisson.ppf without scipy.stats; the tests keep it
+        rng = np.random.default_rng(12)
+        rates = np.concatenate([
+            np.exp(rng.uniform(-700.0, 44.0, 200_000)),
+            [0.0, 5e-324, 1e-300, 1.0, 1e19, 1e30, 1e300, np.inf, np.nan],
+        ])
+        got = _poisson_ppf(1.0 - 1e-12, rates)
+        want = stats.poisson.ppf(1.0 - 1e-12, rates)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert type(_poisson_ppf(1.0 - 1e-12, 3.0)) is np.float64
+
+    def test_poisson_support_on_zero_rows(self):
+        # the cut-off of rate 0, as the logistic family's empty table
+        values, probs = get_family("poisson", 2).support(np.array([0.3, 5.0]), np.empty((0, 2)))
+        assert values.tolist() == [0.0]
+        assert probs.shape == (0, 1)
 
     def test_continuous_densities_integrate_to_one(self):
         rng = np.random.default_rng(7)
