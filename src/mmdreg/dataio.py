@@ -11,6 +11,7 @@ ships ``tomllib`` (3.11+).
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 
@@ -221,10 +222,7 @@ def load_config(path):
     return cfg
 
 
-_FIT_KEYS = {
-    "estimator", "kernel", "eta", "adagrad_eps", "iters", "mc_pairs",
-    "m1", "m2", "seed", "init", "polyak", "trace_objective_every",
-}
+_FIT_KEYS = {f.name for f in fields(FitConfig)}
 
 
 def fit_config_from_dict(cfg):

@@ -38,7 +38,8 @@ from .objective import _dataset_for, _require_product, objective
 ESTIMATORS = ("tilde", "hat", "mle", "ols")
 
 DEFAULT_ETA = 0.1
-DEFAULT_ADAGRAD_EPS = 1e-8
+# added to AdaGrad's root sum of squares so a zero gradient takes no step
+ADAGRAD_EPS = 1e-8
 DEFAULT_ITERS = {"tilde": 2000, "hat": 5000}
 
 _NEWTON_CAP = 100
@@ -60,13 +61,13 @@ class FitConfig:
     ``m2`` are the deterministic and sampled pair budgets of the
     quadratic gradient, both defaulting to ``n``.  ``init`` is
     ``"mle"`` (baseline start with fallback to zero), ``"zero"``, or an
-    explicit raw vector.
+    explicit raw vector.  The field names are the keys a fit config
+    takes; AdaGrad's offset is not one of them but ``ADAGRAD_EPS``.
     """
 
     estimator: str = "tilde"
     kernel: Optional[KernelSpec] = None
     eta: float = DEFAULT_ETA
-    adagrad_eps: float = DEFAULT_ADAGRAD_EPS
     iters: Optional[int] = None
     mc_pairs: int = 1
     m1: Optional[int] = None
@@ -79,10 +80,8 @@ class FitConfig:
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        for name in ("eta", "adagrad_eps"):
-            v = getattr(self, name)
-            if not (_real(v) and v > 0.0):
-                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+        if not (_real(self.eta) and self.eta > 0.0):
+            raise ConfigError(f"eta must be positive and finite, got {self.eta!r}")
         if self.iters is not None and not (_whole(self.iters) and self.iters >= 1):
             raise ConfigError("iters must be a positive integer")
         if not (_whole(self.mc_pairs) and self.mc_pairs >= 1):
@@ -167,20 +166,18 @@ def _solve(h, g):
         return np.linalg.lstsq(h, g, rcond=None)[0]
 
 
-def _ols_raw(x, y):
-    _design_check(x)
+def _ols_raw(family, x, y):
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ beta
-    sigma_sq = float(resid @ resid) / x.shape[0]
-    sigma_sq = max(sigma_sq, 1e-300)
-    return np.concatenate([beta, [0.5 * np.log(sigma_sq)]])
+    sigma_sq = max(float(resid @ resid) / x.shape[0], 1e-300)
+    return np.concatenate([beta, [0.5 * np.log(sigma_sq)]]), None
 
 
-def _newton(x, weights):
-    # Capped Newton iterations from zero for a likelihood whose score is
-    # x' r and whose negative Hessian is x' diag(w) x, where
-    # (r, w) = weights(x @ beta).
-    beta = np.zeros(x.shape[1])
+def _newton(x, weights, beta=None):
+    # Capped Newton iterations, from zero unless a start is given, for a
+    # likelihood whose score is x' r and whose negative Hessian is
+    # x' diag(w) x, where (r, w) = weights(x @ beta).
+    beta = np.zeros(x.shape[1]) if beta is None else beta
     for _ in range(_NEWTON_CAP):
         r, w = weights(x @ beta)
         step = _solve((x * w[:, None]).T @ x, x.T @ r)
@@ -192,7 +189,7 @@ def _newton(x, weights):
     return beta, "not_converged"
 
 
-def _logistic_mle(x, y):
+def _logistic_mle(family, x, y):
     def weights(z):
         p = special.expit(z)
         return y - p, p * (1.0 - p)
@@ -200,7 +197,7 @@ def _logistic_mle(x, y):
     return _newton(x, weights)
 
 
-def _poisson_mle(x, y):
+def _poisson_mle(family, x, y):
     def weights(z):
         rate = np.exp(np.clip(z, -30.0, 30.0))
         return y - rate, rate
@@ -208,23 +205,16 @@ def _poisson_mle(x, y):
     return _newton(x, weights)
 
 
-def _gamma_mle(x, y):
-    # The mean-score equations for beta do not involve the shape, so
-    # beta is fit first and the shape by profile Newton afterwards.
+def _gamma_mle(family, x, y):
+    # The mean-score equations for beta do not involve the shape, so beta
+    # is fit first, from least squares on log y, and the shape afterwards.
     n = x.shape[0]
-    beta = np.linalg.lstsq(x, np.log(y), rcond=None)[0]
-    warning = None
-    for _ in range(_NEWTON_CAP):
-        mu_inv = np.exp(-np.clip(x @ beta, -30.0, 30.0))
-        r = y * mu_inv
-        grad = x.T @ (r - 1.0)
-        hess = (x * r[:, None]).T @ x
-        step = _solve(hess, grad)
-        beta = beta + step
-        if np.linalg.norm(step) < 1e-10:
-            break
-    else:
-        warning = "not_converged"
+
+    def weights(z):
+        r = y * np.exp(-np.clip(z, -30.0, 30.0))
+        return r - 1.0, r
+
+    beta, warning = _newton(x, weights, np.linalg.lstsq(x, np.log(y), rcond=None)[0])
     xb = x @ beta
     s = float(np.sum(np.log(y) - xb - y * np.exp(-xb)))
     resid = y * np.exp(-xb) - 1.0
@@ -328,6 +318,18 @@ def _mixture_em(family, x, y):
     return np.concatenate([betas.ravel(), np.log(sigmas), logits]), None
 
 
+# One entry per family, plus "ols", the gaussian entry under its own label.
+_BASELINES = {
+    "ols": _ols_raw,
+    "gaussian_linear": _ols_raw,
+    "logistic": _logistic_mle,
+    "poisson": _poisson_mle,
+    "gamma": _gamma_mle,
+    "heckman": _heckman_two_step,
+    "mixture": _mixture_em,
+}
+
+
 def fit_baseline(family, dataset, which="mle"):
     """Classical estimate for a family: least squares or maximum likelihood.
 
@@ -337,57 +339,35 @@ def fit_baseline(family, dataset, which="mle"):
     """
     t0 = time.perf_counter()
     dataset = _dataset_for(family, dataset)
-    x = dataset.x
     if which not in ("ols", "mle"):
         raise ConfigError(f"baseline must be 'ols' or 'mle', got {which!r}")
-    if which == "ols":
-        if family.name != "gaussian_linear":
-            raise ConfigError("ols baseline is only defined for the gaussian_linear family")
-        raw = _ols_raw(x, np.asarray(dataset.y, dtype=float))
-        return _result(family, raw, "ols", raw, 1, np.empty((0, 3)), t0)
-    warning = None
-    if family.name == "gaussian_linear":
-        raw = _ols_raw(x, np.asarray(dataset.y, dtype=float))
-    elif family.name == "logistic":
-        _design_check(x)
-        beta, warning = _logistic_mle(x, np.asarray(dataset.y, dtype=float))
-        raw = beta
-    elif family.name == "poisson":
-        _design_check(x)
-        beta, warning = _poisson_mle(x, np.asarray(dataset.y, dtype=float))
-        raw = beta
-    elif family.name == "gamma":
-        _design_check(x)
-        raw, warning = _gamma_mle(x, np.asarray(dataset.y, dtype=float))
-    elif family.name == "heckman":
-        raw, warning = _heckman_two_step(family, x, np.asarray(dataset.y, dtype=float))
-    elif family.name == "mixture":
-        _design_check(x)
-        raw, warning = _mixture_em(family, x, np.asarray(dataset.y, dtype=float))
-    else:
+    if which == "ols" and family.name != "gaussian_linear":
+        raise ConfigError("ols baseline is only defined for the gaussian_linear family")
+    baseline = _BASELINES.get("ols" if which == "ols" else family.name)
+    if baseline is None:
         raise ConfigError(f"no baseline defined for family {family.name!r}")
+    if family.name != "heckman":  # the two-step checks its own second stage
+        _design_check(dataset.x)
+    raw, warning = baseline(family, dataset.x, np.asarray(dataset.y, dtype=float))
     if not np.all(np.isfinite(raw)):
         raise NumericalError("baseline produced non-finite parameters")
-    return _result(family, raw, "mle", raw, 1, np.empty((0, 3)), t0, warning=warning)
+    return _result(family, raw, which, raw, 1, np.empty((0, 3)), t0, warning=warning)
 
 
 def _resolve_init(family, dataset, config):
-    free = getattr(family, "free_mask", None)
     if isinstance(config.init, str):
         if config.init == "zero":
             return np.zeros(family.raw_dim), None
         try:
-            raw = fit_baseline(family, dataset, "mle").theta_raw.copy()
+            return fit_baseline(family, dataset, "mle").theta_raw.copy(), None
         except (NumericalError, DomainError, np.linalg.LinAlgError) as exc:
             return np.zeros(family.raw_dim), f"init_fallback_zero: {exc}"
-        if free is not None:
-            raw[~free] = 0.0
-        return raw, None
     raw = config.init.copy()
     if raw.shape != (family.raw_dim,):
         raise ConfigError(
             f"custom init has shape {raw.shape}, family needs ({family.raw_dim},)"
         )
+    free = getattr(family, "free_mask", None)
     if free is not None:
         raw[~free] = 0.0
     return raw, None
@@ -397,7 +377,7 @@ def fit_mmd(family, dataset, config=None):
     """Minimize a discrepancy objective with AdaGrad.
 
     Runs exactly ``iters`` steps of
-    ``theta <- theta - eta * g / (sqrt(sum g^2) + adagrad_eps)``
+    ``theta <- theta - eta * g / (sqrt(sum g^2) + ADAGRAD_EPS)``
     with unbiased stochastic gradients, starting from the baseline
     estimate (falling back to zero when the baseline fails).  Returns
     the final iterate, or the running average when ``polyak`` is set.
@@ -443,7 +423,7 @@ def fit_mmd(family, dataset, config=None):
             error = "nonfinite_gradient"
             break
         sumsq += g * g
-        theta = theta - config.eta * g / (np.sqrt(sumsq) + config.adagrad_eps)
+        theta = theta - config.eta * g / (np.sqrt(sumsq) + ADAGRAD_EPS)
         polyak_sum += theta
         done = t + 1
         trace[t, 0] = t
@@ -452,7 +432,7 @@ def fit_mmd(family, dataset, config=None):
         if every and (t + 1) % every == 0:
             val = objective(
                 family, theta, dataset, kernel, config.estimator,
-                budget=max(config.mc_pairs, 1), rng=rng_trace,
+                budget=config.mc_pairs, rng=rng_trace,
             )
             trace[t, 2] = val.value
     final = polyak_sum / done if (config.polyak and done) else theta

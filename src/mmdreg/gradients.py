@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 # gram is bound here, unused, so probes that wrap this module's kernel
 # calls (perfbench/probes.py) still find it: nothing here builds a Gram
 from .kernels import KernelSpec, _as_points, _psi, _radial, elementwise, gram  # noqa: F401
@@ -154,6 +154,10 @@ def top_pairs(x_kernel, x, m):
 
     Returns:
         Pair of int arrays ``(i, j)`` with ``i < j``, heaviest first.
+
+    Raises:
+        NumericalError: when a squared distance between the points
+            overflows, which the tree's search refuses.
     """
     spec, z = _kernel_coords(x_kernel, x)
     n = z.shape[0]
@@ -173,7 +177,10 @@ def top_pairs(x_kernel, x, m):
     while True:
         # the relative slack covers the tree's and elementwise's rounding
         # of the same distance, so a pair left out is farther than r
-        ci, cj = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
+        try:
+            ci, cj = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
+        except ValueError:  # the tree squares distances and refuses an overflow
+            raise NumericalError("squared covariate distances overflow the pair search") from None
         w = elementwise(spec, z[ci], z[cj])
         order = np.lexsort((cj, ci, -w))
         cut = w[order[m - 1]]

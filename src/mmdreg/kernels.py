@@ -10,7 +10,7 @@ built in code go through the same path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -264,7 +264,7 @@ def elementwise(spec, a, b):
     return _evaluate(spec, a, b, _aligned_dists)
 
 
-_SPEC_KEYS = {"family", "gamma", "m", "beta", "c", "child", "x_kernel", "y_kernel"}
+_SPEC_KEYS = {f.name for f in fields(KernelSpec)}
 
 
 def spec_from_dict(d):

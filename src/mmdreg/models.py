@@ -24,9 +24,10 @@ from .errors import ConfigError, DomainError, NumericalError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _COUNT_TAIL_MASS = 1e-12
-# Largest (rows x support values) probability table Poisson.support builds,
+# Largest table, in cells, that the package builds: Poisson.support's
+# (rows x support values) probabilities or an objective's Gram matrix,
 # 80 MB in float64.
-_SUPPORT_MAX_CELLS = 10_000_000
+_MAX_TABLE_CELLS = 10_000_000
 
 
 def _check_responses(kind, y, n):
@@ -323,10 +324,10 @@ class Poisson(Family):
         top_rate = rate.max(initial=0.0)
         top = _poisson_ppf(1.0 - _COUNT_TAIL_MASS, top_rate)
         cells = x.shape[0] * (top + 1.0)
-        if not cells <= _SUPPORT_MAX_CELLS:  # also false for a nan cut-off
+        if not cells <= _MAX_TABLE_CELLS:  # also false for a nan cut-off
             raise NumericalError(
                 f"poisson support at rate {top_rate:.3g} needs {cells:.3g} table cells, "
-                f"above the cap of {_SUPPORT_MAX_CELLS}"
+                f"above the cap of {_MAX_TABLE_CELLS}"
             )
         values = np.arange(int(top) + 1, dtype=float)
         logp = values[None, :] * np.log(np.maximum(rate, 1e-300))[:, None]
@@ -550,12 +551,8 @@ class GaussianMixture(Family):
 
 
 _FAMILY_REGISTRY = {
-    "gaussian_linear": GaussianLinear,
-    "logistic": Logistic,
-    "poisson": Poisson,
-    "gamma": GammaRegression,
-    "heckman": Heckman,
-    "mixture": GaussianMixture,
+    cls.name: cls
+    for cls in (GaussianLinear, Logistic, Poisson, GammaRegression, Heckman, GaussianMixture)
 }
 
 

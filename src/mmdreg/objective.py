@@ -19,19 +19,16 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .kernels import elementwise, gram
-from .models import Dataset, _whole
+from .models import _MAX_TABLE_CELLS, Dataset, _whole
 
 _NEGATIVE_TOL = 1e-12
-# Largest Gram matrix, in cells, that the objectives and mmd_sq_vstat
-# build: 80 MB in float64, n up to 3,162 for a square one.
-_GRAM_MAX_CELLS = 10_000_000
 
 
 def _check_gram_side(n):
-    # n x n is the largest Gram the caller builds
-    if n * n > _GRAM_MAX_CELLS:
+    # n x n is the largest Gram the caller builds; n up to 3,162 passes
+    if n * n > _MAX_TABLE_CELLS:
         raise NumericalError(
-            f"a {n} x {n} Gram matrix needs {n * n:.3g} cells, above the cap of {_GRAM_MAX_CELLS}"
+            f"a {n} x {n} Gram matrix needs {n * n:.3g} cells, above the cap of {_MAX_TABLE_CELLS}"
         )
 
 
@@ -78,7 +75,7 @@ def mmd_sq_vstat(kernel, points_a, points_b, weights_a=None, weights_b=None):
 
     Raises:
         NumericalError: when a Gram matrix would exceed
-            ``_GRAM_MAX_CELLS`` cells; checked before anything is built.
+            ``models._MAX_TABLE_CELLS`` cells; checked before anything is built.
     """
     na = _point_count(points_a)
     nb = _point_count(points_b)
@@ -146,7 +143,7 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
     unseeded generator when it is omitted.  The quadratic objective
     builds ``n x n`` matrices, and exact mode a ``k x k`` one over the
     response support; either raises ``NumericalError`` before building
-    one past ``_GRAM_MAX_CELLS`` cells.
+    one past ``models._MAX_TABLE_CELLS`` cells.
     """
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)

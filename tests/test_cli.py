@@ -114,6 +114,31 @@ class TestFit:
         assert run("fit", "--in", flipped, "--model", "heckman",
                    "--estimator", "mle") == 0
 
+    def test_lenient_flag(self, tmp_path, capsys):
+        # an unselected row with a nonzero outcome and no sidecar to waive it
+        path = tmp_path / "h.csv"
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((60, 2))
+        sel = (x[:, 0] + rng.standard_normal(60) > 0).astype(int)
+        y1 = np.where(sel == 1, x[:, 1] + rng.standard_normal(60), 0.0)
+        y1[np.flatnonzero(sel == 0)[0]] = 1.5
+        rows = ["x1,x2,y1,y2"] + [f"{a},{b},{c},{s}" for (a, b), c, s in zip(x, y1, sel)]
+        path.write_text("\n".join(rows) + "\n")
+        args = ("fit", "--in", path, "--model", "heckman", "--estimator", "mle")
+        assert run(*args) == 2
+        assert "unselected row must have y1=0" in capsys.readouterr().err
+        assert run(*args, "--lenient") == 0
+
+    def test_hat_distance_overflow_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("x1,y\n0,0.1\n1e160,0.2\n0.5,0.3\n2,0.4\n")
+        cfg = tmp_path / "cfg.json"
+        kernel = {"family": "product", "x_kernel": {"family": "matern", "gamma": 1.0},
+                  "y_kernel": {"family": "exponential", "gamma": 1.0}}
+        cfg.write_text(json.dumps({"estimator": "hat", "iters": 2, "kernel": kernel}))
+        assert run("fit", "--in", path, "--model", "gaussian_linear", "--config", cfg) == 3
+        assert "overflow" in capsys.readouterr().err
+
     def test_bad_config_key(self, gauss_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"stepsize": 0.1}')

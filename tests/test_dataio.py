@@ -225,8 +225,9 @@ class TestConfigs:
         assert cfg.estimator == "hat"
         assert isinstance(cfg.kernel, KernelSpec)
         assert cfg.kernel.x_kernel.gamma == 0.02
-        with pytest.raises(ConfigError, match="unknown fit config"):
-            fit_config_from_dict({"stepsize": 0.1})
+        for key in ("stepsize", "adagrad_eps"):  # AdaGrad's offset is fixed
+            with pytest.raises(ConfigError, match="unknown fit config"):
+                fit_config_from_dict({key: 0.1})
         cfg = fit_config_from_dict({"init": [0.0, 1.0]})
         assert isinstance(cfg.init, np.ndarray)
 

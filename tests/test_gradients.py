@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from mmdreg.errors import ConfigError, DomainError
+from mmdreg.errors import ConfigError, DomainError, NumericalError
 from mmdreg.gradients import (
     build_pair_cache,
     grad_objective_estimate,
@@ -234,6 +234,15 @@ class TestPairIndexing:
             for m in (6, 4):
                 i, j = top_pairs(kern, x, m)
                 assert list(zip(i, j)) == every[:m]
+
+    def test_top_pairs_distance_overflow(self):
+        # the tree squares distances; one past float range is a package error
+        kern = matern_kernel(1.0)
+        for x in ([[0.0], [1e300], [0.5]], [[0.0, 0.0], [1e154, 1e154], [0.5, 0.5]]):
+            with pytest.raises(NumericalError, match="overflow"):
+                top_pairs(kern, x, 1)
+        i, j = top_pairs(kern, [[0.0], [1e154], [0.5]], 1)
+        assert list(zip(i, j)) == [(0, 2)]
 
     def test_srswor_basic(self):
         rng = np.random.default_rng(5)

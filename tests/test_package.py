@@ -1,5 +1,6 @@
 """The package's public names and what importing it loads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -32,3 +33,33 @@ print("scipy.spatial" in sys.modules)
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "True"]
+
+
+# bound but unused on purpose: perfbench/probes.py wraps gradients.gram
+_UNUSED_IMPORT_ALLOWED = {("gradients", "gram")}
+
+
+def test_no_unused_imports():
+    # __init__ binds its imports to re-export them
+    unused = []
+    paths = sorted((SRC / "mmdreg").glob("*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in bound.items()
+            if name not in used and (path.stem, name) not in _UNUSED_IMPORT_ALLOWED
+        ]
+    assert unused == []
