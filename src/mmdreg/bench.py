@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contamination import RECIPES, SCHEMES, ContaminationSpec, contaminate
+from .contamination import RECIPE_KINDS, RECIPES, SCHEMES, ContaminationSpec, contaminate
 from .dataio import fit_config_from_dict
 from .errors import ConfigError, DomainError, FormatError, NumericalError
 from .fitting import ESTIMATORS, fit
@@ -78,7 +78,7 @@ class ExperimentPlan:
     fit_configs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        get_scenario(self.scenario)
+        kind = get_scenario(self.scenario).make_family().kind
         n_values = _listed(self.n_values, "n_values", lambda n: n)
         if not n_values or not all(_whole(n) and n >= 1 for n in n_values):
             raise ConfigError(f"n_values must be positive integers, got {self.n_values!r}")
@@ -95,6 +95,12 @@ class ExperimentPlan:
         if bad or (not self.recipes and any(e > 0 for e in self.epsilons)):
             raise ConfigError(
                 f"plan recipes must be drawn from {RECIPES}, got {self.recipes}"
+            )
+        wrong = [r for r in self.recipes if RECIPE_KINDS.get(r, kind) != kind]
+        if wrong:
+            raise ConfigError(
+                f"recipes {wrong} do not apply to scenario {self.scenario!r}, "
+                f"whose responses are {kind!r}"
             )
         bad = set(self.estimators) - set(ESTIMATORS)
         if bad or not self.estimators:

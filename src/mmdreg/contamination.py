@@ -23,6 +23,8 @@ from .models import Dataset, _real, check_seed
 
 SCHEMES = ("adversarial", "huber")
 RECIPES = ("type_x", "type_y", "selection_flip")
+# The response kind a recipe needs; type_x takes any.
+RECIPE_KINDS = {"type_y": "real", "selection_flip": "censored"}
 
 # Replacement-draw centres used when the spec does not set one.
 _DEFAULT_MEANS = {"type_x": 5.0, "type_y": 10.0}
@@ -95,14 +97,10 @@ def contaminate(dataset, spec):
         raise ConfigError("contaminate expects a Dataset")
     if not isinstance(spec, ContaminationSpec):
         raise ConfigError("contaminate expects a ContaminationSpec")
-    if spec.recipe == "type_y" and dataset.kind != "real":
+    need = RECIPE_KINDS.get(spec.recipe, dataset.kind)
+    if dataset.kind != need:
         raise DomainError(
-            f"type_y replaces real responses; dataset kind is {dataset.kind!r}"
-        )
-    if spec.recipe == "selection_flip" and dataset.kind != "censored":
-        raise DomainError(
-            "selection_flip needs censored responses; dataset kind is "
-            f"{dataset.kind!r}"
+            f"{spec.recipe} needs {need} responses; dataset kind is {dataset.kind!r}"
         )
     n = dataset.x.shape[0]
     idx_ss, val_ss = np.random.SeedSequence(spec.seed).spawn(2)

@@ -11,7 +11,9 @@ Baselines: ordinary least squares, per-family maximum likelihood via
 IRLS-style Newton iterations, the classical two-step estimator for the
 selection family, and a short deterministic EM for the mixture family.
 No convergence test is applied to the stochastic fits; the iteration
-count is the stopping rule and the result is an approximate minimizer.
+count (``DEFAULT_ITERS`` unless ``iters`` is set) is the stopping rule,
+and the result, the last iterate or with ``polyak`` the running average
+of the iterates (Polyak-Juditsky averaging), is an approximate minimizer.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ ESTIMATORS = ("tilde", "hat", "mle", "ols")
 DEFAULT_ETA = 0.1
 # added to AdaGrad's root sum of squares so a zero gradient takes no step
 ADAGRAD_EPS = 1e-8
-DEFAULT_ITERS = {"tilde": 2000, "hat": 5000}
+# Chosen by a fresh-seed study (CHANGES.md): fewer steps cost more than
+# 5% of the error on some cell, and averaging the iterates did not allow
+# fewer linear-cost steps.
+DEFAULT_ITERS = {"tilde": 1000, "hat": 2000}
 
 _NEWTON_CAP = 100
 _DIVERGENCE_NORM = 30.0
@@ -57,7 +62,7 @@ class FitConfig:
 
     ``estimator`` selects the linear-cost ("tilde") or quadratic-cost
     ("hat") discrepancy fit, or a baseline ("mle", "ols").  ``iters``
-    defaults per estimator (2000 linear, 5000 quadratic).  ``m1`` and
+    defaults per estimator to ``DEFAULT_ITERS``.  ``m1`` and
     ``m2`` are the deterministic and sampled pair budgets of the
     quadratic gradient, both defaulting to ``n``.  ``init`` is
     ``"mle"`` (baseline start with fallback to zero), ``"zero"``, or an
@@ -120,7 +125,8 @@ class FitResult:
     ``trace`` has one row per recorded iteration: (iteration index,
     gradient norm, objective value or nan).  ``init_used`` is the raw
     vector the optimizer actually started from.  ``error`` marks an
-    abort (the parameters are the last finite iterate); ``warning``
+    abort (the parameters are the last finite iterate, or under
+    ``polyak`` the running average of the completed steps); ``warning``
     marks a soft condition such as baseline non-convergence.
     """
 
@@ -380,9 +386,10 @@ def fit_mmd(family, dataset, config=None):
     ``theta <- theta - eta * g / (sqrt(sum g^2) + ADAGRAD_EPS)``
     with unbiased stochastic gradients, starting from the baseline
     estimate (falling back to zero when the baseline fails).  Returns
-    the final iterate, or the running average when ``polyak`` is set.
-    A non-finite gradient aborts with the last finite iterate and an
-    error flag.
+    the final iterate, or the running average of the iterates when
+    ``polyak`` is set.  A non-finite gradient aborts with an error flag
+    and the result of the steps completed so far: the last finite
+    iterate, or the running average of those steps under ``polyak``.
     """
     t0 = time.perf_counter()
     if config is None:

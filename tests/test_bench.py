@@ -59,6 +59,16 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="replications"):
             tiny_plan(replications=0)
 
+    def test_recipe_fits_response_kind(self):
+        # type_y needs real responses and selection_flip censored ones; a
+        # mismatch is refused before any cell runs, clean cells included.
+        with pytest.raises(ConfigError, match="'type_y'.*'censored'"):
+            tiny_plan(scenario="heckman_synthetic", estimators=("mle",), fit_overrides={})
+        with pytest.raises(ConfigError, match="'selection_flip'.*'real'"):
+            tiny_plan(recipes=("type_x", "selection_flip"))
+        tiny_plan(scenario="heckman_synthetic", recipes=("type_x", "selection_flip"),
+                  estimators=("mle",), fit_overrides={})
+
     def test_counts_are_integers(self):
         # booleans are not counts, and a fractional n is not truncated
         for over in ({"replications": True}, {"replications": 2.0},

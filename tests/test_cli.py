@@ -168,6 +168,19 @@ class TestBench:
         plan.write_text('{"scenario": "gauss_linear_laplace"}')
         assert run("bench", "--plan", plan, "--out", tmp_path / "r") == 2
 
+    def test_recipe_kind_mismatch(self, tmp_path, capsys, monkeypatch):
+        # refused when the plan is read, before any replication runs
+        monkeypatch.setattr("mmdreg.cli.run_plan", lambda *a, **k: pytest.fail("plan ran"))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "scenario": "heckman_synthetic", "n": [40], "eps": [0.0, 0.05],
+            "recipes": ["type_y"], "estimators": ["mle"], "reps": 1, "seed": 9,
+        }))
+        out = tmp_path / "r"
+        assert run("bench", "--plan", plan, "--out", out) == 2
+        assert "recipes ['type_y'] do not apply" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_thread_cap_env(self, tmp_path, monkeypatch, capsys, raw):
         plan = tmp_path / "plan.json"

@@ -22,7 +22,7 @@ from mmdreg.kernels import (
     product_kernel,
     psi_matern_kernel,
 )
-from mmdreg.models import Dataset, get_family, get_scenario, simulate_dataset
+from mmdreg.models import Dataset, GaussianLinear, get_family, get_scenario, simulate_dataset
 from mmdreg.objective import objective
 
 
@@ -175,9 +175,10 @@ class TestMle:
 
 class TestFitConfig:
     def test_defaults(self):
-        assert FitConfig().resolved_iters() == 2000
-        assert FitConfig(estimator="hat").resolved_iters() == 5000
+        assert FitConfig().resolved_iters() == 1000
+        assert FitConfig(estimator="hat").resolved_iters() == 2000
         assert FitConfig(iters=77).resolved_iters() == 77
+        assert FitConfig().polyak is False
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -427,6 +428,26 @@ class TestFitMmd:
         avg = fit_mmd(fam, ds, FitConfig(estimator="tilde", iters=150, seed=6, polyak=True))
         assert np.all(np.isfinite(avg.theta_raw))
         assert not np.array_equal(plain.theta_raw, avg.theta_raw)
+
+    def test_abort_returns_running_average(self):
+        # The score turns non-finite on the fourth step, so the fit stops
+        # after three: the third iterate, or with polyak the mean of all three.
+        class Breaks(GaussianLinear):
+            def grad_log_density(self, theta, x, y):
+                self.calls = getattr(self, "calls", 0) + 1
+                score = super().grad_log_density(theta, x, y)
+                return score if self.calls <= 3 else np.full_like(score, np.nan)
+
+        fam, ds = simulate_dataset("gauss_linear_laplace", 50, seed=25)
+        steps = [fit_mmd(fam, ds, FitConfig(iters=k, seed=8, polyak=False)).theta_raw
+                 for k in (1, 2, 3)]
+        total = np.zeros(fam.raw_dim)
+        for theta in steps:
+            total += theta
+        for polyak, want in ((False, steps[2]), (True, total / 3)):
+            res = fit_mmd(Breaks(8), ds, FitConfig(iters=10, seed=8, polyak=polyak))
+            assert res.error == "nonfinite_gradient" and res.iterations == 3
+            assert np.array_equal(res.theta_raw, want)
 
     def test_custom_init_shape_checked(self):
         fam, ds = logistic_case(10, 20)

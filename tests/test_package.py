@@ -1,12 +1,15 @@
-"""The package's public names and what importing it loads."""
+"""The package's public names, what importing it loads, and the fit
+defaults the README states."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import mmdreg
+from mmdreg.fitting import DEFAULT_ITERS, FitConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -63,3 +66,14 @@ def test_no_unused_imports():
             if name not in used and (path.stem, name) not in _UNUSED_IMPORT_ALLOWED
         ]
     assert unused == []
+
+
+def test_readme_states_the_fit_defaults():
+    # the README's stated step counts and averaging default track the code
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"default step counts are `iters` = (\d+) for `tilde` and (\d+) "
+                       r"for `hat`\s+\(`fitting.DEFAULT_ITERS`\), and `polyak` defaults "
+                       r"to `(true|false)`", readme)
+    assert stated is not None
+    assert {"tilde": int(stated[1]), "hat": int(stated[2])} == DEFAULT_ITERS
+    assert (stated[3] == "true") is FitConfig().polyak
