@@ -5,13 +5,8 @@ Each grid cell is run for R replications; every replication simulates a
 dataset, corrupts it, fits each requested estimator from an MLE start,
 and records the estimate.  Seeds derive from (master seed, cell index,
 rep index) alone, so the produced table is identical no matter how the
-work is spread over processes.
-
-Two dataset regimes are supported.  By default every (cell, rep) pair
-regenerates its own data.  With ``fixed_base`` a replication draws one
-clean base dataset with max(n) rows, contaminates the whole base once
-per (epsilon, recipe), and hands each cell the first n rows: the
-nested-subsample protocol, which makes cells comparable within a rep.
+work is spread over processes.  Every (cell, rep) pair simulates and
+contaminates its own data.
 """
 
 import csv
@@ -27,7 +22,7 @@ from .contamination import RECIPE_KINDS, RECIPES, SCHEMES, ContaminationSpec, co
 from .dataio import fit_config_from_dict
 from .errors import ConfigError, DomainError, FormatError, NumericalError
 from .fitting import ESTIMATORS, fit
-from .models import Dataset, _real, _whole, check_seed, get_scenario, simulate_dataset
+from .models import _real, _whole, check_seed, get_scenario, simulate_dataset
 
 SCHEMA_VERSION = 1
 
@@ -38,8 +33,6 @@ class Cell:
     n: int
     epsilon: float
     recipe: str
-    eps_index: int
-    recipe_index: int
 
 
 def _listed(values, name, convert=str):
@@ -73,7 +66,6 @@ class ExperimentPlan:
     replications: int
     master_seed: int
     scheme: str = "adversarial"
-    fixed_base: bool = False
     fit_overrides: dict = field(default_factory=dict)
     fit_configs: dict = field(init=False, repr=False, compare=False)
 
@@ -110,8 +102,6 @@ class ExperimentPlan:
         if not (_whole(self.replications) and self.replications >= 1):
             raise ConfigError("replications must be a positive integer")
         check_seed(self.master_seed)
-        if not isinstance(self.fixed_base, (bool, np.bool_)):
-            raise ConfigError(f"fixed_base must be true or false, got {self.fixed_base!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.fit_overrides, dict):
@@ -137,19 +127,19 @@ class ExperimentPlan:
         """Grid cells in canonical order; the clean rate appears once
         per n regardless of how many recipes the plan lists."""
         out = []
-        for i_n, n in enumerate(self.n_values):
-            for i_eps, eps in enumerate(self.epsilons):
+        for n in self.n_values:
+            for eps in self.epsilons:
                 if eps == 0.0:
-                    out.append(Cell(len(out), n, 0.0, "none", i_eps, -1))
+                    out.append(Cell(len(out), n, 0.0, "none"))
                     continue
-                for i_rec, recipe in enumerate(self.recipes):
-                    out.append(Cell(len(out), n, eps, recipe, i_eps, i_rec))
+                for recipe in self.recipes:
+                    out.append(Cell(len(out), n, eps, recipe))
         return out
 
 
 _PLAN_KEYS = {
     "scenario", "n", "eps", "recipes", "estimators", "reps", "seed",
-    "scheme", "fixed_base", "fit",
+    "scheme", "fit",
 }
 
 
@@ -157,8 +147,8 @@ def plan_from_config(cfg):
     """Build a plan from a parsed config mapping.
 
     Keys: ``scenario``, ``n`` (list), ``eps`` (list), ``recipes``,
-    ``estimators``, ``reps``, ``seed``, and optionally ``scheme``,
-    ``fixed_base``, ``fit`` (per-estimator overrides).
+    ``estimators``, ``reps``, ``seed``, and optionally ``scheme`` and
+    ``fit`` (per-estimator overrides).
     """
     if not isinstance(cfg, dict):
         raise ConfigError("plan config must be a mapping")
@@ -177,7 +167,6 @@ def plan_from_config(cfg):
         replications=cfg["reps"],
         master_seed=cfg["seed"],
         scheme=cfg.get("scheme", "adversarial"),
-        fixed_base=cfg.get("fixed_base", False),
         fit_overrides=cfg.get("fit", {}),
     )
 
@@ -192,7 +181,6 @@ def plan_to_config(plan):
         "reps": plan.replications,
         "seed": plan.master_seed,
         "scheme": plan.scheme,
-        "fixed_base": plan.fixed_base,
     }
     if plan.fit_overrides:
         out["fit"] = {k: dict(v) for k, v in plan.fit_overrides.items()}
@@ -203,38 +191,17 @@ def _derive_seed(*entropy):
     return int(np.random.SeedSequence(list(entropy)).generate_state(1, np.uint64)[0])
 
 
-def _truncate(dataset, n):
-    if dataset.x.shape[0] == n:
-        return dataset
-    meta = dict(dataset.meta)
-    meta["base_n"] = int(dataset.x.shape[0])
-    return Dataset(x=dataset.x[:n].copy(), y=dataset.y[:n].copy(),
-                   kind=dataset.kind, meta=meta)
-
-
 def _cell_dataset(plan, scenario, cell, rep):
-    if plan.fixed_base:
-        base_n = max(plan.n_values)
-        data_seed = _derive_seed(plan.master_seed, 1, rep)
-    else:
-        base_n = cell.n
-        data_seed = _derive_seed(plan.master_seed, 1, cell.index, rep)
-    family, ds = simulate_dataset(scenario, base_n, data_seed)
+    data_seed = _derive_seed(plan.master_seed, 1, cell.index, rep)
+    family, ds = simulate_dataset(scenario, cell.n, data_seed)
     if cell.epsilon > 0.0:
-        if plan.fixed_base:
-            # Keyed by (eps, recipe), not by cell, so every n shares the
-            # same corrupted base within a replication.
-            contam_seed = _derive_seed(plan.master_seed, 2, rep, cell.eps_index,
-                                       cell.recipe_index)
-        else:
-            contam_seed = _derive_seed(plan.master_seed, 2, cell.index, rep)
         mean = scenario.recipe_means.get(f"{cell.recipe}_mean")
         spec = ContaminationSpec(
             epsilon=cell.epsilon, scheme=plan.scheme, recipe=cell.recipe,
-            mean=mean, seed=contam_seed,
+            mean=mean, seed=_derive_seed(plan.master_seed, 2, cell.index, rep),
         )
         ds = contaminate(ds, spec)
-    return family, _truncate(ds, cell.n)
+    return family, ds
 
 
 def _run_task(plan, cell, rep):

@@ -12,8 +12,7 @@ IRLS-style Newton iterations, the classical two-step estimator for the
 selection family, and a short deterministic EM for the mixture family.
 No convergence test is applied to the stochastic fits; the iteration
 count (``DEFAULT_ITERS`` unless ``iters`` is set) is the stopping rule,
-and the result, the last iterate or with ``polyak`` the running average
-of the iterates (Polyak-Juditsky averaging), is an approximate minimizer.
+and the result, the last iterate, is an approximate minimizer.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ DEFAULT_ETA = 0.1
 # added to AdaGrad's root sum of squares so a zero gradient takes no step
 ADAGRAD_EPS = 1e-8
 # Chosen by a fresh-seed study (CHANGES.md): fewer steps cost more than
-# 5% of the error on some cell, and averaging the iterates did not allow
-# fewer linear-cost steps.
+# 5% of the error on some cell.
 DEFAULT_ITERS = {"tilde": 1000, "hat": 2000}
 
 _NEWTON_CAP = 100
@@ -79,7 +77,6 @@ class FitConfig:
     m2: Optional[int] = None
     seed: int = 0
     init: Union[str, Sequence[float]] = "mle"
-    polyak: bool = False
     trace_objective_every: int = 0
 
     def __post_init__(self):
@@ -95,8 +92,6 @@ class FitConfig:
             v = getattr(self, name)
             if v is not None and not (_whole(v) and v >= 0):
                 raise ConfigError(f"{name} must be a nonnegative integer")
-        if not isinstance(self.polyak, (bool, np.bool_)):
-            raise ConfigError(f"polyak must be true or false, got {self.polyak!r}")
         if isinstance(self.init, str):
             if self.init not in ("mle", "zero"):
                 raise ConfigError(f"init must be 'mle', 'zero', or a vector, got {self.init!r}")
@@ -125,8 +120,7 @@ class FitResult:
     ``trace`` has one row per recorded iteration: (iteration index,
     gradient norm, objective value or nan).  ``init_used`` is the raw
     vector the optimizer actually started from.  ``error`` marks an
-    abort (the parameters are the last finite iterate, or under
-    ``polyak`` the running average of the completed steps); ``warning``
+    abort (the parameters are the last finite iterate); ``warning``
     marks a soft condition such as baseline non-convergence.
     """
 
@@ -159,6 +153,10 @@ def _result(family, theta, estimator, init_used, iterations, trace, t0, error=No
 
 
 def _design_check(x):
+    if x.shape[0] < x.shape[1]:
+        raise NumericalError(
+            f"design matrix has {x.shape[0]} rows, fewer than its {x.shape[1]} columns"
+        )
     sv = np.linalg.svd(x, compute_uv=False)
     if sv[-1] <= sv[0] * 1e-12 or not np.all(np.isfinite(sv)):
         cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
@@ -386,10 +384,8 @@ def fit_mmd(family, dataset, config=None):
     ``theta <- theta - eta * g / (sqrt(sum g^2) + ADAGRAD_EPS)``
     with unbiased stochastic gradients, starting from the baseline
     estimate (falling back to zero when the baseline fails).  Returns
-    the final iterate, or the running average of the iterates when
-    ``polyak`` is set.  A non-finite gradient aborts with an error flag
-    and the result of the steps completed so far: the last finite
-    iterate, or the running average of those steps under ``polyak``.
+    the final iterate.  A non-finite gradient aborts with an error flag
+    and the last finite iterate.
     """
     t0 = time.perf_counter()
     if config is None:
@@ -410,7 +406,6 @@ def fit_mmd(family, dataset, config=None):
         cache = build_pair_cache(_require_product(kernel).x_kernel, dataset.x, m1)
     trace = np.full((iters, 3), np.nan)
     sumsq = np.zeros(family.raw_dim)
-    polyak_sum = np.zeros(family.raw_dim)
     error = None
     done = 0
     for t in range(iters):
@@ -431,7 +426,6 @@ def fit_mmd(family, dataset, config=None):
             break
         sumsq += g * g
         theta = theta - config.eta * g / (np.sqrt(sumsq) + ADAGRAD_EPS)
-        polyak_sum += theta
         done = t + 1
         trace[t, 0] = t
         trace[t, 1] = math.sqrt(g @ g)  # what norm computes for a real vector
@@ -442,9 +436,8 @@ def fit_mmd(family, dataset, config=None):
                 budget=config.mc_pairs, rng=rng_trace,
             )
             trace[t, 2] = val.value
-    final = polyak_sum / done if (config.polyak and done) else theta
     return _result(
-        family, final, config.estimator, init_used, done, trace[:done], t0,
+        family, theta, config.estimator, init_used, done, trace[:done], t0,
         error=error, warning=warning,
     )
 

@@ -150,19 +150,23 @@ def top_pairs(x_kernel, x, m):
     Args:
         x_kernel: covariate kernel, radial or an affine shift of one.
         x: covariates, shape ``(n, p)`` (1-D input is ``(n, 1)``).
-        m: number of pairs to keep (capped at the pair count).
+        m: number of pairs to keep, a nonnegative integer (capped at the
+            pair count).
 
     Returns:
         Pair of int arrays ``(i, j)`` with ``i < j``, heaviest first.
 
     Raises:
+        ConfigError: when ``m`` is not a nonnegative integer.
         NumericalError: when a squared distance between the points
             overflows, which the tree's search refuses.
     """
+    if not (_whole(m) and m >= 0):
+        raise ConfigError(f"pair count must be a nonnegative integer, got {m!r}")
     spec, z = _kernel_coords(x_kernel, x)
     n = z.shape[0]
     total = n * (n - 1) // 2
-    m = min(max(0, int(m)), total)
+    m = min(int(m), total)
     floor = _shift(spec, 0.0)
     if m == 0 or _bound_beyond(spec, 0.0) <= floor:
         # every pair weighs the floor (some beta is 0)
@@ -214,8 +218,8 @@ def sample_pair_indices(total, m, rng):
     ``j_l``; they are resolved one by one in step order, and for
     ``m << total`` there are about ``m^2 / (2 total)`` of them.
     """
-    if not (0 <= m <= total):
-        raise DomainError(f"cannot sample {m} from {total}")
+    if not (_whole(m) and _whole(total) and 0 <= m <= total):
+        raise DomainError(f"cannot sample {m!r} from {total!r}")
     if m == 0:
         return np.empty(0, dtype=np.int64)
     base = total - m
@@ -320,7 +324,8 @@ def grad_objective_estimate(
         kernel: response kernel; a product kernel is required for ``"hat"``.
         cache: the :class:`PairCache` of the covariates, required for
             ``"hat"``; :func:`build_pair_cache` makes one.
-        m_samp: sampled pair count per replicate; defaults to ``n``.
+        m_samp: sampled pair count per replicate, a nonnegative integer;
+            defaults to ``n``.
         pairs: number of independent draw replicates to average.
         rng_draws: stream for model draws.
         rng_pairs: stream for pair subsampling.
@@ -347,8 +352,12 @@ def grad_objective_estimate(
         _require_product(kernel)
         if cache is None:
             raise ConfigError("the quadratic-cost gradient needs a pair cache")
+        if cache.n != n:
+            raise DomainError(f"the pair cache covers {cache.n} rows, the dataset has {n}")
         if m_samp is None:
             m_samp = n
+        elif not (_whole(m_samp) and m_samp >= 0):
+            raise ConfigError(f"m_samp must be a nonnegative integer, got {m_samp!r}")
         m_samp = min(int(m_samp), cache.remaining)
     grad = np.zeros(family.raw_dim)
     for _ in range(int(pairs)):

@@ -51,7 +51,10 @@ def _point_count(points):
     if not all(np.all(np.isfinite(np.asarray(p, dtype=float))) for p in parts):
         raise DomainError("kernel evaluation requires finite points")
     arr = np.asarray(parts[0])
-    return arr.shape[0] if arr.ndim > 0 else 1
+    count = arr.shape[0] if arr.ndim > 0 else 1
+    if count == 0:
+        raise DomainError("a kernel discrepancy needs at least one point per set")
+    return count
 
 
 def mmd_sq_vstat(kernel, points_a, points_b, weights_a=None, weights_b=None):

@@ -263,16 +263,12 @@ BAD_TYPES = [
                  id="bench-override-eta"),
     pytest.param(bench_with(estimators=["tilde"], fit={"tilde": {"bogus": 1}}),
                  id="bench-override-key"),
-    # JSON strings and booleans are not switches or counts
-    pytest.param(fit_with({"polyak": "false"}), id="fit-polyak-string"),
-    pytest.param(fit_with({"polyak": 0}), id="fit-polyak-int"),
+    # JSON booleans are not counts
     pytest.param(fit_with({"iters": True}), id="fit-iters-bool"),
     pytest.param(fit_with({"mc_pairs": True}), id="fit-mc-pairs-bool"),
     pytest.param(fit_with({"estimator": "hat", "m1": True}), id="fit-m1-bool"),
     pytest.param(fit_with({"estimator": "hat", "m2": False}), id="fit-m2-bool"),
     pytest.param(fit_with({"trace_objective_every": True}), id="fit-trace-bool"),
-    pytest.param(bench_with(fixed_base="false"), id="bench-fixed-base-string"),
-    pytest.param(bench_with(fixed_base=1), id="bench-fixed-base-int"),
 ]
 
 
@@ -291,6 +287,15 @@ class TestBadInputs:
         capsys.readouterr()
         assert run(*argv(gauss_csv, tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_removed_switches_are_unknown_keys(self, gauss_csv, tmp_path, capsys):
+        # the fit and plan configs no longer take polyak and fixed_base
+        cases = ((fit_with({"polyak": False}), "unknown fit config keys: ['polyak']"),
+                 (bench_with(fixed_base=False), "unknown plan config keys: ['fixed_base']"))
+        for argv, message in cases:
+            capsys.readouterr()
+            assert run(*argv(gauss_csv, tmp_path)) == 2
+            assert message in capsys.readouterr().err
 
     def test_count_beyond_int64(self, tmp_path, capsys):
         # an integer-valued count the int64 cast would wrap to -2**63

@@ -55,6 +55,13 @@ class TestOls:
         with pytest.raises(NumericalError, match="condition number"):
             fit_baseline(fam, ds, "ols")
 
+    def test_fewer_rows_than_columns_reported(self):
+        # two rows fit three coefficients exactly, with sigma = 0
+        rng = np.random.default_rng(3)
+        ds = Dataset(rng.standard_normal((2, 3)), rng.standard_normal(2), "real")
+        with pytest.raises(NumericalError, match="2 rows, fewer than its 3 columns"):
+            fit(get_family("gaussian_linear", 3), ds, FitConfig(estimator="ols"))
+
 
 class TestMle:
     def test_poisson_intercept_closed_form(self):
@@ -178,7 +185,6 @@ class TestFitConfig:
         assert FitConfig().resolved_iters() == 1000
         assert FitConfig(estimator="hat").resolved_iters() == 2000
         assert FitConfig(iters=77).resolved_iters() == 77
-        assert FitConfig().polyak is False
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -416,22 +422,14 @@ class TestFitMmd:
         assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_bool_fields_are_refused(self):
-        for bad in ({"polyak": "false"}, {"polyak": 1}, {"iters": True}, {"mc_pairs": True},
-                    {"m1": True}, {"m2": False}, {"trace_objective_every": True}):
+        for bad in ({"iters": True}, {"mc_pairs": True}, {"m1": True}, {"m2": False},
+                    {"trace_objective_every": True}):
             with pytest.raises(ConfigError):
                 FitConfig(estimator="hat", **bad)
-        assert FitConfig(polyak=np.bool_(True)).polyak
 
-    def test_polyak_switch(self):
-        fam, ds = logistic_case(25, 19)
-        plain = fit_mmd(fam, ds, FitConfig(estimator="tilde", iters=150, seed=6))
-        avg = fit_mmd(fam, ds, FitConfig(estimator="tilde", iters=150, seed=6, polyak=True))
-        assert np.all(np.isfinite(avg.theta_raw))
-        assert not np.array_equal(plain.theta_raw, avg.theta_raw)
-
-    def test_abort_returns_running_average(self):
+    def test_abort_returns_last_finite_iterate(self):
         # The score turns non-finite on the fourth step, so the fit stops
-        # after three: the third iterate, or with polyak the mean of all three.
+        # after three and returns the third iterate.
         class Breaks(GaussianLinear):
             def grad_log_density(self, theta, x, y):
                 self.calls = getattr(self, "calls", 0) + 1
@@ -439,15 +437,10 @@ class TestFitMmd:
                 return score if self.calls <= 3 else np.full_like(score, np.nan)
 
         fam, ds = simulate_dataset("gauss_linear_laplace", 50, seed=25)
-        steps = [fit_mmd(fam, ds, FitConfig(iters=k, seed=8, polyak=False)).theta_raw
-                 for k in (1, 2, 3)]
-        total = np.zeros(fam.raw_dim)
-        for theta in steps:
-            total += theta
-        for polyak, want in ((False, steps[2]), (True, total / 3)):
-            res = fit_mmd(Breaks(8), ds, FitConfig(iters=10, seed=8, polyak=polyak))
-            assert res.error == "nonfinite_gradient" and res.iterations == 3
-            assert np.array_equal(res.theta_raw, want)
+        want = fit_mmd(fam, ds, FitConfig(iters=3, seed=8)).theta_raw
+        res = fit_mmd(Breaks(8), ds, FitConfig(iters=10, seed=8))
+        assert res.error == "nonfinite_gradient" and res.iterations == 3
+        assert np.array_equal(res.theta_raw, want)
 
     def test_custom_init_shape_checked(self):
         fam, ds = logistic_case(10, 20)

@@ -253,6 +253,18 @@ class TestPairIndexing:
         assert picks.min() >= 0 and picks.max() < 50
         with pytest.raises(DomainError):
             sample_pair_indices(3, 4, rng)
+        with pytest.raises(DomainError, match="cannot sample 1.5 from 10"):
+            sample_pair_indices(10, 1.5, rng)
+
+    @pytest.mark.parametrize("m", [-5, 2.5, True])
+    def test_pair_count_must_be_whole(self, m):
+        # not clamped to 0 or truncated to 2
+        x = np.random.default_rng(7).standard_normal((8, 2))
+        kern = psi_matern_kernel(0.5, m=1)
+        with pytest.raises(ConfigError, match="pair count"):
+            top_pairs(kern, x, m)
+        with pytest.raises(ConfigError, match="pair count"):
+            build_pair_cache(kern, x, m)
 
     def test_srswor_uniform_over_subsets(self):
         rng = np.random.default_rng(6)
@@ -610,6 +622,26 @@ class TestObjectiveGradient:
             grad_objective_estimate(fam, theta, ds, KY, "tilde", pairs=0)
         g = grad_objective_estimate(fam, theta, ds, KY, "tilde", **streams(0))
         assert isinstance(g, np.ndarray) and g.shape == (fam.raw_dim,)
+
+    @pytest.mark.parametrize("cache_n", [80, 30])
+    def test_pair_cache_must_match_dataset(self, cache_n):
+        # a larger cache indexes past the rows, a smaller one misses pairs
+        fam, theta, ds = logistic_dataset(50, 21)
+        kern = product(0.3)
+        x = np.random.default_rng(22).standard_normal((cache_n, 2))
+        cache = build_pair_cache(kern.x_kernel, x, cache_n)
+        with pytest.raises(DomainError, match=f"covers {cache_n} rows, the dataset has 50"):
+            grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, **streams(0))
+
+    @pytest.mark.parametrize("m_samp", [-1, 2.5])
+    def test_sampled_pair_count_must_be_whole(self, m_samp):
+        # a negative count would drop the sampled pairs and bias the gradient
+        fam, theta, ds = logistic_dataset(20, 23)
+        kern = product(0.3)
+        cache = build_pair_cache(kern.x_kernel, ds.x, 20)
+        with pytest.raises(ConfigError, match="m_samp"):
+            grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, m_samp=m_samp,
+                                    **streams(0))
 
 
 class TestLargeBudgetGaussianOracle:

@@ -321,6 +321,12 @@ class TestDataset:
         with pytest.raises(DomainError):
             Dataset(x, np.array([[1.0, 0.5], [0.0, 0.0], [0.0, 1.0]]), "censored")
 
+    def test_zero_rows_refused(self):
+        # every estimator would end in an IndexError on such a dataset
+        for kind, y in (("real", np.empty(0)), ("censored", np.empty((0, 2)))):
+            with pytest.raises(DomainError, match="at least one row"):
+                Dataset(np.empty((0, 2)), y, kind)
+
     def test_counts_beyond_int64_refused(self):
         # the int64 cast would wrap them to -2**63
         x = np.zeros((2, 1))

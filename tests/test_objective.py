@@ -92,6 +92,13 @@ class TestMmdSqVstat:
         with pytest.raises(DomainError):
             mmd_sq_vstat(KY, pts, pts, np.array([-0.2, 0.6, 0.6]), None)
 
+    def test_empty_point_set_refused(self):
+        # uniform weights over no points would divide by zero
+        with pytest.raises(DomainError, match="at least one point"):
+            mmd_sq_vstat(KY, np.empty((0, 1)), np.zeros((3, 1)))
+        with pytest.raises(DomainError, match="at least one point"):
+            mmd_sq_vstat(KY, np.zeros((3, 1)), np.empty(0))
+
 
 class TestLossTilde:
     def test_logistic_frozen(self):

@@ -1,17 +1,20 @@
 """The package's public names, what importing it loads, and the fit
-defaults the README states."""
+defaults and config keys the README states."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import mmdreg
+from mmdreg.bench import _PLAN_KEYS
 from mmdreg.fitting import DEFAULT_ITERS, FitConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = (SRC.parent / "README.md").read_text(encoding="utf-8")
 
 
 def test_every_export_resolves():
@@ -69,11 +72,17 @@ def test_no_unused_imports():
 
 
 def test_readme_states_the_fit_defaults():
-    # the README's stated step counts and averaging default track the code
-    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    # the README's stated step counts track the code
     stated = re.search(r"default step counts are `iters` = (\d+) for `tilde` and (\d+) "
-                       r"for `hat`\s+\(`fitting.DEFAULT_ITERS`\), and `polyak` defaults "
-                       r"to `(true|false)`", readme)
+                       r"for `hat`\s+\(`fitting.DEFAULT_ITERS`\)", README)
     assert stated is not None
     assert {"tilde": int(stated[1]), "hat": int(stated[2])} == DEFAULT_ITERS
-    assert (stated[3] == "true") is FitConfig().polyak
+
+
+def test_readme_states_the_config_keys():
+    # the README's key lists track the fit config's fields and the plan's keys
+    fit_keys = re.search(r"takes exactly `FitConfig`'s field names:(.*?)\(a plan", README, re.S)
+    plan_keys = re.search(r"A plan takes exactly the keys(.*?)\(", README, re.S)
+    assert fit_keys is not None and plan_keys is not None
+    assert re.findall(r"`(\w+)`", fit_keys[1]) == [f.name for f in fields(FitConfig)]
+    assert sorted(re.findall(r"`(\w+)`", plan_keys[1])) == sorted(_PLAN_KEYS)
