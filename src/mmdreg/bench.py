@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from .contamination import RECIPE_KINDS, RECIPES, SCHEMES, ContaminationSpec, co
 from .dataio import fit_config_from_dict
 from .errors import ConfigError, DomainError, FormatError, NumericalError
 from .fitting import ESTIMATORS, fit
+from .gradients import _kd_tree
 from .models import _real, _whole, check_seed, get_scenario, simulate_dataset
 
 SCHEMA_VERSION = 1
@@ -350,6 +350,11 @@ def run_plan(plan, threads=None):
     if threads == 1 or len(tasks) == 1:
         results = [_run_task(*t) for t in tasks]
     else:
+        # forked workers inherit what the parent imported: the family built
+        # with the plan loaded scipy.special, and hat fits need the k-d tree
+        from concurrent.futures import ProcessPoolExecutor
+        if "hat" in plan.estimators:
+            _kd_tree()
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             results = list(pool.map(_run_task, *zip(*tasks), chunksize=1))
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, DomainError, NumericalError
 from .gradients import build_pair_cache, grad_objective_estimate
@@ -33,7 +32,7 @@ from .kernels import (
     default_response_kernel,
     product_kernel,
 )
-from .models import _inverse_mills, _real, _whole, check_seed
+from .models import _inverse_mills, _real, _special, _whole, check_seed
 from .objective import _dataset_for, _require_product, objective
 
 ESTIMATORS = ("tilde", "hat", "mle", "ols")
@@ -72,7 +71,6 @@ class FitConfig:
     kernel: Optional[KernelSpec] = None
     eta: float = DEFAULT_ETA
     iters: Optional[int] = None
-    mc_pairs: int = 1
     m1: Optional[int] = None
     m2: Optional[int] = None
     seed: int = 0
@@ -86,8 +84,6 @@ class FitConfig:
             raise ConfigError(f"eta must be positive and finite, got {self.eta!r}")
         if self.iters is not None and not (_whole(self.iters) and self.iters >= 1):
             raise ConfigError("iters must be a positive integer")
-        if not (_whole(self.mc_pairs) and self.mc_pairs >= 1):
-            raise ConfigError("mc_pairs must be a positive integer")
         for name in ("m1", "m2"):
             v = getattr(self, name)
             if v is not None and not (_whole(v) and v >= 0):
@@ -195,7 +191,7 @@ def _newton(x, weights, beta=None):
 
 def _logistic_mle(family, x, y):
     def weights(z):
-        p = special.expit(z)
+        p = _special().expit(z)
         return y - p, p * (1.0 - p)
 
     return _newton(x, weights)
@@ -224,8 +220,8 @@ def _gamma_mle(family, x, y):
     resid = y * np.exp(-xb) - 1.0
     nu = 1.0 / max(float(np.mean(resid**2)), 1e-8)
     for _ in range(_NEWTON_CAP):
-        f = n * (np.log(nu) + 1.0 - special.digamma(nu)) + s
-        fp = n * (1.0 / nu - special.polygamma(1, nu))
+        f = n * (np.log(nu) + 1.0 - _special().digamma(nu)) + s
+        fp = n * (1.0 / nu - _special().polygamma(1, nu))
         if fp == 0.0:
             break
         step = f / fp
@@ -308,7 +304,7 @@ def _mixture_em(family, x, y):
         for c in range(m):
             z = (y - x @ betas[c]) / sigmas[c]
             log_r[:, c] = np.log(weights[c] + 1e-300) - 0.5 * z * z - np.log(sigmas[c])
-        log_r -= special.logsumexp(log_r, axis=1, keepdims=True)
+        log_r -= _special().logsumexp(log_r, axis=1, keepdims=True)
         r = np.exp(log_r)
         weights = r.mean(axis=0)
         for c in range(m):
@@ -417,7 +413,6 @@ def fit_mmd(family, dataset, config=None):
             config.estimator,
             cache=cache,
             m_samp=config.m2,
-            pairs=config.mc_pairs,
             rng_draws=rng_draws,
             rng_pairs=rng_pairs,
         )
@@ -433,7 +428,7 @@ def fit_mmd(family, dataset, config=None):
         if every and (t + 1) % every == 0:
             val = objective(
                 family, theta, dataset, kernel, config.estimator,
-                budget=config.mc_pairs, rng=rng_trace,
+                budget=1, rng=rng_trace,
             )
             trace[t, 2] = val.value
     return _result(

@@ -125,6 +125,13 @@ def _pairs_outside(base, ranks, n):
     return _pair_from_linear(ranks + np.searchsorted(base, ranks, side="right"), n)
 
 
+def _kd_tree():
+    # scipy's cKDTree, imported on first use: only hat fits need it, and
+    # run_plan calls this before it forks so its workers need not import it
+    from scipy.spatial import cKDTree
+    return cKDTree
+
+
 def top_pairs(x_kernel, x, m):
     """Indices of the ``m`` unordered pairs with the largest kernel weight.
 
@@ -171,11 +178,7 @@ def top_pairs(x_kernel, x, m):
     if m == 0 or _bound_beyond(spec, 0.0) <= floor:
         # every pair weighs the floor (some beta is 0)
         return _pair_from_linear(np.arange(m, dtype=np.int64), n)
-    # imported here, not with the module: only hat fits need the tree,
-    # and scipy.spatial is a noticeable share of the package's import
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(z)
+    tree = _kd_tree()(z)
     dist, idx = tree.query(z, k=min(n, -(-2 * m // n) + 2))
     r = float(np.partition(dist[idx != np.arange(n)[:, None]], 2 * m - 1)[2 * m - 1])
     while True:
@@ -243,15 +246,16 @@ def sample_pair_indices(total, m, rng):
 class PairCache:
     """Precomputed pair structure for repeated quadratic-gradient steps.
 
-    Holds the covariates as the kernel measures them (``kx``, psi-warped
-    for a ``psi_matern`` leaf), the kernel on those coordinates, the
-    deterministic heavy-pair set with its weights, and the bookkeeping
-    needed to sample uniformly from the remaining unordered pairs.
+    Holds the covariates it was built from (``x``) and as the kernel
+    measures them (``kx``, psi-warped for a ``psi_matern`` leaf), the kernel
+    on those coordinates, the deterministic heavy-pair set with its
+    weights, and the bookkeeping to sample the remaining unordered pairs.
     Every array is of size ``n`` or ``m_det``; sampled pairs are weighed
     when drawn, by :meth:`weights`.
     """
 
     n: int
+    x: np.ndarray
     kx: np.ndarray
     kernel: KernelSpec
     det_i: np.ndarray
@@ -278,12 +282,14 @@ class PairCache:
 
 def build_pair_cache(x_kernel, x, m_det):
     """Rank covariate pairs by kernel weight and freeze the top ``m_det``."""
+    x = _as_points(x)
     kernel, kx = _kernel_coords(x_kernel, x)
     n = kx.shape[0]
     det_i, det_j = top_pairs(kernel, kx, m_det)
     det_linear = np.sort(_linear_from_pair(det_i, det_j, n))
     return PairCache(
         n=n,
+        x=x,
         kx=kx,
         kernel=kernel,
         det_i=det_i,
@@ -304,7 +310,6 @@ def grad_objective_estimate(
     *,
     cache=None,
     m_samp=None,
-    pairs=1,
     rng_draws=None,
     rng_pairs=None,
 ):
@@ -314,19 +319,18 @@ def grad_objective_estimate(
     For ``"hat"`` it adds the off-diagonal pair derivatives: every pair in
     the deterministic set contributes exactly, and a without-replacement
     sample of ``m_samp`` remaining pairs is reweighted to cover the rest.
-    One set of model draws per replicate is shared by the diagonal and
-    both orientations of every pair, which leaves the estimator unbiased.
+    One set of model draws is shared by the diagonal and both
+    orientations of every pair, which leaves the estimator unbiased.
 
     Args:
         family: response family.
         theta: raw parameter vector.
         dataset: observations.
         kernel: response kernel; a product kernel is required for ``"hat"``.
-        cache: the :class:`PairCache` of the covariates, required for
+        cache: the :class:`PairCache` of the dataset's covariates, required for
             ``"hat"``; :func:`build_pair_cache` makes one.
-        m_samp: sampled pair count per replicate, a nonnegative integer;
+        m_samp: sampled pair count, a nonnegative integer;
             defaults to ``n``.
-        pairs: number of independent draw replicates to average.
         rng_draws: stream for model draws.
         rng_pairs: stream for pair subsampling.
 
@@ -338,8 +342,6 @@ def grad_objective_estimate(
     """
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)
-    if not (_whole(pairs) and pairs >= 1):
-        raise ConfigError("pairs must be a positive integer")
     if estimator not in ("tilde", "hat"):
         raise ConfigError(f"estimator must be 'tilde' or 'hat', got {estimator!r}")
     rng_draws = np.random.default_rng(rng_draws)
@@ -354,27 +356,28 @@ def grad_objective_estimate(
             raise ConfigError("the quadratic-cost gradient needs a pair cache")
         if cache.n != n:
             raise DomainError(f"the pair cache covers {cache.n} rows, the dataset has {n}")
+        if cache.x is not x and not np.array_equal(cache.x, x):
+            raise DomainError("the pair cache was built from other covariates")
         if m_samp is None:
             m_samp = n
         elif not (_whole(m_samp) and m_samp >= 0):
             raise ConfigError(f"m_samp must be a nonnegative integer, got {m_samp!r}")
         m_samp = min(int(m_samp), cache.remaining)
     grad = np.zeros(family.raw_dim)
-    for _ in range(int(pairs)):
-        ya = family.sample(theta, x, rng_draws)
-        yb = family.sample(theta, x, rng_draws)
-        scores = family.grad_log_density(theta, x, ya)
-        w = elementwise(ky, ya, yb) - elementwise(ky, ya, yobs)
-        grad += 2.0 * (w @ scores)
-        if estimator != "hat":
-            continue
-        for idx_i, idx_j, weight, factor in _pair_batches(cache, m_samp, rng_pairs):
-            w_ij = elementwise(ky, ya[idx_i], yb[idx_j]) - elementwise(ky, ya[idx_i], yobs[idx_j])
-            w_ji = elementwise(ky, ya[idx_j], yb[idx_i]) - elementwise(ky, ya[idx_j], yobs[idx_i])
-            contrib = (2.0 * factor * weight * w_ij) @ scores[idx_i]
-            contrib += (2.0 * factor * weight * w_ji) @ scores[idx_j]
-            grad += contrib
-    return grad / pairs
+    ya = family.sample(theta, x, rng_draws)
+    yb = family.sample(theta, x, rng_draws)
+    scores = family.grad_log_density(theta, x, ya)
+    w = elementwise(ky, ya, yb) - elementwise(ky, ya, yobs)
+    grad += 2.0 * (w @ scores)
+    if estimator != "hat":
+        return grad
+    for idx_i, idx_j, weight, factor in _pair_batches(cache, m_samp, rng_pairs):
+        w_ij = elementwise(ky, ya[idx_i], yb[idx_j]) - elementwise(ky, ya[idx_i], yobs[idx_j])
+        w_ji = elementwise(ky, ya[idx_j], yb[idx_i]) - elementwise(ky, ya[idx_j], yobs[idx_i])
+        contrib = (2.0 * factor * weight * w_ij) @ scores[idx_i]
+        contrib += (2.0 * factor * weight * w_ji) @ scores[idx_j]
+        grad += contrib
+    return grad
 
 
 def _pair_batches(cache, m_samp, rng_pairs):

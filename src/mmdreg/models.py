@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, DomainError, NumericalError
 
@@ -28,6 +27,14 @@ _COUNT_TAIL_MASS = 1e-12
 # (rows x support values) probabilities or an objective's Gram matrix,
 # 80 MB in float64.
 _MAX_TABLE_CELLS = 10_000_000
+
+
+def _special():
+    # scipy.special on first use: a Gaussian fit never calls it.  Each
+    # family that does imports it when built, so run_plan's parent holds
+    # it before it forks and no worker imports it again.
+    from scipy import special
+    return special
 
 
 def _check_responses(kind, y, n):
@@ -247,6 +254,7 @@ class Logistic(Family):
     def __init__(self, d):
         super().__init__(d)
         self.raw_dim = self.d
+        _special()
 
     def natural(self, theta):
         return self.check_theta(theta).copy()
@@ -255,7 +263,7 @@ class Logistic(Family):
         return [f"theta{i + 1}" for i in range(self.d)]
 
     def _prob(self, theta, x):
-        return special.expit(x @ theta)
+        return _special().expit(x @ theta)
 
     def sample(self, theta, x, rng):
         theta = self._theta(theta)
@@ -281,9 +289,9 @@ def _poisson_ppf(q, mu):
     # mu >= 0 (or nan, giving nan), by the formula of scipy's
     # poisson_gen._ppf, so the package loads only the special-function
     # module.  A scalar rate gives a float64 scalar, as poisson.ppf does.
-    k = np.ceil(special.pdtrik(q, mu))
+    k = np.ceil(_special().pdtrik(q, mu))
     below = np.maximum(k - 1.0, 0.0)
-    return np.where(special.pdtr(below, mu) >= q, below, k)[()]
+    return np.where(_special().pdtr(below, mu) >= q, below, k)[()]
 
 
 class Poisson(Family):
@@ -296,6 +304,7 @@ class Poisson(Family):
     def __init__(self, d):
         super().__init__(d)
         self.raw_dim = self.d
+        _special()
 
     def natural(self, theta):
         return self.check_theta(theta).copy()
@@ -333,7 +342,7 @@ class Poisson(Family):
             )
         values = np.arange(int(top) + 1, dtype=float)
         logp = values[None, :] * np.log(np.maximum(rate, 1e-300))[:, None]
-        logp -= rate[:, None] + special.gammaln(values + 1.0)[None, :]
+        logp -= rate[:, None] + _special().gammaln(values + 1.0)[None, :]
         return values, np.exp(logp)
 
 
@@ -350,6 +359,7 @@ class GammaRegression(Family):
     def __init__(self, d):
         super().__init__(d)
         self.raw_dim = self.d + 1
+        _special()
 
     def natural(self, theta):
         theta = self.check_theta(theta)
@@ -378,13 +388,13 @@ class GammaRegression(Family):
         scaled = y * np.exp(-xb)
         g = np.empty((x.shape[0], self.raw_dim))
         g[:, : self.d] = (nu * (scaled - 1.0))[:, None] * x
-        g[:, self.d] = nu * (log_nu + 1.0 - xb - special.digamma(nu) + np.log(y) - scaled)
+        g[:, self.d] = nu * (log_nu + 1.0 - xb - _special().digamma(nu) + np.log(y) - scaled)
         return g
 
 
 def _inverse_mills(a):
     # phi(a) / Phi(a), computed in log space; stable far into the left tail.
-    return np.exp(-0.5 * _LOG_2PI - 0.5 * a * a - special.log_ndtr(a))
+    return np.exp(-0.5 * _LOG_2PI - 0.5 * a * a - _special().log_ndtr(a))
 
 
 class Heckman(Family):
@@ -413,6 +423,7 @@ class Heckman(Family):
         free[self.d : 2 * self.d] = self.selection_support
         self.free_mask = free
         self._frozen = np.flatnonzero(~free)
+        _special()
 
     def _as_support(self, support):
         if support is None:
@@ -508,13 +519,14 @@ class GaussianMixture(Family):
             raise ConfigError("mixture needs at least two components")
         self.n_components = int(n_components)
         self.raw_dim = self.n_components * (self.d + 1) + self.n_components - 1
+        _special()
 
     def _split(self, theta):
         m, d = self.n_components, self.d
         betas = theta[: m * d].reshape(m, d)
         sigmas = np.exp(theta[m * d : m * d + m])
         logits = np.concatenate([theta[m * d + m :], [0.0]])
-        weights = special.softmax(logits)
+        weights = _special().softmax(logits)
         return betas, sigmas, weights
 
     def natural(self, theta):
@@ -542,7 +554,7 @@ class GaussianMixture(Family):
         betas, sigmas, weights = self._split(self._theta(theta))
         z = (y[:, None] - x @ betas.T) / sigmas[None, :]
         logc = -0.5 * _LOG_2PI - np.log(sigmas)[None, :] - 0.5 * z * z + np.log(weights)[None, :]
-        resp = np.exp(logc - special.logsumexp(logc, axis=1, keepdims=True))
+        resp = np.exp(logc - _special().logsumexp(logc, axis=1, keepdims=True))
         m, d = self.n_components, self.d
         g = np.empty((x.shape[0], self.raw_dim))
         for j in range(m):

@@ -164,6 +164,14 @@ class TestRunPlan:
         assert serial.canonical() == parallel.canonical()
         again = run_plan(plan, threads=1)
         assert serial.canonical() == again.canonical()
+        # workers of a plan whose fits call scipy.special and the hat
+        # pair search, both imported before the pool forks
+        plan = tiny_plan(scenario="heckman_synthetic", n_values=(60,), recipes=("type_x",),
+                         estimators=("mle", "tilde", "hat"),
+                         fit_overrides={"tilde": {"iters": 10}, "hat": {"iters": 10}})
+        serial = run_plan(plan, threads=1)
+        assert all(r["reps_failed"] == 0 for r in serial.rows)
+        assert serial.canonical() == run_plan(plan, threads=2).canonical()
 
     def test_canonical_pinned(self):
         # Pins the determinism contract on each scenario: the data, the

@@ -265,7 +265,6 @@ BAD_TYPES = [
                  id="bench-override-key"),
     # JSON booleans are not counts
     pytest.param(fit_with({"iters": True}), id="fit-iters-bool"),
-    pytest.param(fit_with({"mc_pairs": True}), id="fit-mc-pairs-bool"),
     pytest.param(fit_with({"estimator": "hat", "m1": True}), id="fit-m1-bool"),
     pytest.param(fit_with({"estimator": "hat", "m2": False}), id="fit-m2-bool"),
     pytest.param(fit_with({"trace_objective_every": True}), id="fit-trace-bool"),

@@ -194,8 +194,6 @@ class TestFitConfig:
         with pytest.raises(ConfigError):
             FitConfig(iters=0)
         with pytest.raises(ConfigError):
-            FitConfig(mc_pairs=0)
-        with pytest.raises(ConfigError):
             FitConfig(init="random")
         with pytest.raises(ConfigError):
             FitConfig(init=[1.0, np.nan])
@@ -422,7 +420,7 @@ class TestFitMmd:
         assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_bool_fields_are_refused(self):
-        for bad in ({"iters": True}, {"mc_pairs": True}, {"m1": True}, {"m2": False},
+        for bad in ({"iters": True}, {"m1": True}, {"m2": False},
                     {"trace_objective_every": True}):
             with pytest.raises(ConfigError):
                 FitConfig(estimator="hat", **bad)

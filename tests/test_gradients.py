@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from mmdreg.errors import ConfigError, DomainError, NumericalError
+from mmdreg.fitting import default_kernel
 from mmdreg.gradients import (
     build_pair_cache,
     grad_objective_estimate,
@@ -36,7 +37,7 @@ from mmdreg.kernels import (
     product_kernel,
     psi_matern_kernel,
 )
-from mmdreg.models import Dataset, get_family, simulate_dataset
+from mmdreg.models import Dataset, get_family, get_scenario, simulate_dataset
 from mmdreg.objective import objective
 from oracles import cross_grad, diag_grad, link_term, repeated, top_pairs_oracle
 
@@ -591,25 +592,6 @@ class TestObjectiveGradient:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_replicate_averaging(self):
-        fam, theta, ds = logistic_dataset(6, 18)
-        rng = np.random.default_rng(19)
-        reps = np.stack(
-            [
-                grad_objective_estimate(fam, theta, ds, KY, "tilde", pairs=4, rng_draws=rng)
-                for _ in range(300)
-            ]
-        )
-        single = np.stack(
-            [
-                grad_objective_estimate(fam, theta, ds, KY, "tilde", rng_draws=rng)
-                for _ in range(300)
-            ]
-        )
-        # averaging four replicates should cut the spread roughly in half
-        ratio = single.std(axis=0).mean() / reps.std(axis=0).mean()
-        assert 1.6 < ratio < 2.6
-
     def test_validation(self):
         fam, theta, ds = logistic_dataset(5, 20)
         with pytest.raises(ConfigError):
@@ -618,8 +600,6 @@ class TestObjectiveGradient:
             grad_objective_estimate(fam, theta, ds, product(0.3), "hat")
         with pytest.raises(ConfigError):
             grad_objective_estimate(fam, theta, ds, KY, "other")
-        with pytest.raises(ConfigError):
-            grad_objective_estimate(fam, theta, ds, KY, "tilde", pairs=0)
         g = grad_objective_estimate(fam, theta, ds, KY, "tilde", **streams(0))
         assert isinstance(g, np.ndarray) and g.shape == (fam.raw_dim,)
 
@@ -632,6 +612,23 @@ class TestObjectiveGradient:
         cache = build_pair_cache(kern.x_kernel, x, cache_n)
         with pytest.raises(DomainError, match=f"covers {cache_n} rows, the dataset has 50"):
             grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, **streams(0))
+
+    def test_pair_cache_must_match_covariates(self):
+        # a cache of other covariates with the same n would weigh the
+        # wrong pairs; a copy of the same covariates is accepted
+        fam, ds = simulate_dataset("gauss_linear_laplace", 50, 1)
+        _, other = simulate_dataset("gauss_linear_laplace", 50, 2)
+        theta = get_scenario("gauss_linear_laplace").truth_raw
+        kern = default_kernel()
+        own = build_pair_cache(kern.x_kernel, ds.x, 50)
+        with pytest.raises(DomainError, match="other covariates"):
+            grad_objective_estimate(fam, theta, ds, kern, "hat",
+                                    cache=build_pair_cache(kern.x_kernel, other.x, 50),
+                                    **streams(0))
+        copied = build_pair_cache(kern.x_kernel, ds.x.copy(), 50)
+        a = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=own, **streams(0))
+        b = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=copied, **streams(0))
+        assert copied.x is not ds.x and np.array_equal(a, b)
 
     @pytest.mark.parametrize("m_samp", [-1, 2.5])
     def test_sampled_pair_count_must_be_whole(self, m_samp):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from mmdreg.errors import ConfigError, DomainError, NumericalError
-from mmdreg.gradients import grad_objective_estimate
 from mmdreg.kernels import default_response_kernel
 from mmdreg.models import (
     Dataset,
@@ -404,8 +403,7 @@ class TestConstruction:
         (lambda at: simulate_dataset("gauss_linear_laplace", True, 0), "sample size"),
         (lambda at: check_seed(True), "seed"),
         (lambda at: objective(*at, budget=True), "budget"),
-        (lambda at: grad_objective_estimate(*at, pairs=True), "pairs"),
-    ], ids=["d", "n_components", "n", "seed", "budget", "pairs"])
+    ], ids=["d", "n_components", "n", "seed", "budget"])
     def test_counts_refuse_booleans(self, call, message):
         # Python counts True as 1; every count check refuses it alike
         fam, ds = simulate_dataset("gauss_linear_laplace", 20, 0)

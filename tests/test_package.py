@@ -2,12 +2,16 @@
 defaults and config keys the README states."""
 
 import ast
+import itertools
+import math
 import os
 import re
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 import mmdreg
 from mmdreg.bench import _PLAN_KEYS
@@ -24,21 +28,83 @@ def test_every_export_resolves():
     assert len(set(mmdreg.__all__)) == len(mmdreg.__all__)
 
 
-def test_import_loads_only_what_runs():
-    # scipy.stats is not used at all; scipy.spatial only by the hat pair cache
+def _fresh(script, cwd):
+    # the printed words of a script run in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_import_loads_only_what_runs(tmp_path):
+    # scipy.stats is not used at all; scipy.special only by the families
+    # other than gaussian_linear, scipy.spatial only by the hat pair cache,
+    # and the process pool only by a parallel bench
     script = """
 import sys
 import mmdreg, mmdreg.cli
-print("scipy.stats" in sys.modules, "scipy.spatial" in sys.modules)
+flags = []
+def loaded(*names):
+    flags.extend(name in sys.modules for name in names)
+loaded("scipy", "concurrent.futures.process")
+for argv in (["simulate", "--scenario", "gauss_linear_laplace", "--n", "80", "--out", "a.csv"],
+             ["contaminate", "--in", "a.csv", "--eps", "0.1", "--out", "b.csv"],
+             ["fit", "--in", "b.csv", "--model", "gaussian_linear", "--out", "fit_out.json"]):
+    assert mmdreg.cli.main(argv) == 0
+loaded("scipy", "scipy.special")
 _, ds = mmdreg.simulate_dataset("gauss_linear_laplace", 50, 1)
 mmdreg.build_pair_cache(mmdreg.default_covariate_kernel(), ds.x, 50)
-print("scipy.spatial" in sys.modules)
+loaded("scipy.spatial", "scipy.stats")
+print(*flags)
 """
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
+    words = _fresh(script, tmp_path)
+    assert words[-6:] == ["False", "False", "False", "False", "True", "False"], words
+    assert (tmp_path / "fit_out.json").exists()
+
+
+@pytest.mark.parametrize("build, loads", [
+    ("ExperimentPlan(scenario='gauss_linear_laplace', **PLAN)", False),
+    ("ExperimentPlan(scenario='gamma_synthetic', **PLAN)", True),
+    ("ExperimentPlan(scenario='heckman_synthetic', **PLAN)", True),
+    ("get_family('logistic', 2)", True),
+    ("get_family('poisson', 2)", True),
+    ("get_family('mixture', 2)", True),
+], ids=["gauss-plan", "gamma-plan", "heckman-plan", "logistic", "poisson", "mixture"])
+def test_families_load_special_when_built(build, loads, tmp_path):
+    # every family that calls scipy.special imports it when built, so a
+    # bench plan's parent holds it before run_plan forks its workers
+    script = f"""
+import sys
+from mmdreg import ExperimentPlan, get_family
+PLAN = dict(n_values=(50,), epsilons=(0.0,), recipes=(), estimators=("tilde",),
+            replications=1, master_seed=0)
+{build}
+print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+"""
+    assert _fresh(script, tmp_path) == [str(loads), "False"]
+
+
+def test_special_helpers_work_in_a_fresh_interpreter(tmp_path):
+    # the module-level helpers import scipy.special themselves, with no
+    # family built
+    script = """
+import sys
+from mmdreg import models
+print("scipy.special" in sys.modules)
+print(*[repr(float(models._inverse_mills(a))) for a in (-3.0, 0.0, 2.0)])
+print(*[repr(float(models._poisson_ppf(q, 3.5))) for q in (0.1, 0.5, 0.99)])
+"""
+    words = _fresh(script, tmp_path)
+    assert words[0] == "False"
+    root2 = math.sqrt(2.0)
+    mills = [math.exp(-0.5 * a * a) / (root2 * math.sqrt(math.pi) * 0.5 * math.erfc(-a / root2))
+             for a in (-3.0, 0.0, 2.0)]
+    assert [float(w) for w in words[1:4]] == pytest.approx(mills, rel=1e-12)
+    # the smallest k whose Poisson(3.5) cdf reaches q, summed directly
+    cdf = list(itertools.accumulate(math.exp(-3.5) * 3.5**k / math.factorial(k) for k in range(30)))
+    want = [float(next(k for k, c in enumerate(cdf) if c >= q)) for q in (0.1, 0.5, 0.99)]
+    assert [float(w) for w in words[4:]] == want
 
 
 # bound but unused on purpose: perfbench/probes.py wraps gradients.gram
