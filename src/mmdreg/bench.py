@@ -10,7 +10,6 @@ contaminates its own data.
 """
 
 import csv
-import json
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .contamination import RECIPE_KINDS, RECIPES, SCHEMES, ContaminationSpec, contaminate
-from .dataio import fit_config_from_dict
+from .dataio import _write_json, fit_config_from_dict
 from .errors import ConfigError, DomainError, FormatError, NumericalError
 from .fitting import ESTIMATORS, fit
 from .gradients import _kd_tree
@@ -36,15 +35,18 @@ class Cell:
 
 
 def _listed(values, name, convert=str):
-    # A plan's list field as a tuple of converted items; a bare value or a
-    # string is refused.
+    # A plan's list field as a tuple of converted items; a bare value, a
+    # string or a repeated item is refused.
     wrong = ConfigError(f"{name} must be a list, got {values!r}")
     if isinstance(values, str):
         raise wrong
     try:
-        return tuple(convert(v) for v in values)
+        out = tuple(convert(v) for v in values)
     except (TypeError, ValueError):
         raise wrong from None
+    if any(out.count(v) > 1 for v in out):  # count, as items may be unhashable
+        raise ConfigError(f"{name} must be distinct, got {values!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,6 @@ class ExperimentPlan:
         object.__setattr__(self, "epsilons", tuple(float(e) for e in epsilons))
         object.__setattr__(self, "recipes", _listed(self.recipes, "recipes"))
         object.__setattr__(self, "estimators", _listed(self.estimators, "estimators"))
-        if len(set(self.epsilons)) != len(self.epsilons):
-            raise ConfigError("epsilons must be distinct")
         bad = set(self.recipes) - set(RECIPES)
         if bad or (not self.recipes and any(e > 0 for e in self.epsilons)):
             raise ConfigError(
@@ -235,25 +235,6 @@ def _run_task(plan, cell, rep):
     return records
 
 
-def _resolve_threads(threads):
-    raw = os.environ.get("MMDR_THREADS")
-    try:
-        cap = int(raw) if raw else None
-    except ValueError:
-        raise ConfigError(f"MMDR_THREADS must be a positive integer, got {raw!r}") from None
-    if cap is not None and cap < 1:
-        raise ConfigError("MMDR_THREADS must be a positive integer")
-    if threads is None:
-        threads = cap if cap is not None else 1
-    elif cap is not None:
-        threads = min(int(threads), cap)
-    else:
-        threads = int(threads)
-    if threads < 1:
-        raise ConfigError("threads must be a positive integer")
-    return threads
-
-
 def rmse(estimates, truth, mask=None):
     """Root mean squared Euclidean parameter error over replications.
 
@@ -316,9 +297,8 @@ class ResultTable:
         return out
 
     def write_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        """Write :meth:`to_dict` as strict JSON, a NaN ``rmse`` as null."""
+        _write_json(self.to_dict(), path)
 
     def write_csv(self, path):
         cols = ["n", "epsilon", "recipe", "estimator", "rmse", "reps_ok",
@@ -340,10 +320,12 @@ def run_plan(plan, threads=None):
     """Execute a plan and aggregate its results.
 
     The output is a pure function of the plan: tasks carry their own
-    derived seeds and the aggregation orders by (cell, rep), so thread
-    count only changes wall time.
+    derived seeds and the aggregation orders by (cell, rep), so the
+    worker process count ``threads`` (default 1) only changes wall time.
     """
-    threads = _resolve_threads(threads)
+    threads = 1 if threads is None else threads
+    if not (_whole(threads) and threads >= 1):
+        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     scenario = get_scenario(plan.scenario)
     cells = plan.cells()
     tasks = [(plan, cell, rep) for cell in cells for rep in range(plan.replications)]

@@ -63,7 +63,6 @@ def _cmd_fit(args):
     cfg = load_config(args.config) if args.config else {}
     if args.estimator is not None:
         cfg["estimator"] = args.estimator
-    cfg.setdefault("estimator", "tilde")
     result = fit(family, ds, fit_config_from_dict(cfg))
     if args.out:
         write_fit_result(result, args.out)
@@ -151,7 +150,7 @@ def build_parser():
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (MMDR_THREADS caps this)")
+                   help="worker processes (default 1)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("mmd", help="squared discrepancy between two datasets")

@@ -10,13 +10,14 @@ ships ``tomllib`` (3.11+).
 """
 
 import json
+import math
 import os
 from dataclasses import fields
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .fitting import FitConfig
+from .fitting import FitConfig, FitResult
 from .kernels import spec_from_dict
 from .models import Dataset
 
@@ -238,23 +239,26 @@ def fit_config_from_dict(cfg):
     return FitConfig(**kwargs)
 
 
+def _json_ready(value):
+    # None for a non-finite float (an objective not traced): NaN is not JSON
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_json(payload, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(_json_ready(payload), indent=2, allow_nan=False) + "\n")
+
+
 def fit_result_to_dict(result):
-    """JSON-ready view of a fit result, trace included."""
-    return {
-        "estimator": result.estimator,
-        "theta_raw": [float(v) for v in result.theta_raw],
-        "theta_natural": [float(v) for v in result.theta_natural],
-        "natural_names": list(result.natural_names),
-        "init_used": [float(v) for v in result.init_used],
-        "iterations": int(result.iterations),
-        "trace": [[float(v) for v in row] for row in result.trace],
-        "wall_time": float(result.wall_time),
-        "error": result.error,
-        "warning": result.warning,
-    }
+    """JSON-ready view of a fit result, trace included, keyed by field."""
+    return _json_ready({f.name: getattr(result, f.name) for f in fields(FitResult)})
 
 
 def write_fit_result(result, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fit_result_to_dict(result), fh, indent=2)
-        fh.write("\n")
+    _write_json(fit_result_to_dict(result), path)

@@ -62,8 +62,8 @@ class FitConfig:
     defaults per estimator to ``DEFAULT_ITERS``.  ``m1`` and
     ``m2`` are the deterministic and sampled pair budgets of the
     quadratic gradient, both defaulting to ``n``.  ``init`` is
-    ``"mle"`` (baseline start with fallback to zero), ``"zero"``, or an
-    explicit raw vector.  The field names are the keys a fit config
+    ``"mle"`` (baseline start with fallback to zero) or an explicit raw
+    vector.  The field names are the keys a fit config
     takes; AdaGrad's offset is not one of them but ``ADAGRAD_EPS``.
     """
 
@@ -89,8 +89,8 @@ class FitConfig:
             if v is not None and not (_whole(v) and v >= 0):
                 raise ConfigError(f"{name} must be a nonnegative integer")
         if isinstance(self.init, str):
-            if self.init not in ("mle", "zero"):
-                raise ConfigError(f"init must be 'mle', 'zero', or a vector, got {self.init!r}")
+            if self.init != "mle":
+                raise ConfigError(f"init must be 'mle' or a vector, got {self.init!r}")
         else:
             try:
                 arr = np.asarray(self.init, dtype=float)
@@ -356,8 +356,6 @@ def fit_baseline(family, dataset, which="mle"):
 
 def _resolve_init(family, dataset, config):
     if isinstance(config.init, str):
-        if config.init == "zero":
-            return np.zeros(family.raw_dim), None
         try:
             return fit_baseline(family, dataset, "mle").theta_raw.copy(), None
         except (NumericalError, DomainError, np.linalg.LinAlgError) as exc:

@@ -140,15 +140,15 @@ def top_pairs(x_kernel, x, m):
     ``(-k(x_i, x_j), i, j)``, without forming the ``n x n`` matrix.
 
     Every radial kernel is non-increasing in (psi-warped) distance, and
-    scaling by ``c`` or an affine shift with ``beta > 0`` keeps that
-    order, so the heaviest pairs are the closest ones.  A k-d tree
-    (Bentley 1975; Friedman, Bentley & Finkel 1977) gives each point's
-    ``ceil(2m/n) + 1`` nearest others; the ``2m``-th smallest of those
-    distances is a radius holding at least ``m`` pairs, since each pair
-    is listed at most twice.  The pairs within it are weighed with
-    ``elementwise`` and ranked.  The ranking is final once the kernel's
-    bound beyond the radius is strictly below the ``m``-th weight;
-    where the kernel is flat at the cut the radius widens until it is.
+    an affine shift with ``beta > 0`` keeps that order, so the heaviest
+    pairs are the closest ones.  A k-d tree (Bentley 1975; Friedman,
+    Bentley & Finkel 1977) gives each point's ``ceil(2m/n) + 1`` nearest
+    others; the ``2m``-th smallest of those distances is a radius
+    holding at least ``m`` pairs, since each pair is listed at most
+    twice.  The pairs within it are weighed with ``elementwise`` and
+    ranked.  The ranking is final once the kernel's bound beyond the
+    radius is strictly below the ``m``-th weight; where the kernel is
+    flat at the cut the radius widens until it is.
     A cut at the kernel's floor (its value once the leaf underflows to
     0, or everywhere when some ``beta`` is 0) is filled with the
     lexicographically first pairs that weigh exactly the floor.  Memory
@@ -246,15 +246,17 @@ def sample_pair_indices(total, m, rng):
 class PairCache:
     """Precomputed pair structure for repeated quadratic-gradient steps.
 
-    Holds the covariates it was built from (``x``) and as the kernel
-    measures them (``kx``, psi-warped for a ``psi_matern`` leaf), the kernel
-    on those coordinates, the deterministic heavy-pair set with its
-    weights, and the bookkeeping to sample the remaining unordered pairs.
+    Holds the kernel and covariates it was built from (``x_kernel``,
+    ``x``), the covariates as the kernel measures them (``kx``, psi-warped
+    for a ``psi_matern`` leaf), the kernel on those coordinates, the
+    deterministic heavy-pair set with its weights, and the bookkeeping
+    to sample the remaining unordered pairs.
     Every array is of size ``n`` or ``m_det``; sampled pairs are weighed
     when drawn, by :meth:`weights`.
     """
 
     n: int
+    x_kernel: KernelSpec
     x: np.ndarray
     kx: np.ndarray
     kernel: KernelSpec
@@ -289,6 +291,7 @@ def build_pair_cache(x_kernel, x, m_det):
     det_linear = np.sort(_linear_from_pair(det_i, det_j, n))
     return PairCache(
         n=n,
+        x_kernel=x_kernel,
         x=x,
         kx=kx,
         kernel=kernel,
@@ -327,8 +330,8 @@ def grad_objective_estimate(
         theta: raw parameter vector.
         dataset: observations.
         kernel: response kernel; a product kernel is required for ``"hat"``.
-        cache: the :class:`PairCache` of the dataset's covariates, required for
-            ``"hat"``; :func:`build_pair_cache` makes one.
+        cache: the :func:`build_pair_cache` result for the dataset's
+            covariates and ``kernel.x_kernel``, required for ``"hat"``.
         m_samp: sampled pair count, a nonnegative integer;
             defaults to ``n``.
         rng_draws: stream for model draws.
@@ -351,9 +354,11 @@ def grad_objective_estimate(
     n = dataset.n
     yobs = np.asarray(dataset.y, dtype=float)
     if estimator == "hat":
-        _require_product(kernel)
+        x_kernel = _require_product(kernel).x_kernel
         if cache is None:
             raise ConfigError("the quadratic-cost gradient needs a pair cache")
+        if cache.x_kernel != x_kernel:
+            raise ConfigError("the pair cache was built with another covariate kernel")
         if cache.n != n:
             raise DomainError(f"the pair cache covers {cache.n} rows, the dataset has {n}")
         if cache.x is not x and not np.array_equal(cache.x, x):
@@ -368,6 +373,7 @@ def grad_objective_estimate(
     yb = family.sample(theta, x, rng_draws)
     scores = family.grad_log_density(theta, x, ya)
     w = elementwise(ky, ya, yb) - elementwise(ky, ya, yobs)
+    # each diagonal term's covariate weight k(x_i, x_i) is exactly 1
     grad += 2.0 * (w @ scores)
     if estimator != "hat":
         return grad

@@ -85,26 +85,25 @@ class KernelSpec:
 
     Fields are interpreted per ``family``:
 
-    * ``"exponential"``: ``c * exp(-||z - z'|| / gamma)``
-    * ``"gaussian"``: ``c * exp(-||z - z'||^2 / (2 gamma^2))``
-    * ``"matern"``: ``c * M_m(||z - z'||)``, the half-integer Matern of
+    * ``"exponential"``: ``exp(-||z - z'|| / gamma)``
+    * ``"gaussian"``: ``exp(-||z - z'||^2 / (2 gamma^2))``
+    * ``"matern"``: ``M_m(||z - z'||)``, the half-integer Matern of
       order ``m/2`` with ``s = sqrt(m) r / gamma``: ``M_1 = exp(-s)``,
       ``M_3 = (1 + s) exp(-s)``, ``M_5 = (1 + s + s^2 / 3) exp(-s)``
     * ``"psi_matern"``: Matern evaluated on coordinate-wise psi-mapped
-      points, ``c * M_m(||psi(z) - psi(z')||)``
+      points, ``M_m(||psi(z) - psi(z')||)``
     * ``"affine_shift"``: ``beta * child(z, z') + (1 - beta)``
     * ``"product"``: ``x_kernel(x, x') * y_kernel(y, y')`` on joint
       points ``z = (x, y)``
 
-    Radial kernels with ``c = 1`` satisfy ``k(z, z) = 1`` exactly; all
-    combinations stay bounded by 1 in absolute value.
+    Radial kernels and affine shifts of them satisfy ``k(z, z) = 1``
+    exactly; all combinations stay bounded by 1 in absolute value.
     """
 
     family: str
     gamma: float = 1.0
     m: int = 1
     beta: float = 1.0
-    c: float = 1.0
     child: "KernelSpec | None" = None
     x_kernel: "KernelSpec | None" = None
     y_kernel: "KernelSpec | None" = None
@@ -112,17 +111,17 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown kernel family {self.family!r}")
-        for name in ("gamma", "beta", "c"):
+        for name in ("gamma", "beta"):
             if not _real(getattr(self, name)):
                 raise ConfigError(f"kernel parameter {name!r} must be a finite number")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not _whole(self.m):
+            raise ConfigError(f"kernel order m must be a whole number, got {self.m!r}")
         if self.family in _RADIAL_FAMILIES:
             lo, hi = _GAUSSIAN_GAMMA if self.family == "gaussian" else _MATERN_GAMMA
             if not lo <= self.gamma <= hi:
                 raise ConfigError(f"{self.family} kernel gamma must lie in {[lo, hi]}")
-            if not (0.0 < self.c <= 1.0):
-                raise ConfigError("kernel scale c must lie in (0, 1]")
-        matern = self.family in ("matern", "psi_matern")
-        if matern and not (_whole(self.m) and self.m in _MATERN_ORDERS):
+        if self.family in ("matern", "psi_matern") and self.m not in _MATERN_ORDERS:
             raise ConfigError(f"kernel order m must be one of {_MATERN_ORDERS}")
         if self.family == "affine_shift":
             if self.child is None:
@@ -133,20 +132,20 @@ class KernelSpec:
             raise ConfigError("product requires both x_kernel and y_kernel")
 
 
-def exponential_kernel(gamma=1.0, c=1.0):
-    return KernelSpec(family="exponential", gamma=gamma, c=c)
+def exponential_kernel(gamma=1.0):
+    return KernelSpec(family="exponential", gamma=gamma)
 
 
-def gaussian_kernel(gamma=1.0, c=1.0):
-    return KernelSpec(family="gaussian", gamma=gamma, c=c)
+def gaussian_kernel(gamma=1.0):
+    return KernelSpec(family="gaussian", gamma=gamma)
 
 
-def matern_kernel(gamma, m=1, c=1.0):
-    return KernelSpec(family="matern", gamma=gamma, m=m, c=c)
+def matern_kernel(gamma, m=1):
+    return KernelSpec(family="matern", gamma=gamma, m=m)
 
 
-def psi_matern_kernel(gamma=0.01, m=1, c=1.0):
-    return KernelSpec(family="psi_matern", gamma=gamma, m=m, c=c)
+def psi_matern_kernel(gamma=0.01, m=1):
+    return KernelSpec(family="psi_matern", gamma=gamma, m=m)
 
 
 def affine_shift_kernel(child, beta):
@@ -210,15 +209,11 @@ def _radial(spec, r):
     # As in _matern, distances are capped where the exponent passes 745,
     # beyond which exp is 0, so r / gamma and r * r cannot overflow.
     if spec.family == "exponential":
-        out = np.exp(-np.minimum(r, 800.0 * spec.gamma) / spec.gamma)
-    elif spec.family == "gaussian":
+        return np.exp(-np.minimum(r, 800.0 * spec.gamma) / spec.gamma)
+    if spec.family == "gaussian":
         r = np.minimum(r, 40.0 * spec.gamma)
-        out = np.exp(-(r * r) / (2.0 * spec.gamma * spec.gamma))
-    else:
-        out = _matern(r, spec.gamma, spec.m)
-    if spec.c != 1.0:
-        out = spec.c * out
-    return out
+        return np.exp(-(r * r) / (2.0 * spec.gamma * spec.gamma))
+    return _matern(r, spec.gamma, spec.m)
 
 
 def _evaluate(spec, a, b, dists):
@@ -276,22 +271,6 @@ def spec_from_dict(d):
         raise ConfigError(f"unknown kernel config keys: {sorted(unknown)}")
     if "family" not in d:
         raise ConfigError("kernel config requires a 'family' key")
-    kwargs = {}
-    for key, convert in (("gamma", float), ("beta", float), ("c", float), ("m", int)):
-        if key not in d:
-            continue
-        v = d[key]
-        bad = ConfigError(f"kernel parameter {key!r} must be a number, got {v!r}")
-        if isinstance(v, bool):
-            raise bad
-        try:
-            kwargs[key] = convert(v)
-        except (TypeError, ValueError, OverflowError):
-            raise bad from None
-        if key == "m" and not isinstance(v, str) and kwargs[key] != v:  # int(3.9) is 3
-            raise ConfigError(f"kernel order m must be a whole number, got {v!r}")
-    for key in ("child", "x_kernel", "y_kernel"):
-        if key in d:
-            kwargs[key] = spec_from_dict(d[key])
-    return KernelSpec(family=d["family"], **kwargs)
+    kids = {k: spec_from_dict(d[k]) for k in ("child", "x_kernel", "y_kernel") if k in d}
+    return KernelSpec(**{**d, **kids})  # values as given: no string is read as a number
 

@@ -246,13 +246,11 @@ def kernel_value(spec, z, zp):
         a, b = [_psi(v) for v in a], [_psi(v) for v in b]
     r = math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b, strict=True)))
     if spec.family == "exponential":
-        k = math.exp(-r / spec.gamma)
-    elif spec.family == "gaussian":
-        k = math.exp(-r * r / (2.0 * spec.gamma**2))
-    else:
-        s = math.sqrt(spec.m) * r / spec.gamma
-        k = {1: 1.0, 3: 1.0 + s, 5: 1.0 + s + s * s / 3.0}[spec.m] * math.exp(-s)
-    return spec.c * k
+        return math.exp(-r / spec.gamma)
+    if spec.family == "gaussian":
+        return math.exp(-r * r / (2.0 * spec.gamma**2))
+    s = math.sqrt(spec.m) * r / spec.gamma
+    return {1: 1.0, 3: 1.0 + s, 5: 1.0 + s + s * s / 3.0}[spec.m] * math.exp(-s)
 
 
 def top_pairs_oracle(kx, m):

@@ -21,11 +21,15 @@ from mmdreg.bench import (
     run_plan,
     write_results,
     _cell_dataset,
-    _resolve_threads,
 )
 from mmdreg.errors import ConfigError, DomainError
 from mmdreg.kernels import spec_from_dict
 from mmdreg.models import get_scenario
+
+
+def reject_constant(name):
+    # json.load calls this for NaN and Infinity, which strict JSON lacks
+    raise ValueError(f"not JSON: {name}")
 
 
 def tiny_plan(**over):
@@ -54,10 +58,22 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="recipes"):
             tiny_plan(recipes=())
         tiny_plan(recipes=(), epsilons=(0.0,))
-        with pytest.raises(ConfigError, match="distinct"):
-            tiny_plan(epsilons=(0.1, 0.1))
         with pytest.raises(ConfigError, match="replications"):
             tiny_plan(replications=0)
+
+    @pytest.mark.parametrize("over", [
+        {"n_values": (40, 80, 40)},
+        {"epsilons": (0.0, 0.1, 0.1)},
+        {"recipes": ("type_y", "type_x", "type_y")},
+        {"estimators": ("ols", "tilde", "ols")},
+    ], ids=["n_values", "epsilons", "recipes", "estimators"])
+    def test_repeated_entries_refused(self, over):
+        # a repeated entry ran its cells or fits twice: repeated estimators
+        # gave identical rows counting every replication twice, and repeated
+        # n or recipes gave rows that ResultTable.row cannot tell apart
+        (name,) = over
+        with pytest.raises(ConfigError, match=f"{name} must be distinct"):
+            tiny_plan(**over)
 
     def test_recipe_fits_response_kind(self):
         # type_y needs real responses and selection_flip censored ones; a
@@ -234,6 +250,41 @@ class TestRunPlan:
         assert math.isnan(row["rmse"])
         assert all("ConfigError" in r["error"] for r in table.per_rep)
 
+    def test_aborted_fits_recorded_not_fatal(self, tmp_path):
+        # With log-shape -8 most gamma draws underflow to 0, whose score is
+        # not finite: every tilde fit aborts with nonfinite_gradient, its
+        # replications count as failed, and the plan completes.  The cell's
+        # RMSE, NaN in the table, is written to results.json as null.
+        truth = get_scenario("gamma_synthetic").truth_raw
+        plan = ExperimentPlan(
+            scenario="gamma_synthetic", n_values=(50,), epsilons=(0.0,), recipes=(),
+            estimators=("mle", "tilde"), replications=2, master_seed=15,
+            fit_overrides={"tilde": {"iters": 5, "init": [*truth[:8], -8.0]}},
+        )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            table = run_plan(plan, threads=1)
+        mle, tilde = table.row(estimator="mle"), table.row(estimator="tilde")
+        assert (mle["reps_ok"], mle["reps_failed"]) == (2, 0)
+        assert (tilde["reps_ok"], tilde["reps_failed"]) == (0, 2)
+        assert math.isnan(tilde["rmse"])
+        failed = [r for r in table.per_rep if r["estimator"] == "tilde"]
+        assert [r["error"] for r in failed] == ["nonfinite_gradient"] * 2
+        assert all(r["theta_natural"] is None for r in failed)
+        json_path, _ = write_results(table, tmp_path / "out")
+        with open(json_path) as fh:
+            payload = json.load(fh, parse_constant=reject_constant)
+        rows = {r["estimator"]: r for r in payload["rows"]}
+        assert rows["tilde"]["rmse"] is None
+        assert rows["mle"]["rmse"] == mle["rmse"]
+        assert payload["per_rep"] == table.to_dict()["per_rep"]
+
+    def test_thread_count_checked(self):
+        plan = tiny_plan(replications=1, epsilons=(0.0,), estimators=("ols",), fit_overrides={})
+        for threads in (0, -1, 1.5, True, "2"):
+            with pytest.raises(ConfigError, match="threads must be a positive integer"):
+                run_plan(plan, threads=threads)
+        assert run_plan(plan).canonical() == run_plan(plan, threads=1).canonical()
+
     def test_write_results(self, tmp_path):
         table = run_plan(tiny_plan(replications=1, epsilons=(0.0,)))
         json_path, csv_path = write_results(table, tmp_path / "out")
@@ -268,22 +319,3 @@ class TestFixedBase:
         assert not np.array_equal(ds_a.x, ds_b.x[:50])
 
 
-class TestThreadResolution:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.delenv("MMDR_THREADS", raising=False)
-        assert _resolve_threads(None) == 1
-        assert _resolve_threads(4) == 4
-        monkeypatch.setenv("MMDR_THREADS", "2")
-        assert _resolve_threads(None) == 2
-        assert _resolve_threads(8) == 2
-        monkeypatch.setenv("MMDR_THREADS", "0")
-        with pytest.raises(ConfigError):
-            _resolve_threads(None)
-
-    def test_env_not_an_integer(self, monkeypatch):
-        for raw in ("abc", "1.5", "2x"):
-            monkeypatch.setenv("MMDR_THREADS", raw)
-            with pytest.raises(ConfigError):
-                _resolve_threads(None)
-            with pytest.raises(ConfigError):
-                _resolve_threads(2)

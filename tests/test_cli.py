@@ -5,12 +5,20 @@ contract (0 ok, 2 validation, 3 numerical) is asserted directly.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mmdreg.cli import main
 from mmdreg.dataio import load_csv
+from mmdreg.fitting import FitResult
+from mmdreg.models import get_scenario
+
+
+def reject_constant(name):
+    # json.loads calls this for NaN and Infinity, which strict JSON lacks
+    raise ValueError(f"not JSON: {name}")
 
 
 def run(*argv):
@@ -139,6 +147,38 @@ class TestFit:
         assert run("fit", "--in", path, "--model", "gaussian_linear", "--config", cfg) == 3
         assert "overflow" in capsys.readouterr().err
 
+    def test_aborted_fit_writes_result_and_exits_3(self, tmp_path, capsys):
+        # With log-shape -8 most gamma draws underflow to 0, whose score is
+        # not finite: the fit aborts, fit.json records why, and the exit is 3
+        data = tmp_path / "gamma.csv"
+        assert run("simulate", "--scenario", "gamma_synthetic", "--n", 50,
+                   "--seed", 15, "--out", data) == 0
+        truth = get_scenario("gamma_synthetic").truth_raw
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iters": 5, "init": [*truth[:8], -8.0]}))
+        out = tmp_path / "fit.json"
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            code = run("fit", "--in", data, "--model", "gamma", "--config", cfg, "--out", out)
+        assert code == 3
+        assert "fit aborted: nonfinite_gradient" in capsys.readouterr().err
+        payload = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert payload["error"] == "nonfinite_gradient"
+        assert payload["iterations"] == 0 and payload["trace"] == []
+
+    def test_result_file_is_strict_json(self, gauss_csv, tmp_path):
+        # a step whose objective is not traced has null in the trace, not NaN
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"iters": 6, "seed": 4, "trace_objective_every": 3}')
+        out = tmp_path / "fit.json"
+        assert run("fit", "--in", gauss_csv, "--model", "gaussian_linear",
+                   "--config", cfg, "--out", out) == 0
+        payload = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert [row[0] for row in payload["trace"]] == [0, 1, 2, 3, 4, 5]
+        objective = [row[2] for row in payload["trace"]]
+        assert objective[:2] == [None, None] and objective[3:5] == [None, None]
+        assert isinstance(objective[2], float) and isinstance(objective[5], float)
+        assert list(payload) == [f.name for f in fields(FitResult)]
+
     def test_bad_config_key(self, gauss_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"stepsize": 0.1}')
@@ -181,17 +221,15 @@ class TestBench:
         assert "recipes ['type_y'] do not apply" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_bad_thread_cap_env(self, tmp_path, monkeypatch, capsys, raw):
+    def test_bad_thread_count(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({
             "scenario": "gauss_linear_laplace",
             "n": [40], "eps": [0.0], "estimators": ["ols"],
             "reps": 1, "seed": 9,
         }))
-        monkeypatch.setenv("MMDR_THREADS", raw)
-        assert run("bench", "--plan", plan, "--out", tmp_path / "r") == 2
-        assert "MMDR_THREADS" in capsys.readouterr().err
+        assert run("bench", "--plan", plan, "--out", tmp_path / "r", "--threads", 0) == 2
+        assert "threads must be a positive integer" in capsys.readouterr().err
 
 
 PLAN = {
@@ -241,7 +279,7 @@ BAD_TYPES = [
     }}), id="fit-kernel-m-fraction"),
     pytest.param(fit_with({"kernel": {
         "family": "product",
-        "x_kernel": {"family": "psi_matern", "gamma": 0.01, "m": 1, "c": True},
+        "x_kernel": {"family": "psi_matern", "gamma": 0.01, "m": 1},
         "y_kernel": {"family": "exponential", "gamma": True},
     }}), id="fit-kernel-bool"),
     # a scale whose reach leaves the normal floats
@@ -295,6 +333,15 @@ class TestBadInputs:
             capsys.readouterr()
             assert run(*argv(gauss_csv, tmp_path)) == 2
             assert message in capsys.readouterr().err
+
+    def test_kernel_scale_is_an_unknown_key(self, gauss_csv, tmp_path, capsys):
+        # kernels no longer take a scale c
+        kernel = {"family": "product",
+                  "x_kernel": {"family": "psi_matern", "gamma": 0.01, "m": 1, "c": 1.0},
+                  "y_kernel": {"family": "exponential", "gamma": 1.0}}
+        capsys.readouterr()
+        assert run(*fit_with({"kernel": kernel})(gauss_csv, tmp_path)) == 2
+        assert "unknown kernel config keys: ['c']" in capsys.readouterr().err
 
     def test_count_beyond_int64(self, tmp_path, capsys):
         # an integer-valued count the int64 cast would wrap to -2**63

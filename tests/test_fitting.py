@@ -195,6 +195,8 @@ class TestFitConfig:
             FitConfig(iters=0)
         with pytest.raises(ConfigError):
             FitConfig(init="random")
+        with pytest.raises(ConfigError, match="init must be 'mle' or a vector"):
+            FitConfig(init="zero")
         with pytest.raises(ConfigError):
             FitConfig(init=[1.0, np.nan])
         with pytest.raises(ConfigError):
@@ -391,6 +393,17 @@ class TestFitMmd:
         fam, ds = simulate_dataset(scen, 120, seed=17)
         res = fit_mmd(fam, ds, FitConfig(estimator="tilde", iters=60, seed=1))
         assert np.all(res.theta_raw[~fam.free_mask] == 0.0)
+
+    def test_custom_init_frozen_coordinates_zeroed(self):
+        # a custom start keeps its free coordinates and has the frozen ones
+        # (excluded coefficients) set to zero before the first step
+        scen = get_scenario("heckman_synthetic")
+        fam, ds = simulate_dataset(scen, 120, seed=17)
+        init = np.linspace(0.1, 0.9, fam.raw_dim)
+        res = fit_mmd(fam, ds, FitConfig(estimator="tilde", iters=5, init=init, seed=1))
+        assert np.any(~fam.free_mask)
+        assert np.all(res.init_used[~fam.free_mask] == 0.0)
+        assert np.array_equal(res.init_used[fam.free_mask], init[fam.free_mask])
 
     def test_trace_and_metadata(self):
         fam, ds = logistic_case(15, 18)

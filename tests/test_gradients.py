@@ -424,7 +424,7 @@ class TestPairOracles:
         x = x.reshape(n, width)
         gamma = data.draw(st.sampled_from([1e-3, 0.1, 1.0, 1e3]), label="gamma")
         leaf = data.draw(st.sampled_from([
-            exponential_kernel(gamma), gaussian_kernel(gamma, c=0.5), matern_kernel(gamma, m=5),
+            exponential_kernel(gamma), gaussian_kernel(gamma), matern_kernel(gamma, m=5),
             psi_matern_kernel(gamma, m=3)]), label="leaf")
         beta = data.draw(st.sampled_from([None, 0.0, 0.5, 1.0]), label="beta")
         kern = leaf if beta is None else affine_shift_kernel(leaf, beta)
@@ -466,10 +466,8 @@ WEIGHT_KERNELS = {
     "psi_matern1": psi_matern_kernel(0.05, m=1),
     "psi_matern3": psi_matern_kernel(0.05, m=3),
     "psi_matern5": psi_matern_kernel(0.05, m=5),
-    "gaussian_c": gaussian_kernel(1.3, c=0.4),
-    "psi_matern_c": psi_matern_kernel(0.05, m=3, c=0.7),
     "shift": affine_shift_kernel(psi_matern_kernel(0.05, m=1), 0.3),
-    "shift_nested": affine_shift_kernel(affine_shift_kernel(gaussian_kernel(1.3, c=0.5), 0.6), 0.8),
+    "shift_nested": affine_shift_kernel(affine_shift_kernel(gaussian_kernel(1.3), 0.6), 0.8),
 }
 
 
@@ -629,6 +627,23 @@ class TestObjectiveGradient:
         a = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=own, **streams(0))
         b = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=copied, **streams(0))
         assert copied.x is not ds.x and np.array_equal(a, b)
+
+    def test_pair_cache_must_match_covariate_kernel(self):
+        # a cache ranked and weighed by another covariate kernel would give
+        # that kernel's gradient; an equal but distinct spec is accepted
+        fam, ds = simulate_dataset("gauss_linear_laplace", 60, 1)
+        theta = get_scenario("gauss_linear_laplace").truth_raw
+        kern = product_kernel(gaussian_kernel(5.0), KY)
+        other = build_pair_cache(psi_matern_kernel(0.01), ds.x, 60)
+        with pytest.raises(ConfigError, match="another covariate kernel"):
+            grad_objective_estimate(fam, theta, ds, kern, "hat", cache=other, m_samp=0,
+                                    **streams(0))
+        own = build_pair_cache(kern.x_kernel, ds.x, 60)
+        equal = build_pair_cache(gaussian_kernel(5.0), ds.x, 60)
+        assert equal.x_kernel is not kern.x_kernel
+        a = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=own, **streams(0))
+        b = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=equal, **streams(0))
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("m_samp", [-1, 2.5])
     def test_sampled_pair_count_must_be_whole(self, m_samp):

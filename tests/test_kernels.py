@@ -7,7 +7,6 @@ computes each kernel with ``math`` from the ``KernelSpec`` docstring.
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,13 +162,12 @@ class TestRadialCap:
             with np.errstate(all="ignore"):
                 plain = {"exponential": np.exp(-grid / g),
                          "gaussian": np.exp(-(grid * grid) / (2.0 * g * g))}
-            for c in (1.0, 0.5):
-                specs = [gaussian_kernel(g, c=c)]
-                if 1.3e-137 <= g <= 1.7e151:  # the exponential's gamma range
-                    specs.append(exponential_kernel(g, c=c))
-                for spec in specs:
-                    got = gram(spec, np.zeros(1), grid)[0]
-                    assert got.tobytes() == (c * plain[spec.family]).tobytes(), (spec, g)
+            specs = [gaussian_kernel(g)]
+            if 1.3e-137 <= g <= 1.7e151:  # the exponential's gamma range
+                specs.append(exponential_kernel(g))
+            for spec in specs:
+                got = gram(spec, np.zeros(1), grid)[0]
+                assert got.tobytes() == plain[spec.family].tobytes(), (spec, g)
 
     def test_gaussian_gamma_range(self):
         # below 1.1e-154, 2 gamma^2 is not a normal float and k(z, z) came out NaN
@@ -220,6 +218,22 @@ class TestKernelSpec:
             vals = elementwise(spec, pts, pts)
             assert np.allclose(vals, 1.0, atol=1e-15)
 
+    def test_unit_diagonal(self):
+        # k(x, x) is exactly 1 for every covariate kernel a hat fit takes,
+        # a radial leaf or an affine shift of one: the hat gradient gives
+        # each diagonal term the weight 1 instead of evaluating it
+        rng = np.random.default_rng(23)
+        x = rng.normal(scale=3.0, size=(50, 2))
+        x[:5] *= 1e100
+        leaves = [exponential_kernel(0.7), gaussian_kernel(1.3)]
+        leaves += [matern_kernel(0.9, m=m) for m in (1, 3, 5)]
+        leaves += [psi_matern_kernel(0.05, m=m) for m in (1, 3, 5)]
+        for leaf in leaves:
+            specs = [leaf] + [affine_shift_kernel(leaf, beta) for beta in (0.0, 0.3, 0.7, 1.0)]
+            specs.append(affine_shift_kernel(affine_shift_kernel(leaf, 0.6), 0.8))
+            for spec in specs:
+                assert np.all(elementwise(spec, x, x) == 1.0), spec
+
     def test_boundedness(self):
         rng = np.random.default_rng(11)
         a = rng.normal(scale=3.0, size=(10000, 2))
@@ -231,13 +245,12 @@ class TestKernelSpec:
             assert np.all(np.abs(vals) <= 1.0 + 1e-15)
 
     def test_symmetry_and_psd(self):
-        # Every radial family and Matern order, at full scale and at
-        # c < 1, alone, under an affine shift, and as product factors.
+        # Every radial family and Matern order, alone, under an affine
+        # shift, and as product factors.
         rng = np.random.default_rng(3)
         radial = [exponential_kernel(0.8), gaussian_kernel(1.1)]
         radial += [matern_kernel(0.6, m=m) for m in (1, 3, 5)]
         radial += [psi_matern_kernel(0.3, m=m) for m in (1, 3, 5)]
-        radial += [replace(spec, c=0.3) for spec in radial]
         single = radial + [affine_shift_kernel(spec, beta=0.5) for spec in radial]
         products = [product_kernel(spec, other) for spec, other in zip(single, reversed(single))]
         for _ in range(50):
@@ -289,7 +302,7 @@ class TestKernelSpec:
         rng = np.random.default_rng(19)
         a = rng.normal(size=(6, 2))
         b = rng.normal(size=(5, 2))
-        radial = [exponential_kernel(0.8), gaussian_kernel(1.1, c=0.4)]
+        radial = [exponential_kernel(0.8), gaussian_kernel(1.1)]
         radial += [matern_kernel(0.6, m=m) for m in (1, 3, 5)]
         radial += [psi_matern_kernel(0.4, m=m) for m in (1, 3, 5)]
         for spec in radial + [affine_shift_kernel(radial[-1], beta=0.3)]:
@@ -333,16 +346,15 @@ class TestKernelSpec:
             KernelSpec(family="affine_shift", beta=0.5)
         with pytest.raises(ConfigError):
             KernelSpec(family="product", x_kernel=exponential_kernel())
-        with pytest.raises(ConfigError):
-            KernelSpec(family="exponential", c=1.5)
         for fields in (
             {"family": "gaussian", "gamma": "1"},
-            {"family": "exponential", "c": "1"},
             {"family": "affine_shift", "beta": "0.5", "child": exponential_kernel()},
             {"family": "matern", "m": True},
+            # an order that is not a whole number, for any family
+            {"family": "exponential", "m": "abc"},
+            {"family": "gaussian", "m": 1.0},
             # integers beyond float range
             {"family": "matern", "gamma": 10**400},
-            {"family": "exponential", "c": 10**400},
             {"family": "affine_shift", "beta": -(10**400), "child": exponential_kernel()},
         ):
             with pytest.raises(ConfigError):
@@ -367,10 +379,13 @@ class TestSpecSerialization:
 
     def test_from_dict_defaults(self):
         spec = spec_from_dict({"family": "matern", "gamma": 0.5, "m": 5})
-        assert spec.m == 5 and spec.c == 1.0
-        spec = spec_from_dict({"family": "matern", "gamma": "0.5", "m": "3", "c": "1"})
-        assert spec == matern_kernel(0.5, m=3)
-        assert spec_from_dict({"family": "matern", "gamma": 0.5, "m": 3.0}).m == 3
+        assert spec.m == 5 and spec.beta == 1.0
+        assert spec_from_dict({"family": "matern", "gamma": 0.5, "m": 3}) == matern_kernel(0.5, m=3)
+        # integer scales and weights are stored as floats
+        spec = spec_from_dict({"family": "affine_shift", "beta": 1,
+                               "child": {"family": "exponential", "gamma": 1}})
+        assert spec == affine_shift_kernel(exponential_kernel(1.0), 1.0)
+        assert type(spec.beta) is float and type(spec.child.gamma) is float
 
     def test_bad_configs(self):
         with pytest.raises(ConfigError):
@@ -379,14 +394,21 @@ class TestSpecSerialization:
             spec_from_dict({"family": "exponential", "scale": 2.0})
         with pytest.raises(ConfigError):
             spec_from_dict([1, 2, 3])
-        # int() would read 3.9 as 3, and float() would read true as 1.0
+        # values are not coerced: a string, a boolean or a fraction is refused
         for entry in (
             {"family": "matern", "gamma": 0.5, "m": 3.9},
+            {"family": "matern", "gamma": 0.5, "m": 3.0},
             {"family": "matern", "gamma": 0.5, "m": True},
             {"family": "matern", "gamma": 0.5, "m": "3.9"},
+            {"family": "matern", "gamma": 0.5, "m": "3"},
+            {"family": "matern", "gamma": "0.5", "m": 3},
             {"family": "matern", "gamma": True},
-            {"family": "exponential", "c": True},
+            {"family": "exponential", "m": "abc"},
             {"family": "affine_shift", "beta": True, "child": {"family": "exponential"}},
+            {"family": "affine_shift", "beta": "0.5", "child": {"family": "exponential"}},
         ):
             with pytest.raises(ConfigError):
                 spec_from_dict(entry)
+        # kernels take no scale: a key c is refused like any unknown key
+        with pytest.raises(ConfigError, match="unknown kernel config keys"):
+            spec_from_dict({"family": "exponential", "c": 1.0})

@@ -320,6 +320,13 @@ class TestDataset:
         with pytest.raises(DomainError):
             Dataset(x, np.array([[1.0, 0.5], [0.0, 0.0], [0.0, 1.0]]), "censored")
 
+    def test_nonfinite_covariates_refused(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.zeros((3, 2))
+            x[1, 0] = bad
+            with pytest.raises(DomainError, match="covariates must be finite"):
+                Dataset(x, np.zeros(3), "real")
+
     def test_zero_rows_refused(self):
         # every estimator would end in an IndexError on such a dataset
         for kind, y in (("real", np.empty(0)), ("censored", np.empty((0, 2)))):

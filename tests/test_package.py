@@ -2,6 +2,7 @@
 defaults and config keys the README states."""
 
 import ast
+import importlib.util
 import itertools
 import math
 import os
@@ -152,3 +153,27 @@ def test_readme_states_the_config_keys():
     assert fit_keys is not None and plan_keys is not None
     assert re.findall(r"`(\w+)`", fit_keys[1]) == [f.name for f in fields(FitConfig)]
     assert sorted(re.findall(r"`(\w+)`", plan_keys[1])) == sorted(_PLAN_KEYS)
+
+
+def _perfbench_probes():
+    # perfbench/probes.py as the benchmark loads it, unedited
+    path = SRC.parent / "perfbench" / "probes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_probes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_probes_resolve():
+    # the traced benchmark wraps these names: a rename or deletion here
+    # fails this test rather than every traced benchmark run
+    probes = _perfbench_probes()
+    missing = [f"{owner.__name__}.{attr}" for owners, attr, _, _ in probes.PROBES
+               for owner in owners if not hasattr(owner, attr)]
+    assert missing == []
+    families = mmdreg.models._FAMILY_REGISTRY.values()
+    for attr, _, _ in probes.METHOD_PROBES:
+        assert any(attr in cls.__dict__ for cls in families), attr
+    _, ds = mmdreg.simulate_dataset("gauss_linear_laplace", 50, 1)
+    cache = mmdreg.build_pair_cache(mmdreg.default_covariate_kernel(), ds.x, 50)
+    assert probes._cache_mb(cache) > 0.0
