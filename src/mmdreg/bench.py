@@ -137,10 +137,15 @@ class ExperimentPlan:
         return out
 
 
-_PLAN_KEYS = {
-    "scenario", "n", "eps", "recipes", "estimators", "reps", "seed",
-    "scheme", "fit",
+# Each plan config key and the ExperimentPlan field it sets, in the order
+# plan_to_config writes them.  A config may leave out recipes (none),
+# scheme and fit, which then take ExperimentPlan's defaults.
+_PLAN_FIELDS = {
+    "scenario": "scenario", "n": "n_values", "eps": "epsilons", "recipes": "recipes",
+    "estimators": "estimators", "reps": "replications", "seed": "master_seed",
+    "scheme": "scheme", "fit": "fit_overrides",
 }
+_PLAN_KEYS = set(_PLAN_FIELDS)
 
 
 def plan_from_config(cfg):
@@ -155,34 +160,19 @@ def plan_from_config(cfg):
     extra = set(cfg) - _PLAN_KEYS
     if extra:
         raise ConfigError(f"unknown plan config keys: {sorted(extra)}")
-    missing = {"scenario", "n", "eps", "estimators", "reps", "seed"} - set(cfg)
+    missing = _PLAN_KEYS - {"recipes", "scheme", "fit"} - set(cfg)
     if missing:
         raise ConfigError(f"plan config missing keys: {sorted(missing)}")
-    return ExperimentPlan(
-        scenario=cfg["scenario"],
-        n_values=cfg["n"],
-        epsilons=cfg["eps"],
-        recipes=cfg.get("recipes", ()),
-        estimators=cfg["estimators"],
-        replications=cfg["reps"],
-        master_seed=cfg["seed"],
-        scheme=cfg.get("scheme", "adversarial"),
-        fit_overrides=cfg.get("fit", {}),
-    )
+    given = {_PLAN_FIELDS[key]: value for key, value in cfg.items()}
+    return ExperimentPlan(**{"recipes": (), **given})
 
 
 def plan_to_config(plan):
-    out = {
-        "scenario": plan.scenario,
-        "n": list(plan.n_values),
-        "eps": list(plan.epsilons),
-        "recipes": list(plan.recipes),
-        "estimators": list(plan.estimators),
-        "reps": plan.replications,
-        "seed": plan.master_seed,
-        "scheme": plan.scheme,
-    }
-    if plan.fit_overrides:
+    out = {}
+    for key, name in _PLAN_FIELDS.items():
+        value = getattr(plan, name)
+        out[key] = list(value) if isinstance(value, tuple) else value
+    if out.pop("fit"):
         out["fit"] = {k: dict(v) for k, v in plan.fit_overrides.items()}
     return out
 

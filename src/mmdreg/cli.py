@@ -13,8 +13,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .bench import plan_from_config, run_plan, write_results
 from .contamination import ContaminationSpec, contaminate
 from .dataio import (
@@ -28,7 +26,7 @@ from .dataio import (
 )
 from .errors import ConfigError, DomainError, FormatError, NumericalError
 from .fitting import fit
-from .kernels import spec_from_dict
+from .kernels import _joint_points, spec_from_dict
 from .models import _FAMILY_REGISTRY, get_family, list_scenarios, simulate_dataset
 from .objective import mmd_sq_vstat
 
@@ -92,18 +90,11 @@ def _cmd_bench(args):
     return 0
 
 
-def _points_for(spec, ds):
-    if spec.family == "product":
-        return (ds.x, np.asarray(ds.y, dtype=float))
-    y = np.asarray(ds.y, dtype=float)
-    return np.column_stack([ds.x, y.reshape(y.shape[0], -1)])
-
-
 def _cmd_mmd(args):
     spec = spec_from_dict(load_config(args.kernel))
     a = load_csv(args.a, strict=False)
     b = load_csv(args.b, strict=False)
-    value = mmd_sq_vstat(spec, _points_for(spec, a), _points_for(spec, b))
+    value = mmd_sq_vstat(spec, _joint_points(spec, a.x, a.y), _joint_points(spec, b.x, b.y))
     print(format(value, ".17g"))
     return 0
 

@@ -28,12 +28,13 @@ from .errors import ConfigError, DomainError, NumericalError
 from .gradients import build_pair_cache, grad_objective_estimate
 from .kernels import (
     KernelSpec,
+    _x_kernel,
     default_covariate_kernel,
     default_response_kernel,
     product_kernel,
 )
 from .models import _inverse_mills, _real, _special, _whole, check_seed
-from .objective import _dataset_for, _require_product, objective
+from .objective import _dataset_for, objective
 
 ESTIMATORS = ("tilde", "hat", "mle", "ols")
 
@@ -80,6 +81,8 @@ class FitConfig:
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+        if not (self.kernel is None or isinstance(self.kernel, KernelSpec)):
+            raise ConfigError(f"kernel must be a KernelSpec, got {self.kernel!r}")
         if not (_real(self.eta) and self.eta > 0.0):
             raise ConfigError(f"eta must be positive and finite, got {self.eta!r}")
         if self.iters is not None and not (_whole(self.iters) and self.iters >= 1):
@@ -397,7 +400,7 @@ def fit_mmd(family, dataset, config=None):
     cache = None
     if config.estimator == "hat":
         m1 = dataset.n if config.m1 is None else config.m1
-        cache = build_pair_cache(_require_product(kernel).x_kernel, dataset.x, m1)
+        cache = build_pair_cache(_x_kernel(kernel), dataset.x, m1)
     trace = np.full((iters, 3), np.nan)
     sumsq = np.zeros(family.raw_dim)
     error = None

@@ -13,22 +13,27 @@ keeps a deterministic set of the heaviest pairs (by covariate kernel
 weight) and reweights a without-replacement sample of the rest, which
 stays unbiased for the complete sum.  No ``n x n`` array is formed: the
 heaviest pairs are found by a k-d tree radius search, and sampled pairs
-are weighed when drawn, so the pair cache holds O(n + m1) numbers and
-its weights equal the dense covariate Gram's entries bit for bit.
+are weighed when drawn, so the pair cache holds O(n + m1) numbers.  A
+pair's weight is the covariate kernel's profile at the distance between
+its psi-mapped rows (``kernels._profile``), which equals the dense
+covariate Gram's entry bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 # gram is bound here, unused, so probes that wrap this module's kernel
 # calls (perfbench/probes.py) still find it: nothing here builds a Gram
-from .kernels import KernelSpec, _as_points, _psi, _radial, elementwise, gram  # noqa: F401
+from .kernels import (  # noqa: F401
+    KernelSpec, _aligned_dists, _as_points, _bound_beyond, _coords, _profile,
+    _x_kernel, _y_kernel, elementwise, gram,
+)
 from .models import _whole
-from .objective import _dataset_for, _require_product, _y_kernel
+from .objective import _dataset_for
 
 
 def _linear_from_pair(i, j, n):
@@ -51,58 +56,6 @@ def _pair_from_linear(t, n):
     start = i * n - i * (i + 1) // 2
     j = t - start + i + 1
     return i, j
-
-
-def _leaf(spec):
-    # the radial kernel under a chain of affine shifts
-    while spec.family == "affine_shift":
-        spec = spec.child
-    if spec.family == "product":
-        raise ConfigError("the covariate kernel must be radial or an affine shift of one")
-    return spec
-
-
-def _dewarp(spec):
-    if spec.family == "affine_shift":
-        return replace(spec, child=_dewarp(spec.child))
-    return replace(spec, family="matern")
-
-
-def _kernel_coords(x_kernel, x):
-    """The covariates as the kernel measures them, and the kernel there.
-
-    For a ``psi_matern`` leaf the points are psi-warped once and the
-    leaf becomes the plain ``matern`` of the same order and scale, so
-    ``elementwise`` on gathered warped rows equals the ``gram`` entries
-    of the original kernel bit for bit.
-    """
-    x = _as_points(x)
-    if _leaf(x_kernel).family != "psi_matern":
-        return x_kernel, x
-    return _dewarp(x_kernel), _psi(x)
-
-
-def _shift(spec, v):
-    # spec's affine shifts applied to leaf values, as kernels._evaluate does
-    if spec.family == "affine_shift":
-        return spec.beta * _shift(spec.child, v) + (1.0 - spec.beta)
-    return v
-
-
-def _bound_beyond(spec, r):
-    """Upper bound on ``spec`` at every distance of at least ``r``.
-
-    Every radial leaf decreases with distance in exact arithmetic, but
-    its rounded value can rise by a few ulps (or subnormal steps) along
-    the way, so the leaf at ``r`` is padded before the affine shifts,
-    which round monotonically, are applied.  A leaf that has underflowed
-    to 0 stays 0 further out.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = float(_radial(_leaf(spec), np.array([r]))[0])
-    if v != 0.0:
-        v = v * (1.0 + 2.0**-40) + 1e-320
-    return _shift(spec, v)
 
 
 def _widen(r, fits):
@@ -145,14 +98,14 @@ def top_pairs(x_kernel, x, m):
     Bentley & Finkel 1977) gives each point's ``ceil(2m/n) + 1`` nearest
     others; the ``2m``-th smallest of those distances is a radius
     holding at least ``m`` pairs, since each pair is listed at most
-    twice.  The pairs within it are weighed with ``elementwise`` and
-    ranked.  The ranking is final once the kernel's bound beyond the
-    radius is strictly below the ``m``-th weight; where the kernel is
-    flat at the cut the radius widens until it is.
-    A cut at the kernel's floor (its value once the leaf underflows to
-    0, or everywhere when some ``beta`` is 0) is filled with the
-    lexicographically first pairs that weigh exactly the floor.  Memory
-    scales with ``n`` plus the pairs within the final radius.
+    twice.  The pairs within it are weighed by the kernel's profile at
+    their (psi-warped) distance and ranked.  The ranking is final once
+    the kernel's bound beyond the radius is strictly below the ``m``-th
+    weight; where the kernel is flat at the cut the radius widens until
+    it is.  A cut at the kernel's floor (its value once the leaf
+    underflows to 0, or everywhere when some ``beta`` is 0) is filled
+    with the lexicographically first pairs that weigh exactly the floor.
+    Memory scales with ``n`` plus the pairs within the final radius.
 
     Args:
         x_kernel: covariate kernel, radial or an affine shift of one.
@@ -165,33 +118,37 @@ def top_pairs(x_kernel, x, m):
 
     Raises:
         ConfigError: when ``m`` is not a nonnegative integer.
+        DomainError: when a covariate is not finite.
         NumericalError: when a squared distance between the points
             overflows, which the tree's search refuses.
     """
     if not (_whole(m) and m >= 0):
         raise ConfigError(f"pair count must be a nonnegative integer, got {m!r}")
-    spec, z = _kernel_coords(x_kernel, x)
+    x = _as_points(x)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("pair weights need finite covariates")
+    z = _coords(x_kernel, x)
     n = z.shape[0]
     total = n * (n - 1) // 2
     m = min(int(m), total)
-    floor = _shift(spec, 0.0)
-    if m == 0 or _bound_beyond(spec, 0.0) <= floor:
+    floor = _bound_beyond(x_kernel, np.inf)
+    if m == 0 or _bound_beyond(x_kernel, 0.0) <= floor:
         # every pair weighs the floor (some beta is 0)
         return _pair_from_linear(np.arange(m, dtype=np.int64), n)
     tree = _kd_tree()(z)
     dist, idx = tree.query(z, k=min(n, -(-2 * m // n) + 2))
     r = float(np.partition(dist[idx != np.arange(n)[:, None]], 2 * m - 1)[2 * m - 1])
     while True:
-        # the relative slack covers the tree's and elementwise's rounding
+        # the relative slack covers the tree's and _aligned_dists' rounding
         # of the same distance, so a pair left out is farther than r
         try:
             ci, cj = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
         except ValueError:  # the tree squares distances and refuses an overflow
             raise NumericalError("squared covariate distances overflow the pair search") from None
-        w = elementwise(spec, z[ci], z[cj])
+        w = _profile(x_kernel, _aligned_dists(z[ci], z[cj]))
         order = np.lexsort((cj, ci, -w))
         cut = w[order[m - 1]]
-        beyond = _bound_beyond(spec, r)
+        beyond = _bound_beyond(x_kernel, r)
         if beyond < cut or not np.isfinite(r):
             return ci[order[:m]], cj[order[:m]]
         if beyond <= floor:
@@ -202,7 +159,7 @@ def top_pairs(x_kernel, x, m):
         # widen until the bound falls below the cut, or to the floor when
         # the cut is the floor (the bound never falls below it)
         limit = max(cut, np.nextafter(floor, np.inf))
-        r = _widen(r, lambda s: _bound_beyond(spec, s) < limit)
+        r = _widen(r, lambda s: _bound_beyond(x_kernel, s) < limit)
 
 
 def sample_pair_indices(total, m, rng):
@@ -248,18 +205,17 @@ class PairCache:
 
     Holds the kernel and covariates it was built from (``x_kernel``,
     ``x``), the covariates as the kernel measures them (``kx``, psi-warped
-    for a ``psi_matern`` leaf), the kernel on those coordinates, the
-    deterministic heavy-pair set with its weights, and the bookkeeping
-    to sample the remaining unordered pairs.
-    Every array is of size ``n`` or ``m_det``; sampled pairs are weighed
-    when drawn, by :meth:`weights`.
+    for a ``psi_matern`` leaf), the deterministic heavy-pair set with its
+    weights, and the bookkeeping to sample the remaining unordered pairs.
+    A pair's weight is the kernel's profile at the distance between its
+    ``kx`` rows.  Every array is of size ``n`` or ``m_det``; sampled
+    pairs are weighed when drawn, by :meth:`weights`.
     """
 
     n: int
     x_kernel: KernelSpec
     x: np.ndarray
     kx: np.ndarray
-    kernel: KernelSpec
     det_i: np.ndarray
     det_j: np.ndarray
     det_kx: np.ndarray
@@ -279,25 +235,24 @@ class PairCache:
     def weights(self, i, j):
         """Covariate kernel weights of pairs ``(i, j)``, equal bit for bit
         to the entries ``gram(x_kernel, x, x)[i, j]``."""
-        return elementwise(self.kernel, self.kx[i], self.kx[j])
+        return _profile(self.x_kernel, _aligned_dists(self.kx[i], self.kx[j]))
 
 
 def build_pair_cache(x_kernel, x, m_det):
     """Rank covariate pairs by kernel weight and freeze the top ``m_det``."""
     x = _as_points(x)
-    kernel, kx = _kernel_coords(x_kernel, x)
+    det_i, det_j = top_pairs(x_kernel, x, m_det)
+    kx = _coords(x_kernel, x)
     n = kx.shape[0]
-    det_i, det_j = top_pairs(kernel, kx, m_det)
     det_linear = np.sort(_linear_from_pair(det_i, det_j, n))
     return PairCache(
         n=n,
         x_kernel=x_kernel,
         x=x,
         kx=kx,
-        kernel=kernel,
         det_i=det_i,
         det_j=det_j,
-        det_kx=elementwise(kernel, kx[det_i], kx[det_j]),
+        det_kx=_profile(x_kernel, _aligned_dists(kx[det_i], kx[det_j])),
         det_linear=det_linear,
         comp_base=det_linear - np.arange(det_linear.size),
         total_pairs=n * (n - 1) // 2,
@@ -354,7 +309,7 @@ def grad_objective_estimate(
     n = dataset.n
     yobs = np.asarray(dataset.y, dtype=float)
     if estimator == "hat":
-        x_kernel = _require_product(kernel).x_kernel
+        x_kernel = _x_kernel(kernel)
         if cache is None:
             raise ConfigError("the quadratic-cost gradient needs a pair cache")
         if cache.x_kernel != x_kernel:

@@ -96,6 +96,8 @@ class KernelSpec:
     * ``"product"``: ``x_kernel(x, x') * y_kernel(y, y')`` on joint
       points ``z = (x, y)``
 
+    A product appears only at the top: a shift's ``child`` and a
+    product's factors are radial kernels or affine shifts of one.
     Radial kernels and affine shifts of them satisfy ``k(z, z) = 1``
     exactly; all combinations stay bounded by 1 in absolute value.
     """
@@ -130,6 +132,11 @@ class KernelSpec:
                 raise ConfigError("affine_shift weight beta must lie in [0, 1]")
         if self.family == "product" and (self.x_kernel is None or self.y_kernel is None):
             raise ConfigError("product requires both x_kernel and y_kernel")
+        # each part was checked when it was built, so none has a product under it
+        for name in ("child", "x_kernel", "y_kernel"):
+            part = getattr(self, name)
+            if not (part is None or isinstance(part, KernelSpec) and part.family != "product"):
+                raise ConfigError(f"kernel {name} must be a radial kernel or an affine shift of one")
 
 
 def exponential_kernel(gamma=1.0):
@@ -216,18 +223,81 @@ def _radial(spec, r):
     return _matern(r, spec.gamma, spec.m)
 
 
-def _evaluate(spec, a, b, dists):
-    # The one interpreter of a KernelSpec: combinators recurse, and each
-    # radial leaf applies ``dists`` to its (psi-mapped) point sets.
+def _leaf(spec):
+    # the radial kernel under spec's affine shifts
+    while spec.family == "affine_shift":
+        spec = spec.child
     if spec.family == "product":
+        raise ConfigError("a covariate kernel must be radial or an affine shift of one")
+    return spec
+
+
+def _shift(spec, v):
+    # spec's affine shifts applied to its leaf's values v, innermost first
+    if spec.family == "affine_shift":
+        return spec.beta * _shift(spec.child, v) + (1.0 - spec.beta)
+    return v
+
+
+def _coords(spec, z):
+    """The points as the leaf of ``spec`` measures them, psi-mapped for ``psi_matern``."""
+    z = _as_points(z)
+    return _psi(z) if _leaf(spec).family == "psi_matern" else z
+
+
+def _profile(spec, r):
+    """Value of ``spec`` at distance ``r`` between :func:`_coords` points."""
+    return _shift(spec, _radial(_leaf(spec), r))
+
+
+def _bound_beyond(spec, r):
+    """Upper bound on ``spec`` at every distance of at least ``r``.
+
+    Every radial leaf decreases with distance in exact arithmetic, but
+    its rounded value can rise by a few ulps (or subnormal steps) along
+    the way, so the leaf at ``r`` is padded before the affine shifts,
+    which round monotonically, are applied.  A leaf that has underflowed
+    to 0 stays 0 further out, so the bound beyond ``r = inf`` is the
+    kernel's floor, its value once the leaf is 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(_radial(_leaf(spec), np.array([r]))[0])
+    if v != 0.0:
+        v = v * (1.0 + 2.0**-40) + 1e-320
+    return _shift(spec, v)
+
+
+def _evaluate(spec, a, b, dists):
+    # The one interpreter of a KernelSpec: a product multiplies its two
+    # factors, and any other spec is its profile at the distances
+    # ``dists`` gives between its coordinates.
+    if spec.family == "product":
+        if not all(isinstance(p, tuple) and len(p) == 2 for p in (a, b)):
+            raise DomainError("a product kernel takes (x_points, y_points) pairs")
         (ax, ay), (bx, by) = a, b
         return _evaluate(spec.x_kernel, ax, bx, dists) * _evaluate(spec.y_kernel, ay, by, dists)
-    if spec.family == "affine_shift":
-        return spec.beta * _evaluate(spec.child, a, b, dists) + (1.0 - spec.beta)
-    a, b = _as_points(a), _as_points(b)
-    if spec.family == "psi_matern":
-        a, b = _psi(a), _psi(b)
-    return _radial(spec, dists(a, b))
+    return _profile(spec, dists(_coords(spec, a), _coords(spec, b)))
+
+
+def _x_kernel(kernel):
+    """The covariate factor of a product kernel, which the hat estimator needs."""
+    if kernel.family != "product":
+        raise ConfigError("a product kernel (x_kernel, y_kernel) is required here")
+    return kernel.x_kernel
+
+
+def _y_kernel(kernel):
+    """The response factor of a product kernel, or the kernel itself."""
+    return kernel.y_kernel if kernel.family == "product" else kernel
+
+
+def _joint_points(kernel, x, y):
+    """Joint points ``(x, y)`` as :func:`gram` takes them for ``kernel``:
+    a pair for a product, one array of the columns of both otherwise."""
+    y = np.asarray(y, dtype=float)
+    if kernel.family == "product":
+        return (x, y)
+    return np.column_stack([x, y.reshape(y.shape[0], -1)])
 
 
 def gram(spec, a, b):
@@ -236,7 +306,7 @@ def gram(spec, a, b):
     Points are not checked for finiteness: callers pass arrays already
     checked at their own entry (a ``Dataset``, model draws), and a
     non-finite point yields non-finite entries.  Only dimensions are
-    checked.
+    checked, and that a product kernel is given pairs.
 
     Args:
         spec: the kernel to evaluate.

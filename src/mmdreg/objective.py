@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .kernels import elementwise, gram
+from .kernels import _x_kernel, _y_kernel, elementwise, gram
 from .models import _MAX_TABLE_CELLS, Dataset, _whole
 
 _NEGATIVE_TOL = 1e-12
@@ -104,16 +104,6 @@ def _resolve_mode(family, mode):
     return mode
 
 
-def _y_kernel(kernel):
-    return kernel.y_kernel if kernel.family == "product" else kernel
-
-
-def _require_product(kernel):
-    if kernel.family != "product":
-        raise ConfigError("a product kernel (x_kernel, y_kernel) is required here")
-    return kernel
-
-
 @dataclass(frozen=True)
 class ObjectiveValue:
     """An empirical objective evaluation."""
@@ -155,9 +145,9 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
         raise ConfigError(f"estimator must be 'tilde' or 'hat', got {estimator!r}")
     ky = _y_kernel(kernel)
     if estimator == "hat":
-        kernel = _require_product(kernel)
+        x_kernel = _x_kernel(kernel)
         _check_gram_side(dataset.n)
-        kx = gram(kernel.x_kernel, dataset.x, dataset.x)
+        kx = gram(x_kernel, dataset.x, dataset.x)
     if mode == "exact":
         values, probs = family.support(theta, dataset.x)
         _check_gram_side(values.size)

@@ -343,6 +343,23 @@ class TestBadInputs:
         assert run(*fit_with({"kernel": kernel})(gauss_csv, tmp_path)) == 2
         assert "unknown kernel config keys: ['c']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kernel", [
+        {"family": "product", "x_kernel": {"family": "psi_matern"},
+         "y_kernel": {"family": "product", "x_kernel": {"family": "exponential"},
+                      "y_kernel": {"family": "exponential"}}},
+        {"family": "affine_shift", "beta": 0.5,
+         "child": {"family": "product", "x_kernel": {"family": "exponential"},
+                   "y_kernel": {"family": "exponential"}}},
+    ], ids=["product-as-factor", "product-under-shift"])
+    def test_nested_product_kernel(self, kernel, gauss_csv, tmp_path, capsys):
+        # a product appears only at the top of a kernel
+        for argv in (fit_with({"kernel": kernel})(gauss_csv, tmp_path),
+                     ["mmd", "--a", gauss_csv, "--b", gauss_csv,
+                      "--kernel", write_json(tmp_path / "k.json", kernel)]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            assert "must be a radial kernel or an affine shift of one" in capsys.readouterr().err
+
     def test_count_beyond_int64(self, tmp_path, capsys):
         # an integer-valued count the int64 cast would wrap to -2**63
         path = tmp_path / "counts.csv"

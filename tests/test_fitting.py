@@ -201,6 +201,10 @@ class TestFitConfig:
             FitConfig(init=[1.0, np.nan])
         with pytest.raises(ConfigError):
             FitConfig(m1=-1)
+        # the kernel is a KernelSpec or None, not a config mapping or a number
+        for kernel in (5, {"family": "exponential"}):
+            with pytest.raises(ConfigError, match="kernel must be a KernelSpec"):
+                FitConfig(kernel=kernel)
         # 2**64 is a finite float; 10**400 has none
         assert FitConfig(eta=2**64).eta == 2**64
         with pytest.raises(ConfigError, match="eta must be positive and finite"):

@@ -244,6 +244,12 @@ class TestPairIndexing:
                 top_pairs(kern, x, 1)
         i, j = top_pairs(kern, [[0.0], [1e154], [0.5]], 1)
         assert list(zip(i, j)) == [(0, 2)]
+        # a non-finite covariate is refused before the tree is built
+        for bad in (np.inf, -np.inf, np.nan):
+            for kern in (matern_kernel(1.0), psi_matern_kernel(0.01)):
+                for rank in (top_pairs, build_pair_cache):
+                    with pytest.raises(DomainError, match="finite covariates"):
+                        rank(kern, [[0.0], [bad], [0.5]], 1)
 
     def test_srswor_basic(self):
         rng = np.random.default_rng(5)

@@ -297,6 +297,12 @@ class TestKernelSpec:
         got = elementwise(spec, (x, y), (xp, yp))[0]
         want = math.exp(-0.8 / 2.0) * math.exp(-4.0 / 2.0)
         assert abs(got - want) < 1e-15
+        # a product takes (x_points, y_points) pairs, not plain point arrays
+        joint = np.array([[0.3, 0.0], [1.1, 2.0]])
+        for a, b in ((joint, joint), ((x, y), joint), (joint[:1], (xp, yp))):
+            for evaluate in (gram, elementwise):
+                with pytest.raises(DomainError, match="pairs"):
+                    evaluate(spec, a, b)
 
     def test_gram_matches_pointwise(self):
         rng = np.random.default_rng(19)
@@ -346,6 +352,21 @@ class TestKernelSpec:
             KernelSpec(family="affine_shift", beta=0.5)
         with pytest.raises(ConfigError):
             KernelSpec(family="product", x_kernel=exponential_kernel())
+        # a product appears only at the top: not under a shift, not as a
+        # factor; and every part is a KernelSpec
+        inner = product_kernel(exponential_kernel(), exponential_kernel())
+        for parts in (
+            {"family": "affine_shift", "beta": 0.5, "child": inner},
+            {"family": "product", "x_kernel": exponential_kernel(), "y_kernel": inner},
+            {"family": "product", "x_kernel": inner, "y_kernel": exponential_kernel()},
+            {"family": "affine_shift", "beta": 0.5, "child": {"family": "exponential"}},
+            {"family": "product", "x_kernel": exponential_kernel(), "y_kernel": 5},
+        ):
+            with pytest.raises(ConfigError, match="radial kernel or an affine shift"):
+                KernelSpec(**parts)
+        # a product has no radial leaf to rank covariate pairs by
+        with pytest.raises(ConfigError, match="covariate kernel must be radial"):
+            top_pairs(inner, np.zeros((3, 1)), 1)
         for fields in (
             {"family": "gaussian", "gamma": "1"},
             {"family": "affine_shift", "beta": "0.5", "child": exponential_kernel()},
@@ -408,6 +429,18 @@ class TestSpecSerialization:
             {"family": "affine_shift", "beta": "0.5", "child": {"family": "exponential"}},
         ):
             with pytest.raises(ConfigError):
+                spec_from_dict(entry)
+        # a product is refused under a shift and as a product's factor
+        prod = {"family": "product", "x_kernel": {"family": "exponential"},
+                "y_kernel": {"family": "exponential"}}
+        for entry in (
+            {"family": "affine_shift", "beta": 0.5, "child": prod},
+            {"family": "affine_shift", "beta": 0.5,
+             "child": {"family": "affine_shift", "beta": 0.5, "child": prod}},
+            {"family": "product", "x_kernel": {"family": "exponential"}, "y_kernel": prod},
+            {"family": "product", "x_kernel": prod, "y_kernel": {"family": "exponential"}},
+        ):
+            with pytest.raises(ConfigError, match="radial kernel or an affine shift"):
                 spec_from_dict(entry)
         # kernels take no scale: a key c is refused like any unknown key
         with pytest.raises(ConfigError, match="unknown kernel config keys"):

@@ -138,6 +138,19 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_only_kernels_reads_a_spec():
+    # kernels.py is the one interpreter of a KernelSpec: every other
+    # module asks it, and reads no spec's family, child or beta
+    read = []
+    for path in sorted((SRC / "mmdreg").glob("*.py")):
+        if path.stem == "kernels":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in ("family", "child", "beta")]
+    assert read == []
+
+
 def test_readme_states_the_fit_defaults():
     # the README's stated step counts track the code
     stated = re.search(r"default step counts are `iters` = (\d+) for `tilde` and (\d+) "
