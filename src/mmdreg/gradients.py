@@ -46,7 +46,9 @@ def _linear_from_pair(i, j, n):
 def _pair_from_linear(t, n):
     t = np.asarray(t, dtype=np.int64)
     b = 2 * n - 1
-    i = ((b - np.sqrt(b * b - 8.0 * t)) // 2).astype(np.int64)
+    # floor(x / 2) as floor(0.5 x): the same exact value, many times faster
+    # than numpy's float floor division
+    i = np.floor(0.5 * (b - np.sqrt(b * b - 8.0 * t))).astype(np.int64)
     i = np.clip(i, 0, n - 2)
     # one-step corrections for sqrt rounding
     start = i * n - i * (i + 1) // 2
@@ -72,10 +74,15 @@ def _widen(r, fits):
 
 
 def _pairs_outside(base, ranks, n):
-    # the pairs of the given ranks, in (i, j) order, among those whose
-    # linear index is not held; base is the sorted held indices minus
-    # their positions
-    return _pair_from_linear(ranks + np.searchsorted(base, ranks, side="right"), n)
+    # the pairs of the given ranks, in (i, j) order, among those
+    # whose linear index is not held; base is the sorted held indices
+    # minus their positions.  Sorted keys search several times faster;
+    # the offsets go back to the ranks' own order, which fixes the
+    # summation order of the gradient.
+    order = np.argsort(ranks)
+    offsets = np.empty_like(ranks)
+    offsets[order] = np.searchsorted(base, ranks[order], side="right")
+    return _pair_from_linear(ranks + offsets, n)
 
 
 def _kd_tree():
@@ -173,10 +180,12 @@ def sample_pair_indices(total, m, rng):
     ``total``-sized allocation.
 
     ``t_k`` collides when it repeats an earlier draw or equals ``j_l``
-    for an earlier step ``l`` that collided.  Repeats are found by a
-    stable sort.  Only draws at or above ``total - m`` can equal some
-    ``j_l``; they are resolved one by one in step order, and for
-    ``m << total`` there are about ``m^2 / (2 total)`` of them.
+    for an earlier step ``l`` that collided.  A plain sort of the draws
+    finds the repeated values; a stable sort of only the steps that hold
+    one then marks every such step but the first of its value.  Only
+    draws at or above ``total - m`` can equal some ``j_l``; they are
+    resolved one by one in step order.  For ``m << total`` there are
+    about ``m^2 / (2 total)`` repeats and as many high draws.
     """
     if not (_whole(m) and _whole(total) and 0 <= m <= total):
         raise DomainError(f"cannot sample {m!r} from {total!r}")
@@ -185,11 +194,15 @@ def sample_pair_indices(total, m, rng):
     base = total - m
     js = np.arange(base, total, dtype=np.int64)
     ts = rng.integers(0, js + 1)
-    order = np.argsort(ts, kind="stable")
-    ranked = ts[order]
+    ranked = np.sort(ts)
     hit = np.zeros(m, dtype=bool)
-    # the sort is stable, so within a run of equal draws all but the first repeat
-    hit[order[1:][ranked[1:] == ranked[:-1]]] = True
+    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+    if repeated.size:
+        steps = np.flatnonzero(np.isin(ts, repeated))
+        order = np.argsort(ts[steps], kind="stable")
+        ranked = ts[steps[order]]
+        # the sort is stable, so within a run of equal draws all but the first repeat
+        hit[steps[order[1:][ranked[1:] == ranked[:-1]]]] = True
     # in step order, so hit[l] is final for every l < k; t == j_k reads
     # hit[k] itself, which is True only when t_k already repeats
     high = np.flatnonzero(ts >= base)
@@ -235,7 +248,8 @@ class PairCache:
     def weights(self, i, j):
         """Covariate kernel weights of pairs ``(i, j)``, equal bit for bit
         to the entries ``gram(x_kernel, x, x)[i, j]``."""
-        return _profile(self.x_kernel, _aligned_dists(self.kx[i], self.kx[j]))
+        return _profile(self.x_kernel,
+                        _aligned_dists(self.kx.take(i, axis=0), self.kx.take(j, axis=0)))
 
 
 def build_pair_cache(x_kernel, x, m_det):
@@ -333,10 +347,11 @@ def grad_objective_estimate(
     if estimator != "hat":
         return grad
     for idx_i, idx_j, weight, factor in _pair_batches(cache, m_samp, rng_pairs):
-        w_ij = elementwise(ky, ya[idx_i], yb[idx_j]) - elementwise(ky, ya[idx_i], yobs[idx_j])
-        w_ji = elementwise(ky, ya[idx_j], yb[idx_i]) - elementwise(ky, ya[idx_j], yobs[idx_i])
-        contrib = (2.0 * factor * weight * w_ij) @ scores[idx_i]
-        contrib += (2.0 * factor * weight * w_ji) @ scores[idx_j]
+        ya_i, ya_j = ya[idx_i], ya[idx_j]
+        w_ij = elementwise(ky, ya_i, yb[idx_j]) - elementwise(ky, ya_i, yobs[idx_j])
+        w_ji = elementwise(ky, ya_j, yb[idx_i]) - elementwise(ky, ya_j, yobs[idx_i])
+        contrib = (2.0 * factor * weight * w_ij) @ scores.take(idx_i, axis=0)
+        contrib += (2.0 * factor * weight * w_ji) @ scores.take(idx_j, axis=0)
         grad += contrib
     return grad
 

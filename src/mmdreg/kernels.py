@@ -272,10 +272,15 @@ def _evaluate(spec, a, b, dists):
     # factors, and any other spec is its profile at the distances
     # ``dists`` gives between its coordinates.
     if spec.family == "product":
-        if not all(isinstance(p, tuple) and len(p) == 2 for p in (a, b)):
-            raise DomainError("a product kernel takes (x_points, y_points) pairs")
-        (ax, ay), (bx, by) = a, b
-        return _evaluate(spec.x_kernel, ax, bx, dists) * _evaluate(spec.y_kernel, ay, by, dists)
+        (ax, ay), (bx, by) = _point_parts(spec, a), _point_parts(spec, b)
+        kx = _evaluate(spec.x_kernel, ax, bx, dists)
+        ky = _evaluate(spec.y_kernel, ay, by, dists)
+        # equal shapes, not broadcastable ones: a pair's parts share their rows
+        if kx.shape != ky.shape:
+            raise DomainError("the x and y points of a product pair differ in row count")
+        return kx * ky
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        raise DomainError("only a product kernel takes (x_points, y_points) pairs")
     return _profile(spec, dists(_coords(spec, a), _coords(spec, b)))
 
 
@@ -289,6 +294,15 @@ def _x_kernel(kernel):
 def _y_kernel(kernel):
     """The response factor of a product kernel, or the kernel itself."""
     return kernel.y_kernel if kernel.family == "product" else kernel
+
+
+def _point_parts(kernel, points):
+    """The arrays of one point set as ``kernel`` reads it: a product's
+    ``(x_points, y_points)`` pair, or the one array of any other kernel."""
+    product = kernel.family == "product"
+    if isinstance(points, tuple) != product or product and len(points) != 2:
+        raise DomainError("a product kernel, and no other, takes (x_points, y_points) pairs")
+    return points if product else (points,)
 
 
 def _joint_points(kernel, x, y):
@@ -306,7 +320,8 @@ def gram(spec, a, b):
     Points are not checked for finiteness: callers pass arrays already
     checked at their own entry (a ``Dataset``, model draws), and a
     non-finite point yields non-finite entries.  Only dimensions are
-    checked, and that a product kernel is given pairs.
+    checked, and that a product kernel, and no other, is given pairs
+    whose two parts have equal row counts.
 
     Args:
         spec: the kernel to evaluate.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .kernels import _x_kernel, _y_kernel, elementwise, gram
+from .kernels import _point_parts, _x_kernel, _y_kernel, elementwise, gram
 from .models import _MAX_TABLE_CELLS, Dataset, _whole
 
 _NEGATIVE_TOL = 1e-12
@@ -45,13 +45,15 @@ def _as_weights(w, count, side):
     return w
 
 
-def _point_count(points):
+def _point_count(kernel, points):
     # Point sets arrive here from the caller, so they are checked here.
-    parts = points if isinstance(points, tuple) else (points,)
-    if not all(np.all(np.isfinite(np.asarray(p, dtype=float))) for p in parts):
+    parts = [np.asarray(p, dtype=float) for p in _point_parts(kernel, points)]
+    if not all(np.all(np.isfinite(p)) for p in parts):
         raise DomainError("kernel evaluation requires finite points")
-    arr = np.asarray(parts[0])
-    count = arr.shape[0] if arr.ndim > 0 else 1
+    counts = {p.shape[0] if p.ndim > 0 else 1 for p in parts}
+    if len(counts) > 1:
+        raise DomainError("the x and y points of a product pair differ in row count")
+    count = counts.pop()
     if count == 0:
         raise DomainError("a kernel discrepancy needs at least one point per set")
     return count
@@ -80,8 +82,8 @@ def mmd_sq_vstat(kernel, points_a, points_b, weights_a=None, weights_b=None):
         NumericalError: when a Gram matrix would exceed
             ``models._MAX_TABLE_CELLS`` cells; checked before anything is built.
     """
-    na = _point_count(points_a)
-    nb = _point_count(points_b)
+    na = _point_count(kernel, points_a)
+    nb = _point_count(kernel, points_b)
     wa = _as_weights(weights_a, na, "a")
     wb = _as_weights(weights_b, nb, "b")
     _check_gram_side(max(na, nb))

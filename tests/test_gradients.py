@@ -27,6 +27,7 @@ from mmdreg.gradients import (
     sample_pair_indices,
     top_pairs,
 )
+from mmdreg import gradients
 from mmdreg.gradients import _linear_from_pair, _pair_from_linear
 from mmdreg.kernels import (
     affine_shift_kernel,
@@ -297,6 +298,31 @@ class TestPairIndexing:
         assert np.array_equal(sampled, comp)
 
 
+    def test_sampled_pairs_keep_draw_order(self, monkeypatch):
+        # the pairs come back in the order of their ranks, not sorted: that
+        # order fixes the summation order of the gradient.  The held pairs
+        # include the first and the last of the linear range, (0, 1) and
+        # (7, 8), and one in the middle, (3, 4).
+        x = np.array([0.0, 0.01, 1.0, 2.5, 2.52, 4.0, 5.5, 7.0, 7.01])
+        cache = build_pair_cache(exponential_kernel(1.0), x, 3)
+        total = 9 * 8 // 2
+        assert cache.det_linear.tolist() == [0, _linear_from_pair(3, 4, 9), total - 1]
+        comp = np.setdiff1d(np.arange(total), cache.det_linear)
+        rank_orders = [
+            np.arange(cache.remaining, dtype=np.int64)[::-1],
+            np.random.default_rng(9).permutation(cache.remaining),
+            np.array([0, cache.remaining - 1], dtype=np.int64),
+            np.array([cache.remaining - 1, 0], dtype=np.int64),
+        ]
+        for ranks in rank_orders:
+            def fixed(count, m, rng, ranks=ranks):
+                assert (count, m) == (cache.remaining, ranks.size)
+                return ranks
+            monkeypatch.setattr(gradients, "sample_pair_indices", fixed)
+            si, sj = cache.sample_remaining(ranks.size, None)
+            assert np.array_equal(_linear_from_pair(si, sj, 9), comp[ranks])
+
+
 def floyd_oracle(total, m, rng):
     # Floyd's algorithm as a plain loop over one vector of draws.
     if m == 0:
@@ -373,10 +399,13 @@ def assert_sampler_matches_oracle(total, m, seed):
 class TestPairOracles:
     @pytest.mark.parametrize(
         "total, m",
-        [(1, 1), (7, 0), (9, 6), (10, 10), (100, 99), (1000, 1000), (1_996_000, 2000)],
+        [(1, 1), (7, 0), (2, 2), (5, 5), (9, 6), (10, 10), (100, 99), (1000, 1000),
+         (1_996_000, 2000), (200_000, 150_000)],
     )
     def test_sampler_matches_floyd_loop(self, total, m):
-        for seed in range(200):
+        # (2, 2) and (5, 5) repeat draws two and three times over; the
+        # last case repeats tens of thousands, so it runs on fewer seeds
+        for seed in range(200 if m < 10_000 else 10):
             assert_sampler_matches_oracle(total, m, seed)
 
     def test_top_pairs_matches_full_lexsort(self):

@@ -304,6 +304,27 @@ class TestKernelSpec:
                 with pytest.raises(DomainError, match="pairs"):
                     evaluate(spec, a, b)
 
+    def test_malformed_point_pairs_refused(self):
+        # a non-product kernel is not given an (x, y) pair, not even one
+        # numpy could stack into a (2, n) array, and a product pair's two
+        # parts have equal row counts, not merely broadcastable ones
+        rng = np.random.default_rng(23)
+        x, y = rng.normal(size=(5, 2)), rng.normal(size=5)
+        ky = exponential_kernel(1.0)
+        prod = product_kernel(psi_matern_kernel(0.4), ky)
+        cases = [
+            (ky, (x, y), (x, y), "only a product"),
+            (ky, (x[:, 0], y), (x[:, 0], y), "only a product"),
+            (ky, y, (x[:, 0], y), "only a product"),
+            (prod, (x, y[:3]), (x, y[:3]), "row count"),
+            (prod, (x[:1], y), (x[:1], y), "row count"),
+            (prod, (x, y[:3]), (x, y), "row count|equal shapes"),
+        ]
+        for spec, a, b, message in cases:
+            for evaluate in (gram, elementwise):
+                with pytest.raises(DomainError, match=message):
+                    evaluate(spec, a, b)
+
     def test_gram_matches_pointwise(self):
         rng = np.random.default_rng(19)
         a = rng.normal(size=(6, 2))

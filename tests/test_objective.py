@@ -92,6 +92,26 @@ class TestMmdSqVstat:
         with pytest.raises(DomainError):
             mmd_sq_vstat(KY, pts, pts, np.array([-0.2, 0.6, 0.6]), None)
 
+    def test_malformed_point_pairs_refused(self):
+        # an (x, y) pair goes to a product kernel only, and its two parts
+        # have equal row counts; both are refused before any Gram is built
+        rng = np.random.default_rng(24)
+        x, y = rng.normal(size=(5, 2)), rng.normal(size=5)
+        prod = product_kernel(psi_matern_kernel(0.4), KY)
+        cases = [
+            (KY, (x, y), (x, y), "no other"),
+            (KY, (x[:, 0], y), (x[:, 0], y), "no other"),
+            (KY, y, (x[:, 0], y), "no other"),
+            (prod, x, x, "no other"),
+            (prod, (x, y, y), (x, y, y), "no other"),
+            (prod, (x, y[:3]), (x, y), "row count"),
+            (prod, (x[:1], y), (x[:1], y), "row count"),
+        ]
+        for kernel, a, b, message in cases:
+            with pytest.raises(DomainError, match=message):
+                mmd_sq_vstat(kernel, a, b)
+        assert mmd_sq_vstat(prod, (x, y), (x, y)) == 0.0
+
     def test_empty_point_set_refused(self):
         # uniform weights over no points would divide by zero
         with pytest.raises(DomainError, match="at least one point"):
