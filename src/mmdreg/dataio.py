@@ -4,14 +4,23 @@ The dataset format is a UTF-8 CSV with header ``x1,...,xd,y`` for
 scalar responses or ``x1,...,xd,y1,y2`` for censored pairs.  Floats are
 written with 17 significant digits so a write/load round trip is exact.
 Blank lines are skipped; a ``#`` line is refused like any other malformed
-row, and every row error names its line number.
+row, and every row error names its line number.  A file that is not
+UTF-8 is refused with a ``FormatError``.  Rows are parsed by numpy's C
+reader straight from the file's bytes when the file is ASCII and holds
+none of U+000B, U+000C and U+001C to U+001F, where that reader and
+``str.splitlines``/``float()`` part ways; any other file, and any file
+that parse or a row check refuses, is read line by line with ``float()``,
+which words every error, so values and messages do not depend on the
+path.  The writer formats 4,096 rows at a time.
 Config files are JSON everywhere; TOML is accepted when the interpreter
 ships ``tomllib`` (3.11+).
 """
 
+import io
 import json
 import math
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -30,14 +39,39 @@ def write_csv(dataset, path):
     d = dataset.x.shape[1]
     cols = [f"x{j + 1}" for j in range(d)]
     cols += ["y1", "y2"] if dataset.kind == "censored" else ["y"]
-    # y stays apart from x so "%d" prints int64 counts past 2**53 exactly
+    # Python ints in an object block print int64 counts past 2**53 exactly
     yfmt = "%d" if dataset.kind in ("count", "binary") else "%.17g"
     row = ",".join(["%.17g"] * d + [yfmt] * y.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for i in range(0, len(y), 4096):  # blocks bound the Python objects held at once
-            rows = zip(dataset.x[i : i + 4096].tolist(), y[i : i + 4096].tolist())
-            fh.write("".join([row % (*a, *b) for a, b in rows]))
+            block = np.concatenate([dataset.x[i : i + 4096], y[i : i + 4096]], axis=1, dtype=object)
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+# str.splitlines() breaks lines at \x0b, \x0c and \x1c-\x1e, where numpy's
+# reader does not, and numpy strips \x1f around a number, where float()
+# refuses it; a file holding any of them is read by the line scan alone
+_NUMPY_APART = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_NON_SPACE = re.compile(rb"\S")
+
+
+def _body_start(raw):
+    # Where the rows begin if numpy's reader may take them, else None.  An
+    # ASCII file free of _NUMPY_APART breaks lines at \n, \r\n and \r alone,
+    # for numpy as for str.splitlines(); numpy refuses a bare \r inside a
+    # row, and one inside the first line sends the file to the scan.
+    if not raw.isascii() or any(c in raw for c in _NUMPY_APART):
+        return None
+    start = raw.find(b"\n") + 1 or len(raw)
+    return None if b"\r" in raw[:start].rstrip(b"\r\n") else start
+
+
+def _lines(raw, path):
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _parse_header(line, path):
@@ -66,11 +100,14 @@ def _parse_float(tok, path, lineno):
     return v
 
 
-def _checked_array(body, ncols, kind, strict):
-    # numpy's C parse when every row check passes, else None.  It takes a
-    # subset of what float() takes and warns on no rows; the caller re-scans.
-    if not any(line.strip() for line in body):
+def _checked_array(raw, start, ncols, kind, strict):
+    # numpy's C parse of the rows from raw[start:] when every row check
+    # passes, else None.  It takes a subset of what float() takes and warns
+    # on no rows; the caller re-scans.
+    if not _NON_SPACE.search(raw, start):
         return None
+    body = io.BytesIO(raw)
+    body.seek(start)
     try:
         arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
@@ -135,11 +172,10 @@ def load_csv(path, kind=None, strict=True):
     structure: an unselected row must carry a zero outcome.  Contaminated exports can violate
     that on purpose and are read back with ``strict=False``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # numpy's parser strips U+001F around a number, where float() refuses it
-    lines, fast = text.splitlines(), "\x1f" not in text
-    del text
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = _body_start(raw)
+    lines = _lines(raw[:start], path)  # the header alone when numpy reads the body
     if not lines:
         raise FormatError(f"{path}: empty file")
     d, censored = _parse_header(lines[0], path)
@@ -157,9 +193,9 @@ def load_csv(path, kind=None, strict=True):
             )
 
     ncols = d + (2 if censored else 1)
-    arr = _checked_array(lines[1:], ncols, kind, strict) if fast else None
+    arr = None if start is None else _checked_array(raw, start, ncols, kind, strict)
     if arr is None:
-        arr = _scan_rows(lines, path, ncols, kind, strict)
+        arr = _scan_rows(lines if start is None else _lines(raw, path), path, ncols, kind, strict)
     return Dataset(
         x=np.ascontiguousarray(arr[:, :d]),
         y=arr[:, d:].copy() if censored else arr[:, d].copy(),
@@ -202,7 +238,7 @@ def load_config(path):
         with open(base, "r", encoding="utf-8") as fh:
             try:
                 cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise FormatError(f"{base}: {exc}") from None
     elif ext == ".toml":
         try:
@@ -214,7 +250,7 @@ def load_config(path):
         with open(base, "rb") as fh:
             try:
                 cfg = tomllib.load(fh)
-            except tomllib.TOMLDecodeError as exc:
+            except ValueError as exc:  # bad TOML, or bytes that are not UTF-8
                 raise FormatError(f"{base}: {exc}") from None
     else:
         raise ConfigError(f"config files must be .json or .toml, got {base!r}")

@@ -207,8 +207,12 @@ def _cross_dists(a, b):
 def _aligned_dists(a, b):
     if a.shape != b.shape:
         raise DomainError(f"aligned evaluation needs equal shapes, got {a.shape} vs {b.shape}")
-    # the same reduction as _cross_dists, so each value equals its gram entry
+    # the same reduction as _cross_dists, so each value equals its gram
+    # entry; on one coordinate that sum is its single term d * d
     d = a - b
+    if d.shape[1] == 1:
+        d = d[:, 0]
+        return np.sqrt(d * d)
     return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 

@@ -228,9 +228,11 @@ class GaussianLinear(Family):
     def sample(self, theta, x, rng):
         theta = self._theta(theta)
         x = self._rows(x)
-        mean = x @ theta[: self.d]
-        sigma = np.exp(theta[self.d])
-        return mean + sigma * rng.standard_normal(x.shape[0])
+        # in place, the same two roundings as mean + sigma * draws
+        draws = rng.standard_normal(x.shape[0])
+        draws *= np.exp(theta[self.d])
+        draws += x @ theta[: self.d]
+        return draws
 
     def grad_log_density(self, theta, x, y):
         theta = self._theta(theta)
@@ -239,7 +241,7 @@ class GaussianLinear(Family):
         inv_sigma = np.exp(-theta[self.d])
         z = (y - x @ theta[: self.d]) * inv_sigma
         g = np.empty((x.shape[0], self.raw_dim))
-        g[:, : self.d] = (z * inv_sigma)[:, None] * x
+        np.multiply((z * inv_sigma)[:, None], x, out=g[:, : self.d])
         g[:, self.d] = z * z - 1.0
         return g
 
@@ -387,7 +389,7 @@ class GammaRegression(Family):
         xb = x @ theta[: self.d]
         scaled = y * np.exp(-xb)
         g = np.empty((x.shape[0], self.raw_dim))
-        g[:, : self.d] = (nu * (scaled - 1.0))[:, None] * x
+        np.multiply((nu * (scaled - 1.0))[:, None], x, out=g[:, : self.d])
         g[:, self.d] = nu * (log_nu + 1.0 - xb - _special().digamma(nu) + np.log(y) - scaled)
         return g
 

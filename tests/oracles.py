@@ -30,10 +30,12 @@ estimate from ``B`` draw pairs.
 ``scipy.stats`` and decoding the raw parameters itself; the package has
 no densities, only samplers and scores.  :func:`kernel_value` evaluates
 a ``KernelSpec`` at two single points with ``math``, from the formulas in
-the ``KernelSpec`` docstring.  :func:`gamma_draws` and
-:func:`heckman_score` are the straightforward forms of the gamma sampler
-(``Generator.gamma`` with an array scale) and of the Heckman score
-(every branch on every row, then ``np.where``) that the package's
+the ``KernelSpec`` docstring.  :func:`gaussian_draws`,
+:func:`gaussian_score`, :func:`gamma_draws`, :func:`gamma_score` and
+:func:`heckman_score` are the straightforward forms of the Gaussian
+sampler and score (a fresh array for every term), of the gamma sampler
+(``Generator.gamma`` with an array scale) and score, and of the Heckman
+score (every branch on every row, then ``np.where``) that the package's
 faster forms must match bit for bit.  :func:`top_pairs_oracle` ranks every pair
 of a dense covariate Gram.  :func:`csv_text` and :func:`csv_read` are the
 dataset CSV format value by value and line by line; they import nothing
@@ -182,6 +184,35 @@ def log_density(family, theta, x, y):
     raise ValueError(f"no reference density for {family.name!r}")
 
 
+def gaussian_draws(family, theta, x, rng):
+    """Gaussian linear draws at rows ``x``: ``mean + sigma *
+    rng.standard_normal(n)``, each term a fresh array."""
+    d = family.d
+    mean = x @ theta[:d]
+    sigma = np.exp(theta[d])
+    return mean + sigma * rng.standard_normal(x.shape[0])
+
+
+def gaussian_score(family, theta, x, y):
+    """Gaussian linear raw score ``(n, d + 1)``: ``z / sigma * x`` and
+    ``z**2 - 1`` with ``z`` the standardised residual."""
+    d = family.d
+    inv_sigma = np.exp(-theta[d])
+    z = (y - x @ theta[:d]) * inv_sigma
+    return np.column_stack([(z * inv_sigma)[:, None] * x, z * z - 1.0])
+
+
+def gamma_score(family, theta, x, y):
+    """Gamma regression raw score ``(n, d + 1)`` in the coefficients and
+    ``log nu``, with ``scaled = y exp(-beta' x)``."""
+    d = family.d
+    nu = np.exp(theta[d])
+    xb = x @ theta[:d]
+    scaled = y * np.exp(-xb)
+    return np.column_stack([(nu * (scaled - 1.0))[:, None] * x,
+                            nu * (theta[d] + 1.0 - xb - special.digamma(nu) + np.log(y) - scaled)])
+
+
 def gamma_draws(family, theta, x, rng):
     """Gamma regression draws at rows ``x``: ``rng.gamma`` with shape
     ``nu`` and the array scale ``exp(beta' x) / nu``."""
@@ -289,11 +320,16 @@ def csv_read(path, kind=None, strict=True):
     Returns ``(x, y, kind)`` with float arrays (``y`` of shape ``(n,)``,
     or ``(n, 2)`` for a ``y1,y2`` header), or the text of the error the
     loader raises: the first fault in file order, with its 1-based line
-    number.  Lines are those of ``str.splitlines``; blank and
-    whitespace-only ones are skipped but keep their numbers.
+    number.  Lines are those of ``str.splitlines`` on the file's bytes
+    decoded as UTF-8, or the decode error is the fault; blank and
+    whitespace-only lines are skipped but keep their numbers.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text: {exc}"
     if not lines:
         return f"{path}: empty file"
     names = [name.strip() for name in lines[0].split(",")]

@@ -5,6 +5,7 @@ contract (0 ok, 2 validation, 3 numerical) is asserted directly.
 """
 
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -367,6 +368,26 @@ class TestBadInputs:
         capsys.readouterr()
         assert run("fit", "--in", path, "--model", "poisson", "--estimator", "mle") == 2
         assert capsys.readouterr().err == "error: count responses must lie below 2**63\n"
+
+    def test_files_that_are_not_utf8(self, gauss_csv, tmp_path, capsys):
+        # a data file, a JSON config and a TOML config, each with one bad byte
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(b"x1,y\n1.0,\xff2.0\n")
+        cases = [(["fit", "--in", csv, "--model", "gaussian_linear", "--estimator", "mle"],
+                  f"error: {csv}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                  "in position 9: invalid start byte\n")]
+        configs = [("bad.json", b'{"iters": \xff}')]
+        if sys.version_info >= (3, 11):  # tomllib
+            configs.append(("bad.toml", b'iters = "\xff"'))
+        for name, text in configs:
+            config = tmp_path / name
+            config.write_bytes(text)
+            cases.append((["fit", "--in", gauss_csv, "--model", "gaussian_linear",
+                           "--config", config], f"error: {config}: 'utf-8' codec can't decode"))
+        for argv, message in cases:
+            capsys.readouterr()
+            assert run(*argv) == 2
+            assert capsys.readouterr().err.startswith(message)
 
 
 class TestMmd:

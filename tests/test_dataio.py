@@ -201,6 +201,17 @@ class TestConfigs:
             with pytest.raises(ConfigError, match="3.11"):
                 load_config(path)
 
+    def test_not_utf8(self, tmp_path):
+        # a FormatError, not the codec's UnicodeDecodeError
+        cases = [("c.json", b'{"eta": "\xff"}')]
+        if sys.version_info >= (3, 11):  # tomllib
+            cases.append(("c.toml", b'eta = "\xe2\x80"'))
+        for name, raw in cases:
+            path = tmp_path / name
+            path.write_bytes(raw)
+            with pytest.raises(FormatError, match="'utf-8' codec can't decode"):
+                load_config(path)
+
     def test_unknown_extension(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("a: 1")
@@ -294,6 +305,11 @@ ODD_NUMBERS = ("1_0", "\uff11", "1e-400", "-0.0", "+2", "3.", ".5")
 ODD_WHOLE = ("1_0", "\uff11", "1e-400", "2.0")
 # tokens or rows the loader must refuse, each with its line number
 FAULTY_TOKENS = ("nan", "inf", "-inf", "1e400", "zap", "", "1\x1f", "0x10", "#1")
+# line breaks of str.splitlines other than \n and \r\n; numpy's reader
+# breaks at none of them but \r, and strips the ASCII ones around a number
+ODD_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# byte runs that are not UTF-8, wherever they land in a file
+NOT_UTF8 = (b"\xff", b"\xc3", b"\xe2\x80", b"\xed\xa0\x80")
 
 
 @st.composite
@@ -301,17 +317,23 @@ def csv_cases(draw):
     """(file bytes, kind argument, strict) for a small dataset CSV that
     mixes blank and whitespace-only lines, CRLF endings and padded
     tokens.  Some files also carry tokens numpy's parser refuses but
-    float() reads, and some carry faults the loader must name."""
+    float() reads, some carry faults the loader must name, and some
+    carry what only the line scan reads as str.splitlines() does: the
+    other line breaks (also beside a number), a byte-order mark, or
+    bytes that are not UTF-8."""
     kind = draw(st.sampled_from(["real", "count", "binary", "censored"]), label="kind")
     strict = draw(st.booleans(), label="strict")
     odd = draw(st.booleans(), label="odd tokens")
     faulty = draw(st.booleans(), label="faulty")
+    odd_breaks = draw(st.integers(0, 3), label="odd breaks") == 0
+    pads = VALID_PADS + (ODD_BREAKS if odd_breaks else ())
+    breaks = ["\n", "\r\n"] + (list(ODD_BREAKS) if odd_breaks else [])
     d = draw(st.integers(1, 3), label="d")
     names = [f"x{j}" for j in range(1, d + 1)]
     names += ["y1", "y2"] if kind == "censored" else ["y"]
 
     def pad(tok):
-        return draw(st.sampled_from(VALID_PADS)) + tok + draw(st.sampled_from(VALID_PADS))
+        return draw(st.sampled_from(pads)) + tok + draw(st.sampled_from(pads))
 
     def number(whole=False):
         if odd and draw(st.integers(0, 3)) == 0:
@@ -359,15 +381,21 @@ def csv_cases(draw):
         else:
             toks[-1] = {"real": "1e400", "count": "2.5", "binary": "2", "censored": "2"}[kind]
     lines = [",".join(line) if isinstance(line, list) else line for line in lines]
-    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    ends = [draw(st.sampled_from(breaks)) for _ in lines]
     text = "".join(line + end for line, end in zip(lines, ends))
     if draw(st.booleans(), label="drop last newline"):
         text = text.rstrip("\r\n")
+    if draw(st.integers(0, 7), label="byte-order mark") == 0:
+        text = "\ufeff" + text
+    raw = text.encode("utf-8")
+    if draw(st.integers(0, 7), label="not UTF-8") == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from(NOT_UTF8)) + raw[at:]
     if kind == "censored":
         arg = draw(st.sampled_from([None, "censored"]))
     else:
         arg = draw(st.sampled_from([None, kind])) if kind == "real" else kind
-    return text.encode("utf-8"), arg, strict
+    return raw, arg, strict
 
 
 class TestLoaderParity:
@@ -387,6 +415,27 @@ class TestLoaderParity:
     @example((b"x1,y\n1,2\n1,nan\n", None, True))
     @example((b"x1,y\n\n  \n", None, True))
     @example((b"x1,x2,y\n1,2\n\n3,4\n", None, True))
+    # what the line scan alone reads as str.splitlines() does
+    @example((b"x1,y\r1,2\r3,4\r", None, True))
+    @example((b"x1,y\r1,2\n3,4\n", None, True))
+    @example((b"x1,y\n1,2\r3,4\n", None, True))
+    @example((b"x1,y\r\n1,2\r\r\n3,4", None, True))
+    @example((b"x1,y\n1\x0b,2\n", None, True))
+    @example((b"x1,y\n1\x0c,2\n", None, True))
+    @example((b"x1,y\n1\x1c,2\n", None, True))
+    @example((b"x1,y\n1\x1d,2\n", None, True))
+    @example((b"x1,y\n1\x1e,2\n", None, True))
+    @example((b"x1,y\n1,2\x0c\n3,4\x1e5,6\n", None, True))
+    @example(("x1,y\n1\x85,2\n".encode(), None, True))
+    @example(("x1,y\n1\u2028,2\n".encode(), None, True))
+    @example(("x1,y\n1\u2029,2\n".encode(), None, True))
+    @example(("\ufeffx1,y\n1,2\n".encode(), None, True))
+    # header only: no data rows, and no numpy warning (warnings fail the run)
+    @example((b"x1,y\n", None, True))
+    @example((b"x1,y1,y2\r\n  \r\n", None, True))
+    @example((b"x1,y\n1.0,\xff2.0\n", None, True))
+    @example((b"x1,y\n1.0,2.0\n\xc3", None, True))
+    @example((b"x1,\xc3y\n1,2\n", None, True))
     def test_matches_line_scan(self, case):
         raw, kind, strict = case
         with tempfile.TemporaryDirectory() as tmp:

@@ -25,6 +25,7 @@ from mmdreg.kernels import (
     psi_matern_kernel,
     spec_from_dict,
 )
+from mmdreg.kernels import _aligned_dists
 from mmdreg.gradients import top_pairs
 from oracles import kernel_value, top_pairs_oracle
 
@@ -361,6 +362,29 @@ class TestKernelSpec:
             got = elementwise(spec, a, b)
             want = [gram(spec, a[i : i + 1], b[i : i + 1])[0, 0] for i in range(a.shape[0])]
             assert np.array_equal(got, want), spec
+
+    def test_one_coordinate_distances_match_einsum(self):
+        # the 1-D branch squares its one difference where _cross_dists and
+        # the wider rows sum with einsum; a one-term einsum sum is the same
+        # float, also where the square is subnormal, 0 or inf
+        mags = np.concatenate([[0.0, 5e-324, 1e-160, 1.34e154, np.inf],
+                               np.logspace(-160.0, np.log10(1.34e154), 401)])
+        d = np.concatenate([mags, -mags])
+        zero = np.zeros_like(d)
+        for a, b in ((d, zero), (zero, d), (d + 0.5, np.full_like(d, 0.5))):
+            diff = (a - b)[:, None]
+            want = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            assert _aligned_dists(a[:, None], b[:, None]).tobytes() == want.tobytes()
+        # and so do the kernel values on finite points, against the einsum
+        # path of a zero second coordinate
+        d = d[np.isfinite(d)]
+        zero = np.zeros_like(d)
+        wide = np.column_stack([d, zero])
+        for spec in (exponential_kernel(1.3e-137), exponential_kernel(1.7e151),
+                     gaussian_kernel(1.1e-154), matern_kernel(1.3e-137, m=3),
+                     matern_kernel(1.7e151, m=5), psi_matern_kernel(0.01)):
+            got = elementwise(spec, d, zero)
+            assert got.tobytes() == elementwise(spec, wide, np.zeros_like(wide)).tobytes(), spec
 
     def test_validation(self):
         with pytest.raises(ConfigError):

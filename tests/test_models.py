@@ -26,7 +26,14 @@ from mmdreg.models import (
     simulate_dataset,
 )
 from mmdreg.objective import objective
-from oracles import gamma_draws, heckman_score, log_density
+from oracles import (
+    gamma_draws,
+    gamma_score,
+    gaussian_draws,
+    gaussian_score,
+    heckman_score,
+    log_density,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -281,6 +288,44 @@ class TestFastPaths:
             want = gamma_draws(fam, theta, x, want_rng)
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @PROPERTY
+    @given(st.data())
+    def test_gaussian_draws_match_oracle(self, data):
+        fam = get_family("gaussian_linear", data.draw(st.integers(1, 4), label="d"))
+        scale = data.draw(st.sampled_from([0.3, 3.0, 300.0]), label="scale")
+        theta, x = _draw_case(data, fam, scale)
+        # sigma tiny, 1, large, and past exp's overflow
+        theta[fam.d] = data.draw(st.one_of(
+            st.sampled_from([-800.0, -690.0, 0.0, 690.0, 710.0]), st.floats(-5.0, 5.0)),
+            label="log_sigma")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            got = fam.sample(theta, x, got_rng)
+            want = gaussian_draws(fam, theta, x, want_rng)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @PROPERTY
+    @given(st.data())
+    def test_gaussian_and_gamma_scores_match_oracle(self, data):
+        name = data.draw(st.sampled_from(["gaussian_linear", "gamma"]), label="family")
+        fam = get_family(name, data.draw(st.integers(1, 4), label="d"))
+        scale = data.draw(st.sampled_from([0.3, 3.0, 300.0]), label="scale")
+        theta, x = _draw_case(data, fam, scale)
+        # log sigma or log nu where exp(-t) and exp(t) overflow
+        theta[fam.d] = data.draw(st.one_of(
+            st.sampled_from([-800.0, -710.0, 0.0, 710.0, 800.0]), st.floats(-5.0, 5.0)),
+            label="log_scale")
+        values = st.floats(-1e300, 1e300) if name == "gaussian_linear" else st.floats(1e-300, 1e300)
+        y = np.array(data.draw(st.lists(values, min_size=x.shape[0], max_size=x.shape[0]),
+                               label="y"))
+        oracle = gaussian_score if name == "gaussian_linear" else gamma_score
+        with np.errstate(all="ignore"):
+            got = fam.grad_log_density(theta, x, y)
+            want = oracle(fam, theta, x, y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @PROPERTY
     @given(st.data())
