@@ -185,10 +185,10 @@ def _cell_dataset(plan, scenario, cell, rep):
     data_seed = _derive_seed(plan.master_seed, 1, cell.index, rep)
     family, ds = simulate_dataset(scenario, cell.n, data_seed)
     if cell.epsilon > 0.0:
-        mean = scenario.recipe_means.get(f"{cell.recipe}_mean")
         spec = ContaminationSpec(
             epsilon=cell.epsilon, scheme=plan.scheme, recipe=cell.recipe,
-            mean=mean, seed=_derive_seed(plan.master_seed, 2, cell.index, rep),
+            mean=scenario.recipe_means.get(cell.recipe),
+            seed=_derive_seed(plan.master_seed, 2, cell.index, rep),
         )
         ds = contaminate(ds, spec)
     return family, ds

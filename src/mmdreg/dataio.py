@@ -221,12 +221,8 @@ def export_contaminated(dataset, path):
         raise ConfigError("dataset carries no contamination record")
     write_csv(dataset, path)
     sidecar = _sidecar_path(path)
-    payload = dict(record)
-    payload["n"] = int(dataset.x.shape[0])
-    payload["kind"] = dataset.kind
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    payload = dict(record, n=int(dataset.x.shape[0]), kind=dataset.kind)
+    _write_json(dict(sorted(payload.items())), sidecar)
     return sidecar
 
 

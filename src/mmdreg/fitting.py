@@ -321,9 +321,8 @@ def _mixture_em(family, x, y):
     return np.concatenate([betas.ravel(), np.log(sigmas), logits]), None
 
 
-# One entry per family, plus "ols", the gaussian entry under its own label.
+# One entry per family; "ols" is the gaussian_linear entry.
 _BASELINES = {
-    "ols": _ols_raw,
     "gaussian_linear": _ols_raw,
     "logistic": _logistic_mle,
     "poisson": _poisson_mle,
@@ -346,7 +345,7 @@ def fit_baseline(family, dataset, which="mle"):
         raise ConfigError(f"baseline must be 'ols' or 'mle', got {which!r}")
     if which == "ols" and family.name != "gaussian_linear":
         raise ConfigError("ols baseline is only defined for the gaussian_linear family")
-    baseline = _BASELINES.get("ols" if which == "ols" else family.name)
+    baseline = _BASELINES.get(family.name)
     if baseline is None:
         raise ConfigError(f"no baseline defined for family {family.name!r}")
     if family.name != "heckman":  # the two-step checks its own second stage

@@ -121,9 +121,9 @@ class Dataset:
 class Family:
     """Common interface of the regression families.
 
-    Subclasses define ``raw_dim``, ``kind``, ``exact`` (whether the
-    response support is finite or truncatable, enabling exact loss
-    evaluation), and the two core operations ``sample`` and
+    Subclasses set ``raw_dim`` (``d`` by default), ``kind``, ``exact``
+    (whether the response support is finite or truncatable, enabling
+    exact loss evaluation), and the two core operations ``sample`` and
     ``grad_log_density``.  The estimators only draw from a family and
     use its score, so no family needs a density.
     """
@@ -136,15 +136,17 @@ class Family:
         if not (_whole(d) and d >= 1):
             raise ConfigError(f"covariate dimension must be a positive integer, got {d!r}")
         self.d = int(d)
+        self.raw_dim = self.d
 
     # raw <-> natural -------------------------------------------------
 
     def natural(self, theta):
-        """Constrained view of a raw vector, as a flat float array."""
-        raise NotImplementedError
+        """Constrained view of a raw vector, as a flat float array; by
+        default a copy of the raw vector."""
+        return self.check_theta(theta).copy()
 
     def natural_names(self):
-        raise NotImplementedError
+        return [f"theta{i + 1}" for i in range(self.d)]
 
     # core operations -------------------------------------------------
 
@@ -255,14 +257,7 @@ class Logistic(Family):
 
     def __init__(self, d):
         super().__init__(d)
-        self.raw_dim = self.d
         _special()
-
-    def natural(self, theta):
-        return self.check_theta(theta).copy()
-
-    def natural_names(self):
-        return [f"theta{i + 1}" for i in range(self.d)]
 
     def _prob(self, theta, x):
         return _special().expit(x @ theta)
@@ -305,14 +300,7 @@ class Poisson(Family):
 
     def __init__(self, d):
         super().__init__(d)
-        self.raw_dim = self.d
         _special()
-
-    def natural(self, theta):
-        return self.check_theta(theta).copy()
-
-    def natural_names(self):
-        return [f"theta{i + 1}" for i in range(self.d)]
 
     def sample(self, theta, x, rng):
         theta = self._theta(theta)
@@ -445,11 +433,7 @@ class Heckman(Family):
     def natural(self, theta):
         theta = self._effective(self.check_theta(theta))
         return np.concatenate(
-            [
-                theta[: self.d],
-                theta[self.d : 2 * self.d],
-                [np.exp(theta[2 * self.d]), np.tanh(theta[2 * self.d + 1])],
-            ]
+            [theta[: 2 * self.d], [np.exp(theta[2 * self.d]), np.tanh(theta[2 * self.d + 1])]]
         )
 
     def natural_names(self):
@@ -583,84 +567,65 @@ def get_family(name, d, **kwargs):
     return cls(d, **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """A named synthetic data-generating process with its evaluation target."""
+    """A named synthetic data-generating process with its evaluation target.
+
+    ``recipe_means`` holds the contamination means, keyed by recipe, that
+    differ from the recipe's own default.
+    """
 
     name: str
     d: int
     family_name: str
-    family_kwargs: dict
+    family_kwargs: dict = field(default_factory=dict)
     truth_raw: np.ndarray
-    truth_natural: np.ndarray
     report_mask: np.ndarray
-    recipe_means: dict
+    recipe_means: dict = field(default_factory=dict)
 
     def make_family(self):
         return get_family(self.family_name, self.d, **self.family_kwargs)
 
-
-def _gauss_linear_laplace_scenario():
-    beta0 = np.array([4.0, 4.0, 3.0, 3.0, 2.0, 2.0, 1.0, 1.0])
-    sigma0 = 1.0
-    raw = np.concatenate([beta0, [np.log(sigma0)]])
-    natural = np.concatenate([beta0, [sigma0]])
-    mask = np.zeros(9, dtype=bool)
-    mask[:8] = True  # the noise is misspecified, so only the coefficients are scored
-    return Scenario(
-        name="gauss_linear_laplace",
-        d=8,
-        family_name="gaussian_linear",
-        family_kwargs={},
-        truth_raw=raw,
-        truth_natural=natural,
-        report_mask=mask,
-        recipe_means={"type_x_mean": 5.0, "type_y_mean": 10.0},
-    )
-
-
-def _heckman_synthetic_scenario():
-    beta0 = np.array([4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    gamma0 = np.array([0.0, 0.0, 0.0, 0.0, 4.0, 3.0, 2.0, 1.0])
-    sigma0, rho0 = 1.5, 0.5
-    raw = np.concatenate([beta0, gamma0, [np.log(sigma0), np.arctanh(rho0)]])
-    natural = np.concatenate([beta0, gamma0, [sigma0, rho0]])
-    outcome = np.array([True] * 4 + [False] * 4)
-    selection = ~outcome
-    return Scenario(
-        name="heckman_synthetic",
-        d=8,
-        family_name="heckman",
-        family_kwargs={"outcome_support": outcome, "selection_support": selection},
-        truth_raw=raw,
-        truth_natural=natural,
-        report_mask=np.ones(18, dtype=bool),
-        recipe_means={"type_x_mean": 5.0},
-    )
-
-
-def _gamma_synthetic_scenario():
-    beta0 = np.ones(8)
-    raw = np.concatenate([beta0, [0.0]])
-    natural = np.concatenate([beta0, [1.0]])
-    return Scenario(
-        name="gamma_synthetic",
-        d=8,
-        family_name="gamma",
-        family_kwargs={},
-        truth_raw=raw,
-        truth_natural=natural,
-        report_mask=np.ones(9, dtype=bool),
-        recipe_means={"type_x_mean": -0.5},
-    )
+    @property
+    def truth_natural(self):
+        # derived when read: building a family at import would load scipy.special
+        return self.make_family().natural(self.truth_raw)
 
 
 _SCENARIOS = {
     s.name: s
     for s in (
-        _gauss_linear_laplace_scenario(),
-        _heckman_synthetic_scenario(),
-        _gamma_synthetic_scenario(),
+        Scenario(
+            name="gauss_linear_laplace",
+            d=8,
+            family_name="gaussian_linear",
+            truth_raw=np.array([4.0, 4.0, 3.0, 3.0, 2.0, 2.0, 1.0, 1.0, np.log(1.0)]),
+            # the noise is misspecified, so only the coefficients are scored
+            report_mask=np.arange(9) < 8,
+        ),
+        Scenario(
+            name="heckman_synthetic",
+            d=8,
+            family_name="heckman",
+            family_kwargs={
+                "outcome_support": np.arange(8) < 4,
+                "selection_support": np.arange(8) >= 4,
+            },
+            truth_raw=np.array(
+                [4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+                + [0.0, 0.0, 0.0, 0.0, 4.0, 3.0, 2.0, 1.0]
+                + [np.log(1.5), np.arctanh(0.5)]
+            ),
+            report_mask=np.ones(18, dtype=bool),
+        ),
+        Scenario(
+            name="gamma_synthetic",
+            d=8,
+            family_name="gamma",
+            truth_raw=np.append(np.ones(8), np.log(1.0)),
+            report_mask=np.ones(9, dtype=bool),
+            recipe_means={"type_x": -0.5},
+        ),
     )
 }
 
@@ -696,16 +661,16 @@ def simulate_dataset(scenario, n, seed):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal((int(n), scenario.d))
     family = scenario.make_family()
+    truth = family.natural(scenario.truth_raw)
     if scenario.name == "gauss_linear_laplace":
-        beta0 = scenario.truth_natural[:8]
-        y = x @ beta0 + rng.laplace(0.0, scenario.truth_natural[8], size=int(n))
+        y = x @ truth[: scenario.d] + rng.laplace(0.0, truth[scenario.d], size=int(n))
     else:
         y = family.sample(scenario.truth_raw, x, rng)
     meta = {
         "scenario": scenario.name,
         "seed": int(seed),
         "truth_raw": scenario.truth_raw.tolist(),
-        "truth_natural": scenario.truth_natural.tolist(),
+        "truth_natural": truth.tolist(),
         "report_mask": scenario.report_mask.tolist(),
     }
     return family, Dataset(x, y, family.kind, meta)
