@@ -21,7 +21,7 @@ from .dataio import _write_json, fit_config_from_dict
 from .errors import ConfigError, DomainError, FormatError, NumericalError
 from .fitting import ESTIMATORS, fit
 from .gradients import _kd_tree
-from .models import _real, _whole, check_seed, get_scenario, simulate_dataset
+from .models import _config_keys, _count, _real, get_scenario, simulate_dataset
 
 SCHEMA_VERSION = 1
 
@@ -42,7 +42,7 @@ def _listed(values, name, convert=str):
         raise wrong
     try:
         out = tuple(convert(v) for v in values)
-    except (TypeError, ValueError):
+    except TypeError:  # not iterable
         raise wrong from None
     if any(out.count(v) > 1 for v in out):  # count, as items may be unhashable
         raise ConfigError(f"{name} must be distinct, got {values!r}")
@@ -73,10 +73,10 @@ class ExperimentPlan:
 
     def __post_init__(self):
         kind = get_scenario(self.scenario).make_family().kind
-        n_values = _listed(self.n_values, "n_values", lambda n: n)
-        if not n_values or not all(_whole(n) and n >= 1 for n in n_values):
-            raise ConfigError(f"n_values must be positive integers, got {self.n_values!r}")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in n_values))
+        n_values = _listed(self.n_values, "n_values", lambda n: _count(n, "each of n_values", 1))
+        if not n_values:
+            raise ConfigError(f"n_values must not be empty, got {self.n_values!r}")
+        object.__setattr__(self, "n_values", n_values)
         epsilons = _listed(self.epsilons, "epsilons", lambda e: e)
         if not epsilons or not all(_real(e) and 0.0 <= e < 1.0 for e in epsilons):
             raise ConfigError(f"epsilons must be numbers in [0, 1), got {self.epsilons!r}")
@@ -99,16 +99,12 @@ class ExperimentPlan:
             raise ConfigError(
                 f"estimators must be drawn from {ESTIMATORS}, got {self.estimators}"
             )
-        if not (_whole(self.replications) and self.replications >= 1):
-            raise ConfigError("replications must be a positive integer")
-        check_seed(self.master_seed)
+        object.__setattr__(self, "replications", _count(self.replications, "replications", 1))
+        object.__setattr__(self, "master_seed", _count(self.master_seed, "seed"))
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if not isinstance(self.fit_overrides, dict):
-            raise ConfigError("fit_overrides must be a mapping")
-        for name, over in self.fit_overrides.items():
-            if name not in self.estimators:
-                raise ConfigError(f"fit override for unused estimator {name!r}")
+        _config_keys(self.fit_overrides, "fit override (unused estimators refused)", self.estimators)
+        for over in self.fit_overrides.values():
             if not isinstance(over, dict):
                 raise ConfigError("each fit override must be a mapping")
             banned = {"estimator", "seed"} & set(over)
@@ -155,14 +151,7 @@ def plan_from_config(cfg):
     ``estimators``, ``reps``, ``seed``, and optionally ``scheme`` and
     ``fit`` (per-estimator overrides).
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("plan config must be a mapping")
-    extra = set(cfg) - _PLAN_KEYS
-    if extra:
-        raise ConfigError(f"unknown plan config keys: {sorted(extra)}")
-    missing = _PLAN_KEYS - {"recipes", "scheme", "fit"} - set(cfg)
-    if missing:
-        raise ConfigError(f"plan config missing keys: {sorted(missing)}")
+    _config_keys(cfg, "plan", _PLAN_KEYS, _PLAN_KEYS - {"recipes", "scheme", "fit"})
     given = {_PLAN_FIELDS[key]: value for key, value in cfg.items()}
     return ExperimentPlan(**{"recipes": (), **given})
 
@@ -313,9 +302,7 @@ def run_plan(plan, threads=None):
     derived seeds and the aggregation orders by (cell, rep), so the
     worker process count ``threads`` (default 1) only changes wall time.
     """
-    threads = 1 if threads is None else threads
-    if not (_whole(threads) and threads >= 1):
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+    threads = 1 if threads is None else _count(threads, "threads", 1)
     scenario = get_scenario(plan.scenario)
     cells = plan.cells()
     tasks = [(plan, cell, rep) for cell in cells for rep in range(plan.replications)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .models import Dataset, _real, check_seed
+from .models import Dataset, _count, _real
 
 SCHEMES = ("adversarial", "huber")
 RECIPES = ("type_x", "type_y", "selection_flip")
@@ -54,7 +54,7 @@ class ContaminationSpec:
             if not _real(self.mean):
                 raise ConfigError(f"recipe mean must be a finite real number, got {self.mean!r}")
             object.__setattr__(self, "mean", float(self.mean))
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
 
     def resolved_mean(self):
         if self.recipe not in _DEFAULT_MEANS:
@@ -122,7 +122,7 @@ def contaminate(dataset, spec):
         "scheme": spec.scheme,
         "recipe": spec.recipe,
         "mean": spec.resolved_mean(),
-        "seed": int(spec.seed),
+        "seed": spec.seed,
         "indices": [int(i) for i in idx],
     }
     meta = dict(dataset.meta)

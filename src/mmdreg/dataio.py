@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .fitting import FitConfig, FitResult
 from .kernels import spec_from_dict
-from .models import Dataset
+from .models import Dataset, _config_keys
 
 _SCALAR_KINDS = ("real", "count", "binary")
 
@@ -260,11 +260,7 @@ _FIT_KEYS = {f.name for f in fields(FitConfig)}
 
 def fit_config_from_dict(cfg):
     """Build a :class:`FitConfig` from a parsed config mapping."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("fit config must be a mapping")
-    extra = set(cfg) - _FIT_KEYS
-    if extra:
-        raise ConfigError(f"unknown fit config keys: {sorted(extra)}")
+    _config_keys(cfg, "fit", _FIT_KEYS)
     kwargs = dict(cfg)
     if "kernel" in kwargs and kwargs["kernel"] is not None:
         kwargs["kernel"] = spec_from_dict(kwargs["kernel"])

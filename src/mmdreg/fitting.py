@@ -33,8 +33,8 @@ from .kernels import (
     default_response_kernel,
     product_kernel,
 )
-from .models import _inverse_mills, _real, _special, _whole, check_seed
-from .objective import _dataset_for, objective
+from .models import _count, _inverse_mills, _real, _special
+from .objective import _check_estimator, _check_gram_side, _dataset_for, objective
 
 ESTIMATORS = ("tilde", "hat", "mle", "ols")
 
@@ -85,12 +85,9 @@ class FitConfig:
             raise ConfigError(f"kernel must be a KernelSpec, got {self.kernel!r}")
         if not (_real(self.eta) and self.eta > 0.0):
             raise ConfigError(f"eta must be positive and finite, got {self.eta!r}")
-        if self.iters is not None and not (_whole(self.iters) and self.iters >= 1):
-            raise ConfigError("iters must be a positive integer")
-        for name in ("m1", "m2"):
-            v = getattr(self, name)
-            if v is not None and not (_whole(v) and v >= 0):
-                raise ConfigError(f"{name} must be a nonnegative integer")
+        for name, least in (("iters", 1), ("m1", 0), ("m2", 0)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _count(getattr(self, name), name, least))
         if isinstance(self.init, str):
             if self.init != "mle":
                 raise ConfigError(f"init must be 'mle' or a vector, got {self.init!r}")
@@ -102,13 +99,12 @@ class FitConfig:
             if arr is None or arr.ndim != 1 or not np.all(np.isfinite(arr)):
                 raise ConfigError(f"custom init must be a finite 1-D vector, got {self.init!r}")
             object.__setattr__(self, "init", arr)
-        check_seed(self.seed)
-        if not (_whole(self.trace_objective_every) and self.trace_objective_every >= 0):
-            raise ConfigError("trace_objective_every must be a nonnegative integer")
+        for name in ("seed", "trace_objective_every"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
 
     def resolved_iters(self):
         if self.iters is not None:
-            return int(self.iters)
+            return self.iters
         return DEFAULT_ITERS.get(self.estimator, DEFAULT_ITERS["tilde"])
 
 
@@ -381,18 +377,22 @@ def fit_mmd(family, dataset, config=None):
     with unbiased stochastic gradients, starting from the baseline
     estimate (falling back to zero when the baseline fails).  Returns
     the final iterate.  A non-finite gradient aborts with an error flag
-    and the last finite iterate.
+    and the last finite iterate.  A traced hat fit whose objective's
+    ``n x n`` Gram would pass the table cap raises ``NumericalError``
+    before it starts.
     """
     t0 = time.perf_counter()
     if config is None:
         config = FitConfig()
-    if config.estimator not in ("tilde", "hat"):
-        raise ConfigError(f"fit_mmd requires a discrepancy estimator, got {config.estimator!r}")
+    _check_estimator(config.estimator)
     dataset = _dataset_for(family, dataset)
     kernel = config.kernel if config.kernel is not None else default_kernel()
+    iters = config.resolved_iters()
+    every = config.trace_objective_every
+    if config.estimator == "hat" and 0 < every <= iters:
+        _check_gram_side(dataset.n)
     theta, warning = _resolve_init(family, dataset, config)
     init_used = theta.copy()
-    iters = config.resolved_iters()
     rng_draws = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(11,)))
     rng_pairs = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(13,)))
     rng_trace = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(17,)))
@@ -424,7 +424,6 @@ def fit_mmd(family, dataset, config=None):
         done = t + 1
         trace[t, 0] = t
         trace[t, 1] = math.sqrt(g @ g)  # what norm computes for a real vector
-        every = config.trace_objective_every
         if every and (t + 1) % every == 0:
             val = objective(
                 family, theta, dataset, kernel, config.estimator,

@@ -32,8 +32,8 @@ from .kernels import (  # noqa: F401
     KernelSpec, _aligned_dists, _as_points, _bound_beyond, _coords, _profile,
     _x_kernel, _y_kernel, elementwise, gram,
 )
-from .models import _whole
-from .objective import _dataset_for
+from .models import _count, _whole
+from .objective import _check_estimator, _dataset_for
 
 
 def _linear_from_pair(i, j, n):
@@ -129,15 +129,14 @@ def top_pairs(x_kernel, x, m):
         NumericalError: when a squared distance between the points
             overflows, which the tree's search refuses.
     """
-    if not (_whole(m) and m >= 0):
-        raise ConfigError(f"pair count must be a nonnegative integer, got {m!r}")
+    m = _count(m, "pair count")
     x = _as_points(x)
     if not np.all(np.isfinite(x)):
         raise DomainError("pair weights need finite covariates")
     z = _coords(x_kernel, x)
     n = z.shape[0]
     total = n * (n - 1) // 2
-    m = min(int(m), total)
+    m = min(m, total)
     floor = _bound_beyond(x_kernel, np.inf)
     if m == 0 or _bound_beyond(x_kernel, 0.0) <= floor:
         # every pair weighs the floor (some beta is 0)
@@ -314,8 +313,7 @@ def grad_objective_estimate(
     """
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)
-    if estimator not in ("tilde", "hat"):
-        raise ConfigError(f"estimator must be 'tilde' or 'hat', got {estimator!r}")
+    _check_estimator(estimator)
     rng_draws = np.random.default_rng(rng_draws)
     rng_pairs = np.random.default_rng(rng_pairs)
     ky = _y_kernel(kernel)
@@ -332,11 +330,7 @@ def grad_objective_estimate(
             raise DomainError(f"the pair cache covers {cache.n} rows, the dataset has {n}")
         if cache.x is not x and not np.array_equal(cache.x, x):
             raise DomainError("the pair cache was built from other covariates")
-        if m_samp is None:
-            m_samp = n
-        elif not (_whole(m_samp) and m_samp >= 0):
-            raise ConfigError(f"m_samp must be a nonnegative integer, got {m_samp!r}")
-        m_samp = min(int(m_samp), cache.remaining)
+        m_samp = min(n if m_samp is None else _count(m_samp, "m_samp"), cache.remaining)
     grad = np.zeros(family.raw_dim)
     ya = family.sample(theta, x, rng_draws)
     yb = family.sample(theta, x, rng_draws)

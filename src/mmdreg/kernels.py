@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .models import _real, _whole
+from .models import _config_keys, _real, _whole
 
 _RADIAL_FAMILIES = ("exponential", "gaussian", "matern", "psi_matern")
 _FAMILIES = _RADIAL_FAMILIES + ("affine_shift", "product")
@@ -353,13 +353,7 @@ _SPEC_KEYS = {f.name for f in fields(KernelSpec)}
 
 def spec_from_dict(d):
     """Build a :class:`KernelSpec` from a plain dict (parsed config)."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"kernel config must be a mapping, got {type(d).__name__}")
-    unknown = set(d) - _SPEC_KEYS
-    if unknown:
-        raise ConfigError(f"unknown kernel config keys: {sorted(unknown)}")
-    if "family" not in d:
-        raise ConfigError("kernel config requires a 'family' key")
+    _config_keys(d, "kernel", _SPEC_KEYS, ("family",))
     kids = {k: spec_from_dict(d[k]) for k in ("child", "x_kernel", "y_kernel") if k in d}
     return KernelSpec(**{**d, **kids})  # values as given: no string is read as a number
 

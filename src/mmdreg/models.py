@@ -78,11 +78,25 @@ def _real(v):
         return False
 
 
-def check_seed(seed):
-    """Raise ConfigError unless ``seed`` is a nonnegative integer, the
-    entropy ``np.random.SeedSequence`` accepts."""
-    if not (_whole(seed) and seed >= 0):
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+def _count(value, name, least=0):
+    # an integer count of at least `least`, as a Python int; a seed is one
+    # with least=0, the entropy np.random.SeedSequence accepts
+    if not (_whole(value) and value >= least):
+        bound = {0: "a nonnegative integer", 1: "a positive integer"}.get(least)
+        raise ConfigError(f"{name} must be {bound or f'an integer >= {least}'}, got {value!r}")
+    return int(value)
+
+
+def _config_keys(cfg, what, known, required=()):
+    # a parsed config mapping with only known keys and every required one
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{what} config must be a mapping, got {type(cfg).__name__}")
+    unknown = set(cfg) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
+    missing = set(required) - set(cfg)
+    if missing:
+        raise ConfigError(f"{what} config missing keys: {sorted(missing)}")
 
 
 @dataclass
@@ -133,9 +147,7 @@ class Family:
     exact = False
 
     def __init__(self, d):
-        if not (_whole(d) and d >= 1):
-            raise ConfigError(f"covariate dimension must be a positive integer, got {d!r}")
-        self.d = int(d)
+        self.d = _count(d, "covariate dimension", 1)
         self.raw_dim = self.d
 
     # raw <-> natural -------------------------------------------------
@@ -501,9 +513,7 @@ class GaussianMixture(Family):
 
     def __init__(self, d, n_components=2):
         super().__init__(d)
-        if not (_whole(n_components) and n_components >= 2):
-            raise ConfigError("mixture needs at least two components")
-        self.n_components = int(n_components)
+        self.n_components = _count(n_components, "n_components (two components or more)", 2)
         self.raw_dim = self.n_components * (self.d + 1) + self.n_components - 1
         _special()
 
@@ -655,20 +665,19 @@ def simulate_dataset(scenario, n, seed):
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if not (_whole(n) and n >= 1):
-        raise ConfigError(f"sample size must be a positive integer, got {n!r}")
-    check_seed(seed)
+    n = _count(n, "sample size", 1)
+    seed = _count(seed, "seed")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x = rng.standard_normal((int(n), scenario.d))
+    x = rng.standard_normal((n, scenario.d))
     family = scenario.make_family()
     truth = family.natural(scenario.truth_raw)
     if scenario.name == "gauss_linear_laplace":
-        y = x @ truth[: scenario.d] + rng.laplace(0.0, truth[scenario.d], size=int(n))
+        y = x @ truth[: scenario.d] + rng.laplace(0.0, truth[scenario.d], size=n)
     else:
         y = family.sample(scenario.truth_raw, x, rng)
     meta = {
         "scenario": scenario.name,
-        "seed": int(seed),
+        "seed": seed,
         "truth_raw": scenario.truth_raw.tolist(),
         "truth_natural": truth.tolist(),
         "report_mask": scenario.report_mask.tolist(),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .kernels import _point_parts, _x_kernel, _y_kernel, elementwise, gram
-from .models import _MAX_TABLE_CELLS, Dataset, _whole
+from .models import _MAX_TABLE_CELLS, Dataset, _count
 
 _NEGATIVE_TOL = 1e-12
 
@@ -115,6 +115,11 @@ class ObjectiveValue:
     mode: str
 
 
+def _check_estimator(estimator):
+    if estimator not in ("tilde", "hat"):
+        raise ConfigError(f"estimator must be 'tilde' or 'hat', got {estimator!r}")
+
+
 def _dataset_for(family, dataset):
     if not isinstance(dataset, Dataset):
         raise DomainError("an estimator objective needs a Dataset")
@@ -143,8 +148,7 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)
     mode = _resolve_mode(family, mode)
-    if estimator not in ("tilde", "hat"):
-        raise ConfigError(f"estimator must be 'tilde' or 'hat', got {estimator!r}")
+    _check_estimator(estimator)
     ky = _y_kernel(kernel)
     if estimator == "hat":
         x_kernel = _x_kernel(kernel)
@@ -162,9 +166,7 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
         cross = probs @ kyy @ probs.T
         return ObjectiveValue(float(np.sum(kx * (cross - 2.0 * (probs @ kdata)))), 0.0, "exact")
     rng = np.random.default_rng(rng)
-    if not (_whole(budget) and budget >= 1):
-        raise ConfigError(f"budget must be a positive integer, got {budget!r}")
-    totals = np.empty(int(budget))
+    totals = np.empty(_count(budget, "budget", 1))
     for p in range(totals.size):
         ya = family.sample(theta, dataset.x, rng)
         yb = family.sample(theta, dataset.x, rng)

@@ -92,6 +92,9 @@ class TestPlanValidation:
             with pytest.raises(ConfigError, match="replications|n_values"):
                 tiny_plan(**over)
         assert tiny_plan(n_values=(np.int64(40), 80)).n_values == (40, 80)
+        # numpy counts come back as Python ints, so the plan's config is JSON
+        plan = tiny_plan(replications=np.int64(2), master_seed=np.int64(3))
+        assert json.loads(json.dumps(plan_to_config(plan)))["reps"] == 2
 
     def test_override_rules(self):
         with pytest.raises(ConfigError, match="unused"):

@@ -2,11 +2,13 @@
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import special
 
+from mmdreg import fitting
 from mmdreg.errors import ConfigError, NumericalError
 from mmdreg.fitting import (
     FitConfig,
@@ -435,6 +437,20 @@ class TestFitMmd:
         finally:
             tracemalloc.stop()
         assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_traced_hat_fit_refused_before_any_work(self, monkeypatch):
+        # the Gram cap is checked at the fit's entry, before the baseline
+        # start and the pair cache; a fit that traces nothing still runs
+        fam, ds = simulate_dataset(get_scenario("gauss_linear_laplace"), 4_000, seed=25)
+        untraced = FitConfig(estimator="hat", m1=10, m2=10, iters=2, trace_objective_every=3)
+        assert fit_mmd(fam, ds, untraced).error is None
+
+        def no_cache(*args, **kwargs):
+            raise AssertionError("the pair cache was built")
+
+        monkeypatch.setattr(fitting, "build_pair_cache", no_cache)
+        with pytest.raises(NumericalError, match="Gram matrix"):
+            fit_mmd(fam, ds, replace(untraced, trace_objective_every=2))
 
     def test_bool_fields_are_refused(self):
         for bad in ({"iters": True}, {"m1": True}, {"m2": False},

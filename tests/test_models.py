@@ -13,13 +13,17 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from mmdreg.errors import ConfigError, DomainError, NumericalError
-from mmdreg.kernels import default_response_kernel
+from mmdreg.bench import ExperimentPlan
+from mmdreg.contamination import ContaminationSpec
+from mmdreg.fitting import FitConfig, default_kernel
+from mmdreg.gradients import build_pair_cache, grad_objective_estimate
+from mmdreg.kernels import default_covariate_kernel, default_response_kernel
 from mmdreg.models import (
     Dataset,
     GaussianMixture,
     Heckman,
+    _count,
     _poisson_ppf,
-    check_seed,
     get_family,
     get_scenario,
     list_scenarios,
@@ -465,15 +469,27 @@ class TestConstruction:
         (lambda at: get_family("logistic", True), "covariate dimension"),
         (lambda at: GaussianMixture(2, n_components=True), "two components"),
         (lambda at: simulate_dataset("gauss_linear_laplace", True, 0), "sample size"),
-        (lambda at: check_seed(True), "seed"),
+        (lambda at: _count(True, "seed"), "seed"),
         (lambda at: objective(*at, budget=True), "budget"),
-    ], ids=["d", "n_components", "n", "seed", "budget"])
+        (lambda at: FitConfig(seed=True), "seed"),
+        (lambda at: ContaminationSpec(0.1, seed=True), "seed"),
+        (lambda at: ExperimentPlan("gauss_linear_laplace", (20,), (0.0,), (), ("ols",), 1, True),
+         "seed"),
+        (lambda at: grad_objective_estimate(
+            *at[:3], default_kernel(), "hat", m_samp=True,
+            cache=build_pair_cache(default_covariate_kernel(), at[2].x, 5)), "m_samp"),
+    ], ids=["d", "n_components", "n", "seed", "budget", "fit_seed", "contamination_seed",
+            "master_seed", "m_samp"])
     def test_counts_refuse_booleans(self, call, message):
         # Python counts True as 1; every count check refuses it alike
         fam, ds = simulate_dataset("gauss_linear_laplace", 20, 0)
         at = (fam, get_scenario("gauss_linear_laplace").truth_raw, ds, default_response_kernel())
         with pytest.raises(ConfigError, match=message):
             call(at)
+
+    def test_count_returns_a_python_int(self):
+        count = _count(np.int64(7), "seed")
+        assert count == 7 and type(count) is int
 
     def test_raw_dims(self):
         assert get_family("gaussian_linear", 8).raw_dim == 9
