@@ -119,7 +119,7 @@ def _checked_array(raw, start, ncols, kind, strict):
         unselected = (y == 0.0) & (arr[:, -2] != 0.0)
         bad = ((y != 0.0) & (y != 1.0)) | (unselected if strict else False)
     elif kind != "real":
-        bad = (y != np.floor(y)) | (y < 0.0) | (y > (1.0 if kind == "binary" else np.inf))
+        bad = (y != np.floor(y)) | (y < 0.0) | ((y > 1.0) if kind == "binary" else (y >= 2.0**63))
     return None if np.any(bad) else arr
 
 
@@ -157,6 +157,8 @@ def _scan_rows(lines, path, ncols, kind, strict):
                 raise FormatError(
                     f"{path}: line {lineno}: binary response must be 0 or 1"
                 )
+            if yv >= 2.0**63:
+                raise FormatError(f"{path}: line {lineno}: count response must lie below 2**63")
         rows.append(vals)
     if not rows:
         raise FormatError(f"{path}: no data rows")

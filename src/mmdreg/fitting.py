@@ -83,6 +83,8 @@ class FitConfig:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if not (self.kernel is None or isinstance(self.kernel, KernelSpec)):
             raise ConfigError(f"kernel must be a KernelSpec, got {self.kernel!r}")
+        if self.estimator == "hat" and self.kernel is not None:
+            _x_kernel(self.kernel)  # refused here, before a plan runs any fit
         if not (_real(self.eta) and self.eta > 0.0):
             raise ConfigError(f"eta must be positive and finite, got {self.eta!r}")
         for name, least in (("iters", 1), ("m1", 0), ("m2", 0)):

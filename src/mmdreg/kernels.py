@@ -275,17 +275,12 @@ def _evaluate(spec, a, b, dists):
     # The one interpreter of a KernelSpec: a product multiplies its two
     # factors, and any other spec is its profile at the distances
     # ``dists`` gives between its coordinates.
+    a = _point_parts(spec, a)
+    b = _point_parts(spec, b)
     if spec.family == "product":
-        (ax, ay), (bx, by) = _point_parts(spec, a), _point_parts(spec, b)
-        kx = _evaluate(spec.x_kernel, ax, bx, dists)
-        ky = _evaluate(spec.y_kernel, ay, by, dists)
-        # equal shapes, not broadcastable ones: a pair's parts share their rows
-        if kx.shape != ky.shape:
-            raise DomainError("the x and y points of a product pair differ in row count")
-        return kx * ky
-    if isinstance(a, tuple) or isinstance(b, tuple):
-        raise DomainError("only a product kernel takes (x_points, y_points) pairs")
-    return _profile(spec, dists(_coords(spec, a), _coords(spec, b)))
+        kx = _evaluate(spec.x_kernel, a[0], b[0], dists)
+        return kx * _evaluate(spec.y_kernel, a[1], b[1], dists)
+    return _profile(spec, dists(_coords(spec, a[0]), _coords(spec, b[0])))
 
 
 def _x_kernel(kernel):
@@ -302,11 +297,16 @@ def _y_kernel(kernel):
 
 def _point_parts(kernel, points):
     """The arrays of one point set as ``kernel`` reads it: a product's
-    ``(x_points, y_points)`` pair, or the one array of any other kernel."""
+    ``(x_points, y_points)`` pair, whose parts have equal row counts (not
+    merely broadcastable ones), or the one array of any other kernel."""
     product = kernel.family == "product"
     if isinstance(points, tuple) != product or product and len(points) != 2:
-        raise DomainError("a product kernel, and no other, takes (x_points, y_points) pairs")
-    return points if product else (points,)
+        raise DomainError("only a product kernel, and no other, takes (x_points, y_points) pairs")
+    if not product:
+        return (points,)
+    if len({(np.shape(p) or (1,))[0] for p in points}) > 1:
+        raise DomainError("the x and y points of a product pair differ in row count")
+    return points
 
 
 def _joint_points(kernel, x, y):

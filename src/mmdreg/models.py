@@ -187,8 +187,8 @@ class Family:
         raise DomainError(f"{self.name} has no finite response support")
 
     # validation helpers ---------------------------------------------
-    # ``_theta``, ``_rows`` and ``_shape_y`` check shapes only, for the
-    # fit loop's trusted arrays; ``check_theta`` also scans values.
+    # ``_theta`` and ``_args`` check shapes only, for the fit loop's
+    # trusted arrays; ``check_theta`` also scans values.
 
     def _theta(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -204,19 +204,21 @@ class Family:
             raise DomainError("raw parameters must be finite")
         return theta
 
-    def _rows(self, x):
+    def _args(self, theta, x, *response):
+        # one family call's arguments: theta, x (a (d,) row becomes (1, d)), y if given
+        theta = self._theta(theta)
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(1, -1)
         if x.ndim != 2 or x.shape[1] != self.d:
             raise DomainError(f"{self.name} expects covariates with d={self.d}, got shape {x.shape}")
-        return x
-
-    def _shape_y(self, y, n):
-        y = np.asarray(y)
+        if not response:
+            return theta, x
+        n = x.shape[0]
+        y = np.asarray(response[0])
         if y.shape != ((n, 2) if self.kind == "censored" else (n,)):
             raise DomainError(f"{self.name} expects {n} responses, got shape {y.shape}")
-        return y
+        return theta, x, y
 
 
 class GaussianLinear(Family):
@@ -240,8 +242,7 @@ class GaussianLinear(Family):
         return [f"beta{i + 1}" for i in range(self.d)] + ["sigma"]
 
     def sample(self, theta, x, rng):
-        theta = self._theta(theta)
-        x = self._rows(x)
+        theta, x = self._args(theta, x)
         # in place, the same two roundings as mean + sigma * draws
         draws = rng.standard_normal(x.shape[0])
         draws *= np.exp(theta[self.d])
@@ -249,9 +250,7 @@ class GaussianLinear(Family):
         return draws
 
     def grad_log_density(self, theta, x, y):
-        theta = self._theta(theta)
-        x = self._rows(x)
-        y = self._shape_y(y, x.shape[0])
+        theta, x, y = self._args(theta, x, y)
         inv_sigma = np.exp(-theta[self.d])
         z = (y - x @ theta[: self.d]) * inv_sigma
         g = np.empty((x.shape[0], self.raw_dim))
@@ -275,20 +274,16 @@ class Logistic(Family):
         return _special().expit(x @ theta)
 
     def sample(self, theta, x, rng):
-        theta = self._theta(theta)
-        x = self._rows(x)
+        theta, x = self._args(theta, x)
         p = self._prob(theta, x)
         return (rng.random(x.shape[0]) < p).astype(np.int64)
 
     def grad_log_density(self, theta, x, y):
-        theta = self._theta(theta)
-        x = self._rows(x)
-        y = self._shape_y(y, x.shape[0])
+        theta, x, y = self._args(theta, x, y)
         return (y - self._prob(theta, x))[:, None] * x
 
     def support(self, theta, x):
-        theta = self.check_theta(theta)
-        x = self._rows(x)
+        theta, x = self._args(self.check_theta(theta), x)
         p = self._prob(theta, x)
         return np.array([0.0, 1.0]), np.column_stack([1.0 - p, p])
 
@@ -315,22 +310,18 @@ class Poisson(Family):
         _special()
 
     def sample(self, theta, x, rng):
-        theta = self._theta(theta)
-        x = self._rows(x)
+        theta, x = self._args(theta, x)
         try:
             return rng.poisson(np.exp(x @ theta)).astype(np.int64)
         except ValueError as exc:  # numpy rejects rates beyond about 1e19
             raise NumericalError(f"poisson rate out of range: {exc}") from None
 
     def grad_log_density(self, theta, x, y):
-        theta = self._theta(theta)
-        x = self._rows(x)
-        y = self._shape_y(y, x.shape[0])
+        theta, x, y = self._args(theta, x, y)
         return (y - np.exp(x @ theta))[:, None] * x
 
     def support(self, theta, x):
-        theta = self.check_theta(theta)
-        x = self._rows(x)
+        theta, x = self._args(self.check_theta(theta), x)
         rate = np.exp(x @ theta)
         # Truncate where the remaining tail mass at the largest rate drops
         # below 1e-12; with no rows the cut-off is that of rate 0, i.e. 0.
@@ -371,8 +362,7 @@ class GammaRegression(Family):
         return [f"beta{i + 1}" for i in range(self.d)] + ["shape"]
 
     def sample(self, theta, x, rng):
-        theta = self._theta(theta)
-        x = self._rows(x)
+        theta, x = self._args(theta, x)
         nu = np.exp(theta[self.d])
         # Generator.gamma(nu, scale) draws scale * standard_gamma(nu) per
         # element in row order, so this is the same stream and the same
@@ -381,9 +371,7 @@ class GammaRegression(Family):
         return np.exp(x @ theta[: self.d]) / nu * rng.standard_gamma(nu, size=x.shape[0])
 
     def grad_log_density(self, theta, x, y):
-        theta = self._theta(theta)
-        x = self._rows(x)
-        y = self._shape_y(y, x.shape[0])
+        theta, x, y = self._args(theta, x, y)
         log_nu = theta[self.d]
         nu = np.exp(log_nu)
         xb = x @ theta[: self.d]
@@ -464,8 +452,8 @@ class Heckman(Family):
         return mu1, mu2, sigma, rho
 
     def sample(self, theta, x, rng):
-        x = self._rows(x)
-        mu1, mu2, sigma, rho = self._params(self._theta(theta), x)
+        theta, x = self._args(theta, x)
+        mu1, mu2, sigma, rho = self._params(theta, x)
         e1 = rng.standard_normal(x.shape[0])
         e2 = rng.standard_normal(x.shape[0])
         z1 = mu1 + sigma * e1
@@ -474,9 +462,8 @@ class Heckman(Family):
         return np.column_stack([np.where(selected, z1, 0.0), selected.astype(float)])
 
     def grad_log_density(self, theta, x, y):
-        x = self._rows(x)
-        y = self._shape_y(y, x.shape[0])
-        mu1, mu2, sigma, rho = self._params(self._theta(theta), x)
+        theta, x, y = self._args(theta, x, y)
+        mu1, mu2, sigma, rho = self._params(theta, x)
         sel = np.flatnonzero(y[:, 1] == 1.0)
         unsel = np.flatnonzero(y[:, 1] != 1.0)
         root = np.sqrt(1.0 - rho * rho)
@@ -537,17 +524,16 @@ class GaussianMixture(Family):
         return names
 
     def sample(self, theta, x, rng):
-        betas, sigmas, weights = self._split(self._theta(theta))
-        x = self._rows(x)
+        theta, x = self._args(theta, x)
+        betas, sigmas, weights = self._split(theta)
         rows = x.shape[0]
         comp = rng.choice(self.n_components, size=rows, p=weights)
         means = np.take_along_axis(x @ betas.T, comp[:, None], axis=1)[:, 0]
         return means + sigmas[comp] * rng.standard_normal(rows)
 
     def grad_log_density(self, theta, x, y):
-        x = self._rows(x)
-        y = self._shape_y(y, x.shape[0])
-        betas, sigmas, weights = self._split(self._theta(theta))
+        theta, x, y = self._args(theta, x, y)
+        betas, sigmas, weights = self._split(theta)
         z = (y[:, None] - x @ betas.T) / sigmas[None, :]
         logc = -0.5 * _LOG_2PI - np.log(sigmas)[None, :] - 0.5 * z * z + np.log(weights)[None, :]
         resp = np.exp(logc - _special().logsumexp(logc, axis=1, keepdims=True))

@@ -50,10 +50,7 @@ def _point_count(kernel, points):
     parts = [np.asarray(p, dtype=float) for p in _point_parts(kernel, points)]
     if not all(np.all(np.isfinite(p)) for p in parts):
         raise DomainError("kernel evaluation requires finite points")
-    counts = {p.shape[0] if p.ndim > 0 else 1 for p in parts}
-    if len(counts) > 1:
-        raise DomainError("the x and y points of a product pair differ in row count")
-    count = counts.pop()
+    count = parts[0].shape[0] if parts[0].ndim > 0 else 1
     if count == 0:
         raise DomainError("a kernel discrepancy needs at least one point per set")
     return count

@@ -379,6 +379,8 @@ def csv_read(path, kind=None, strict=True):
                 return f"{at} {kind} response must be a nonnegative integer, got {toks[d]!r}"
             if kind == "binary" and y[0] > 1.0:
                 return f"{at} binary response must be 0 or 1"
+            if y[0] >= 2.0**63:
+                return f"{at} count response must lie below 2**63"
         rows.append(vals)
     if not rows:
         return f"{path}: no data rows"

@@ -108,6 +108,8 @@ class TestPlanValidation:
             tiny_plan(fit_overrides={"tilde": {"bogus": 1}})
         with pytest.raises(ConfigError, match="gamma"):
             tiny_plan(fit_overrides={"tilde": {"kernel": {"family": "exponential", "gamma": "x"}}})
+        with pytest.raises(ConfigError, match="'hat'.*product kernel .* is required"):
+            tiny_plan(estimators=("hat",), fit_overrides={"hat": {"kernel": {"family": "gaussian"}}})
 
     def test_override_configs_built_once(self):
         kernel = {"family": "exponential", "gamma": 0.5}

@@ -367,7 +367,8 @@ class TestBadInputs:
         path.write_text("x1,y\n0.5,3\n1.0,1e300\n")
         capsys.readouterr()
         assert run("fit", "--in", path, "--model", "poisson", "--estimator", "mle") == 2
-        assert capsys.readouterr().err == "error: count responses must lie below 2**63\n"
+        err = f"error: {path}: line 3: count response must lie below 2**63\n"
+        assert capsys.readouterr().err == err
 
     def test_files_that_are_not_utf8(self, gauss_csv, tmp_path, capsys):
         # a data file, a JSON config and a TOML config, each with one bad byte

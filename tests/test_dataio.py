@@ -410,6 +410,7 @@ class TestLoaderParity:
     @example((b"x1,y\n1,0\n\n1,2\n", "binary", True))
     @example((b"x1,y\n1,0\n1,-1\n", "count", True))
     @example((b"x1,y\n1,0\n1,0.5\n", "count", True))
+    @example((b"x1,y\n1,0\n1,10000000000000000000\n", "count", True))
     @example((b"x1,y1,y2\n1,0,0\n1,1.3,0\n", None, True))
     @example((b"x1,y1,y2\n1,0,0\n1,1.3,0.5\n", None, False))
     @example((b"x1,y\n1,2\n1,nan\n", None, True))

@@ -22,6 +22,7 @@ from mmdreg.models import (
     Dataset,
     GaussianMixture,
     Heckman,
+    _FAMILY_REGISTRY,
     _count,
     _poisson_ppf,
     get_family,
@@ -258,6 +259,43 @@ class TestSampling:
         assert y.shape == (17,) and y.dtype == np.int64
         with pytest.raises(DomainError):
             fam.sample(theta, x[:, :2], rng)
+
+
+_SHAPE_CALLS = [
+    (name, method)
+    for name, cls in sorted(_FAMILY_REGISTRY.items())
+    for method in ("sample", "grad_log_density", "support")
+    if method != "support" or cls.exact
+]
+
+
+@pytest.mark.parametrize("name, method", _SHAPE_CALLS, ids=["-".join(c) for c in _SHAPE_CALLS])
+def test_argument_shapes_checked(name, method):
+    # every family call checks raw parameters, then covariates, then
+    # responses, each with its own message
+    rng = np.random.default_rng(29)
+    fam = get_family(name, 2)
+    theta, x = np.zeros(fam.raw_dim), rng.standard_normal((4, 2))
+    y = fam.sample(theta, x, rng)
+
+    def call(theta, x, y):
+        rest = {"sample": (rng,), "grad_log_density": (y,), "support": ()}[method]
+        return getattr(fam, method)(theta, x, *rest)
+
+    cases = [
+        ((theta[:1], x, y), rf"{name} expects raw parameters of shape \({fam.raw_dim},\)"),
+        ((theta, x[:, :1], y), f"{name} expects covariates with d=2, got shape"),
+        # every argument wrong at once: the raw parameters are named first
+        ((theta[:1], x[:, :1], y[:3]), "expects raw parameters"),
+    ]
+    if method == "grad_log_density":
+        cases.append(((theta, x, y[:3]), f"{name} expects 4 responses, got shape"))
+    for args, message in cases:
+        with pytest.raises(DomainError, match=message):
+            call(*args)
+    # a (d,) covariate row is one row
+    out = call(theta, x[0], y[:1])
+    assert (out[1] if method == "support" else out).shape[0] == 1
 
 
 def _draw_case(data, family, scale):
