@@ -64,8 +64,9 @@ class FitConfig:
     ``m2`` are the deterministic and sampled pair budgets of the
     quadratic gradient, both defaulting to ``n``.  ``init`` is
     ``"mle"`` (baseline start with fallback to zero) or an explicit raw
-    vector.  The field names are the keys a fit config
-    takes; AdaGrad's offset is not one of them but ``ADAGRAD_EPS``.
+    vector, kept as a tuple of floats so that configs compare and hash.
+    The field names are the keys a fit config takes; AdaGrad's offset is
+    not one of them but ``ADAGRAD_EPS``.
     """
 
     estimator: str = "tilde"
@@ -100,7 +101,7 @@ class FitConfig:
                 arr = None
             if arr is None or arr.ndim != 1 or not np.all(np.isfinite(arr)):
                 raise ConfigError(f"custom init must be a finite 1-D vector, got {self.init!r}")
-            object.__setattr__(self, "init", arr)
+            object.__setattr__(self, "init", tuple(arr.tolist()))
         for name in ("seed", "trace_objective_every"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
 
@@ -360,7 +361,7 @@ def _resolve_init(family, dataset, config):
             return fit_baseline(family, dataset, "mle").theta_raw.copy(), None
         except (NumericalError, DomainError, np.linalg.LinAlgError) as exc:
             return np.zeros(family.raw_dim), f"init_fallback_zero: {exc}"
-    raw = config.init.copy()
+    raw = np.array(config.init, dtype=float)
     if raw.shape != (family.raw_dim,):
         raise ConfigError(
             f"custom init has shape {raw.shape}, family needs ({family.raw_dim},)"

@@ -171,44 +171,19 @@ def top_pairs(x_kernel, x, m):
 def sample_pair_indices(total, m, rng):
     """Simple random sample without replacement of ``m`` ints from ``range(total)``.
 
-    Floyd's algorithm (Bentley & Floyd 1987): step ``k`` draws ``t_k``
-    uniform on ``[0, j_k]`` with ``j_k = total - m + k`` and keeps
-    ``t_k``, or ``j_k`` when ``t_k`` was already kept.  All draws come
-    from one ``rng.integers`` call, so the stream, the values and their
-    (insertion, not sorted) order are reproducible bit for bit.  No
-    ``total``-sized allocation.
-
-    ``t_k`` collides when it repeats an earlier draw or equals ``j_l``
-    for an earlier step ``l`` that collided.  A plain sort of the draws
-    finds the repeated values; a stable sort of only the steps that hold
-    one then marks every such step but the first of its value.  Only
-    draws at or above ``total - m`` can equal some ``j_l``; they are
-    resolved one by one in step order.  For ``m << total`` there are
-    about ``m^2 / (2 total)`` repeats and as many high draws.
+    One ``rng.choice(total, size=m, replace=False, shuffle=False)``.
+    When ``total <= 10_000`` or ``m <= total // 20``, numpy runs Floyd's
+    algorithm (Bentley & Floyd 1987): step ``k`` draws ``t_k`` uniform on
+    ``[0, j_k]`` with ``j_k = total - m + k`` and keeps ``t_k``, or
+    ``j_k`` when ``t_k`` was already kept, and the values come back in
+    step order, not sorted.  Otherwise it shuffles the first ``m``
+    entries of a ``total``-long index array, which then holds fewer than
+    ``20 m`` entries.  Either way the sample is reproducible bit for bit
+    from the generator's state.
     """
     if not (_whole(m) and _whole(total) and 0 <= m <= total):
         raise DomainError(f"cannot sample {m!r} from {total!r}")
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    base = total - m
-    js = np.arange(base, total, dtype=np.int64)
-    ts = rng.integers(0, js + 1)
-    ranked = np.sort(ts)
-    hit = np.zeros(m, dtype=bool)
-    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
-    if repeated.size:
-        steps = np.flatnonzero(np.isin(ts, repeated))
-        order = np.argsort(ts[steps], kind="stable")
-        ranked = ts[steps[order]]
-        # the sort is stable, so within a run of equal draws all but the first repeat
-        hit[steps[order[1:][ranked[1:] == ranked[:-1]]]] = True
-    # in step order, so hit[l] is final for every l < k; t == j_k reads
-    # hit[k] itself, which is True only when t_k already repeats
-    high = np.flatnonzero(ts >= base)
-    for k, t in zip(high.tolist(), ts[high].tolist()):
-        if hit[t - base]:
-            hit[k] = True
-    return np.where(hit, js, ts)
+    return rng.choice(total, size=m, replace=False, shuffle=False)
 
 
 @dataclass(frozen=True)
@@ -314,6 +289,7 @@ def grad_objective_estimate(
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)
     _check_estimator(estimator)
+    m_samp = dataset.n if m_samp is None else _count(m_samp, "m_samp")
     rng_draws = np.random.default_rng(rng_draws)
     rng_pairs = np.random.default_rng(rng_pairs)
     ky = _y_kernel(kernel)
@@ -330,7 +306,7 @@ def grad_objective_estimate(
             raise DomainError(f"the pair cache covers {cache.n} rows, the dataset has {n}")
         if cache.x is not x and not np.array_equal(cache.x, x):
             raise DomainError("the pair cache was built from other covariates")
-        m_samp = min(n if m_samp is None else _count(m_samp, "m_samp"), cache.remaining)
+        m_samp = min(m_samp, cache.remaining)
     grad = np.zeros(family.raw_dim)
     ya = family.sample(theta, x, rng_draws)
     yb = family.sample(theta, x, rng_draws)

@@ -117,7 +117,8 @@ class TestPlanValidation:
                                                   "init": [0.0] * 9}})
         cfg = plan.fit_configs["tilde"]
         assert cfg.estimator == "tilde" and cfg.iters == 25
-        assert cfg.kernel == spec_from_dict(kernel) and cfg.init.dtype == float
+        assert cfg.kernel == spec_from_dict(kernel)
+        assert cfg.init == (0.0,) * 9 and all(type(v) is float for v in cfg.init)
         assert plan.fit_configs["ols"].estimator == "ols"
         assert plan_to_config(plan)["fit"] == {"tilde": {"iters": 25, "kernel": kernel,
                                                          "init": [0.0] * 9}}

@@ -240,7 +240,7 @@ class TestConfigs:
             with pytest.raises(ConfigError, match="unknown fit config"):
                 fit_config_from_dict({key: 0.1})
         cfg = fit_config_from_dict({"init": [0.0, 1.0]})
-        assert isinstance(cfg.init, np.ndarray)
+        assert cfg.init == (0.0, 1.0) and all(type(v) is float for v in cfg.init)
 
 
 class TestFitResultJson:

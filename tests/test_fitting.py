@@ -212,6 +212,16 @@ class TestFitConfig:
         with pytest.raises(ConfigError, match="eta must be positive and finite"):
             FitConfig(eta=10**400)
 
+    def test_custom_init_compares_and_hashes(self):
+        # a list, an array and a tuple of the same values give one config
+        a = FitConfig(init=[1.0, 2.0])
+        b = FitConfig(init=np.array([1.0, 2.0]))
+        assert a == b and hash(a) == hash(b)
+        assert a.init == (1.0, 2.0) and all(type(v) is float for v in a.init)
+        assert a == FitConfig(init=a.init)
+        assert a != FitConfig(init=[1.0, 2.5])
+        assert len({a, b, FitConfig()}) == 2
+
 
 def logistic_case(n, seed, d=2):
     rng = np.random.default_rng(seed)

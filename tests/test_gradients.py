@@ -392,7 +392,7 @@ def assert_sampler_matches_oracle(total, m, seed):
     got = sample_pair_indices(total, m, rng)
     assert got.dtype == np.int64
     assert got.tolist() == floyd_oracle(total, m, ref)
-    # one draw call either way, so both streams continue identically
+    # the same m bounded draws either way, so both streams continue identically
     assert rng.integers(1 << 62) == ref.integers(1 << 62)
 
 
@@ -400,13 +400,36 @@ class TestPairOracles:
     @pytest.mark.parametrize(
         "total, m",
         [(1, 1), (7, 0), (2, 2), (5, 5), (9, 6), (10, 10), (100, 99), (1000, 1000),
-         (1_996_000, 2000), (200_000, 150_000)],
+         (1_996_000, 2000), (20_001, 1000)],
     )
     def test_sampler_matches_floyd_loop(self, total, m):
-        # (2, 2) and (5, 5) repeat draws two and three times over; the
-        # last case repeats tens of thousands, so it runs on fewer seeds
-        for seed in range(200 if m < 10_000 else 10):
+        # every case runs Floyd's algorithm: total <= 10_000 or
+        # m <= total // 20, and (20_001, 1000) sits on that edge.  (2, 2)
+        # and (5, 5) repeat draws two and three times over
+        for seed in range(200):
             assert_sampler_matches_oracle(total, m, seed)
+
+    @pytest.mark.parametrize("total, m", [(20_001, 1001), (200_000, 150_000)])
+    def test_sampler_outside_floyd_branch(self, total, m):
+        # past m > total // 20 the draw is not Floyd's: check a simple
+        # random sample by its definition.  Each of the N = total values is
+        # kept with probability p = m / N; over R = reps seeds the inclusion
+        # counts have covariance R p (1 - p) N / (N - 1) (I - 1 1' / N), so
+        # the scaled sum of squared deviations is close to chi-square on
+        # N - 1 df
+        reps = 400 if m < 10_000 else 40
+        counts = np.zeros(total, dtype=np.int64)
+        for seed in range(reps):
+            picks = sample_pair_indices(total, m, np.random.default_rng(seed))
+            assert picks.dtype == np.int64 and picks.shape == (m,)
+            assert np.unique(picks).size == m
+            assert picks.min() >= 0 and picks.max() < total
+            counts += np.bincount(picks, minlength=total)
+        again = sample_pair_indices(total, m, np.random.default_rng(reps - 1))
+        assert np.array_equal(picks, again)
+        p = m / total
+        chisq = np.sum((counts - reps * p) ** 2) / (reps * p * (1.0 - p)) * (total - 1) / total
+        assert stats.chi2.ppf(0.0005, total - 1) < chisq < stats.chi2.ppf(0.9995, total - 1)
 
     def test_top_pairs_matches_full_lexsort(self):
         rng = np.random.default_rng(17)

@@ -516,8 +516,10 @@ class TestConstruction:
         (lambda at: grad_objective_estimate(
             *at[:3], default_kernel(), "hat", m_samp=True,
             cache=build_pair_cache(default_covariate_kernel(), at[2].x, 5)), "m_samp"),
+        (lambda at: grad_objective_estimate(*at[:3], default_kernel(), "tilde", m_samp=True),
+         "m_samp"),
     ], ids=["d", "n_components", "n", "seed", "budget", "fit_seed", "contamination_seed",
-            "master_seed", "m_samp"])
+            "master_seed", "m_samp", "m_samp_tilde"])
     def test_counts_refuse_booleans(self, call, message):
         # Python counts True as 1; every count check refuses it alike
         fam, ds = simulate_dataset("gauss_linear_laplace", 20, 0)
