@@ -5,18 +5,19 @@ scalar responses or ``x1,...,xd,y1,y2`` for censored pairs.  Floats are
 written with 17 significant digits so a write/load round trip is exact.
 Blank lines are skipped; a ``#`` line is refused like any other malformed
 row, and every row error names its line number.  A file that is not
-UTF-8 is refused with a ``FormatError``.  Rows are parsed by numpy's C
-reader straight from the file's bytes when the file is ASCII and holds
-none of U+000B, U+000C and U+001C to U+001F, where that reader and
-``str.splitlines``/``float()`` part ways; any other file, and any file
-that parse or a row check refuses, is read line by line with ``float()``,
-which words every error, so values and messages do not depend on the
-path.  The writer formats 4,096 rows at a time.
+UTF-8 is refused with a ``FormatError``.  A load streams the file: a
+check reads it 1 MiB at a time, and when it is ASCII and holds none of
+U+000B, U+000C and U+001C to U+001F, where numpy's C reader and
+``str.splitlines``/``float()`` part ways, that reader parses the rows line
+by line from the open file, so the load holds the parsed array, the
+returned arrays and one chunk, not the file's bytes.  Any other file, and
+any file that parse or a row check refuses, is read whole, line by line
+with ``float()``, which words every error, so values and messages do not
+depend on the path.  The writer formats 4,096 rows at a time.
 Config files are JSON everywhere; TOML is accepted when the interpreter
 ships ``tomllib`` (3.11+).
 """
 
-import io
 import json
 import math
 import os
@@ -54,17 +55,25 @@ def write_csv(dataset, path):
 # refuses it; a file holding any of them is read by the line scan alone
 _NUMPY_APART = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _NON_SPACE = re.compile(rb"\S")
+_CHUNK = 1 << 20  # bytes per read, and the read buffer's size, of a CSV load
 
 
-def _body_start(raw):
-    # Where the rows begin if numpy's reader may take them, else None.  An
-    # ASCII file free of _NUMPY_APART breaks lines at \n, \r\n and \r alone,
-    # for numpy as for str.splitlines(); numpy refuses a bare \r inside a
-    # row, and one inside the first line sends the file to the scan.
-    if not raw.isascii() or any(c in raw for c in _NUMPY_APART):
+def _numpy_header(fh):
+    # The header line if numpy's reader may take the rows after it, else
+    # None, read one chunk at a time.  An ASCII file free of _NUMPY_APART
+    # breaks lines at \n, \r\n and \r alone, for numpy as for str.splitlines();
+    # numpy refuses a bare \r inside a row, and one inside the first line
+    # sends the file to the scan, as does a body of spaces, where numpy warns.
+    header = fh.readline()
+    if b"\r" in header.rstrip(b"\r\n"):
         return None
-    start = raw.find(b"\n") + 1 or len(raw)
-    return None if b"\r" in raw[:start].rstrip(b"\r\n") else start
+    chunk, rows = header, False
+    while chunk:
+        if not chunk.isascii() or any(c in chunk for c in _NUMPY_APART):
+            return None
+        chunk = fh.read(_CHUNK)
+        rows = rows or _NON_SPACE.search(chunk) is not None
+    return header if rows else None
 
 
 def _lines(raw, path):
@@ -100,16 +109,18 @@ def _parse_float(tok, path, lineno):
     return v
 
 
-def _checked_array(raw, start, ncols, kind, strict):
-    # numpy's C parse of the rows from raw[start:] when every row check
-    # passes, else None.  It takes a subset of what float() takes and warns
-    # on no rows; the caller re-scans.
-    if not _NON_SPACE.search(raw, start):
-        return None
-    body = io.BytesIO(raw)
-    body.seek(start)
+def _whole(fh, path):
+    fh.seek(0)
+    return _lines(fh.read(), path)
+
+
+def _checked_array(fh, start, ncols, kind, strict):
+    # numpy's C parse of the rows from byte start of fh on, line by line,
+    # when every row check passes, else None.  It takes a subset of what
+    # float() takes; the caller re-scans.
+    fh.seek(start)
     try:
-        arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if arr.shape[1] != ncols or not np.isfinite(arr).all():
@@ -173,31 +184,29 @@ def load_csv(path, kind=None, strict=True):
     the header.  For censored files, ``strict`` enforces the selection
     structure: an unselected row must carry a zero outcome.  Contaminated exports can violate
     that on purpose and are read back with ``strict=False``.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    start = _body_start(raw)
-    lines = _lines(raw[:start], path)  # the header alone when numpy reads the body
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    d, censored = _parse_header(lines[0], path)
-    if censored:
-        if kind not in (None, "censored"):
-            raise FormatError(
-                f"{path}: pair header implies censored responses, not {kind!r}"
-            )
-        kind = "censored"
-    else:
-        kind = "real" if kind is None else kind
-        if kind not in _SCALAR_KINDS:
-            raise FormatError(
-                f"{path}: scalar header cannot hold {kind!r} responses"
-            )
 
-    ncols = d + (2 if censored else 1)
-    arr = None if start is None else _checked_array(raw, start, ncols, kind, strict)
-    if arr is None:
-        arr = _scan_rows(lines if start is None else _lines(raw, path), path, ncols, kind, strict)
+    The load streams the file and holds numpy's parsed array, the returned
+    arrays and one 1 MiB chunk; only a file sent to the line scan is read whole.
+    """
+    with open(path, "rb", buffering=_CHUNK) as fh:
+        header = _numpy_header(fh)
+        lines = _whole(fh, path) if header is None else _lines(header, path)
+        if not lines:
+            raise FormatError(f"{path}: empty file")
+        d, censored = _parse_header(lines[0], path)
+        if censored:
+            if kind not in (None, "censored"):
+                raise FormatError(f"{path}: pair header implies censored responses, not {kind!r}")
+            kind = "censored"
+        else:
+            kind = "real" if kind is None else kind
+            if kind not in _SCALAR_KINDS:
+                raise FormatError(f"{path}: scalar header cannot hold {kind!r} responses")
+
+        ncols = d + (2 if censored else 1)
+        arr = None if header is None else _checked_array(fh, len(header), ncols, kind, strict)
+        if arr is None:
+            arr = _scan_rows(lines if header is None else _whole(fh, path), path, ncols, kind, strict)
     return Dataset(
         x=np.ascontiguousarray(arr[:, :d]),
         y=arr[:, d:].copy() if censored else arr[:, d].copy(),

@@ -8,6 +8,7 @@ and line-by-line references ``csv_text`` and ``csv_read`` of
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mmdreg import dataio
 from mmdreg.contamination import ContaminationSpec, contaminate
 from mmdreg.dataio import (
     export_contaminated,
@@ -473,3 +475,66 @@ class TestLoaderParity:
 
         collect()
         assert outcomes == {"error", "real", "count", "binary", "censored"}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(csv_cases(), st.integers(2, 8))
+    # what numpy reads as part of a number, past the first chunk, on a
+    # chunk's first byte, on its last, and a character across two chunks
+    @example((b"x1,y\n1,2\n3\x1f,4\n", None, True), 5)
+    @example((b"x1,y\n1,2\n3\x1f,4\n", None, True), 2)
+    @example((b"x1,y\n1,2\n3\x0c,4\n", None, True), 4)
+    @example((b"x1,y\n1,2\n3\xa0,4\n", None, True), 5)
+    @example(("x1,y\n1,2\n3\u00a0,4\n".encode(), None, True), 6)
+    def test_matches_line_scan_in_small_chunks(self, case, chunk):
+        # the property above with the load reading chunks of a few bytes, so
+        # every byte its check looks for also lands on a chunk's first or last
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_CHUNK", chunk)
+            self.test_matches_line_scan.hypothesis.inner_test(self, case)
+
+    @pytest.mark.parametrize("at", [-1, 0, 4099], ids=["last_of_first", "first_of_second", "later"])
+    @pytest.mark.parametrize(
+        "mark", [b"\x0c", b"\x1f", "\u00a0".encode(), b"\xa0"],
+        ids=["U+000C", "U+001F", "non_ascii_utf8", "not_utf8"],
+    )
+    def test_past_the_first_chunk(self, mark, at):
+        # numpy reads all but the UTF-8 no-break space around a number as
+        # the number; the line scan splits the line at U+000C and refuses
+        # U+001F and the lone 0xa0 byte, and the check sends each to it
+        case = (chunked_csv(mark, dataio._CHUNK + at), None, True)
+        self.test_matches_line_scan.hypothesis.inner_test(self, case)
+
+
+ROW_BYTES = 9 * 23  # nine numbers of 22 characters, each with its comma or newline
+
+
+def chunked_csv(mark, at):
+    """A nine-column file whose body holds ``mark`` right after the first
+    number of a row, from byte ``at`` of the body on, and runs on for more
+    than one load chunk past that; blank lines align the row."""
+    rng = np.random.default_rng(at)
+    rows = [",".join(f"{v:+.15e}" for v in r) + "\n"
+            for r in rng.standard_normal(((at + dataio._CHUNK) // ROW_BYTES + 1, 9))]
+    lead, pad = divmod(at - 22, ROW_BYTES)
+    marked = rows[lead][:22].encode() + mark + rows[lead][22:].encode()
+    body = "".join(rows[:lead]).encode() + b"\n" * pad + marked + "".join(rows[lead + 1:]).encode()
+    assert body.index(mark) == at and len(body) > at + dataio._CHUNK
+    return b"x1,x2,x3,x4,x5,x6,x7,x8,y\n" + body
+
+
+def test_load_peak_memory_bounded(tmp_path):
+    # the load streams the file: it holds the parsed array, the returned
+    # arrays and one chunk, not the file's bytes, which would bring the
+    # peak to about 4.6 times the returned arrays here
+    rng = np.random.default_rng(25)
+    path = tmp_path / "rows.csv"
+    write_csv(Dataset(x=rng.standard_normal((30_000, 8)), y=rng.standard_normal(30_000),
+                      kind="real"), path)
+    load_csv(path)
+    tracemalloc.start()
+    try:
+        got = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (got.x.nbytes + got.y.nbytes) + dataio._CHUNK
