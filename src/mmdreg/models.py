@@ -15,6 +15,7 @@ whose second column is the 0/1 selection indicator.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +31,23 @@ _MAX_TABLE_CELLS = 10_000_000
 
 
 def _special():
-    # scipy.special on first use: a Gaussian fit never calls it.  Each
-    # family that does imports it when built, so run_plan's parent holds
-    # it before it forks and no worker imports it again.
+    # scipy.special on first use: a Gaussian fit never calls it.  A family
+    # whose ``uses_special`` is true imports it when built, so run_plan's
+    # parent holds it before it forks and no worker imports it again.
     from scipy import special
     return special
+
+
+def _numeric(values, what):
+    # an array numpy reads as real numbers; the dtype alone decides, so
+    # numeric input keeps its bits and no pass is made over the values
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise DomainError(f"{what} must be an array of real numbers, not a ragged one") from None
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{what} must be real numbers, got dtype {arr.dtype}")
+    return arr
 
 
 def _check_responses(kind, y, n):
@@ -46,7 +59,7 @@ def _check_responses(kind, y, n):
     """
     if kind not in ("real", "count", "binary", "censored"):
         raise ConfigError(f"unknown response kind {kind!r}")
-    arr = np.asarray(y)
+    arr = _numeric(y, f"{kind} responses")
     shape = (n, 2) if kind == "censored" else (n,)
     if arr.shape != shape or not np.all(np.isfinite(np.asarray(arr, dtype=float))):
         raise DomainError(f"{kind} responses must be finite with shape {shape}")
@@ -114,7 +127,7 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
+        self.x = np.asarray(_numeric(self.x, "covariates"), dtype=float)
         if self.x.ndim != 2:
             raise DomainError(f"covariates must be 2-D, got shape {self.x.shape}")
         if self.x.shape[0] == 0:
@@ -135,30 +148,40 @@ class Dataset:
 class Family:
     """Common interface of the regression families.
 
-    Subclasses set ``raw_dim`` (``d`` by default), ``kind``, ``exact``
-    (whether the response support is finite or truncatable, enabling
-    exact loss evaluation), and the two core operations ``sample`` and
-    ``grad_log_density``.  The estimators only draw from a family and
-    use its score, so no family needs a density.
+    Subclasses declare ``name``, ``kind``, ``exact`` (a finite or
+    truncatable response support, enabling exact loss evaluation),
+    ``log_param`` (a positive parameter stored as its log after the ``d``
+    coefficients, making ``raw_dim`` ``d + 1`` rather than ``d``) and
+    ``uses_special`` (calls to ``scipy.special``, imported when built),
+    and define ``sample`` and ``grad_log_density``.  The estimators only
+    draw from a family and use its score, so no family needs a density.
     """
 
     name = "family"
     kind = "real"
     exact = False
+    log_param = None
+    uses_special = True
 
     def __init__(self, d):
         self.d = _count(d, "covariate dimension", 1)
-        self.raw_dim = self.d
+        self.raw_dim = self.d if self.log_param is None else self.d + 1
+        if self.uses_special:
+            _special()
 
     # raw <-> natural -------------------------------------------------
 
     def natural(self, theta):
-        """Constrained view of a raw vector, as a flat float array; by
-        default a copy of the raw vector."""
-        return self.check_theta(theta).copy()
+        """Constrained view of a raw vector, as a flat float array."""
+        theta = self.check_theta(theta)
+        if self.log_param is None:
+            return theta.copy()
+        return np.concatenate([theta[: self.d], [np.exp(theta[self.d])]])
 
     def natural_names(self):
-        return [f"theta{i + 1}" for i in range(self.d)]
+        if self.log_param is None:
+            return [f"theta{i + 1}" for i in range(self.d)]
+        return [f"beta{i + 1}" for i in range(self.d)] + [self.log_param]
 
     # core operations -------------------------------------------------
 
@@ -229,17 +252,8 @@ class GaussianLinear(Family):
 
     name = "gaussian_linear"
     kind = "real"
-
-    def __init__(self, d):
-        super().__init__(d)
-        self.raw_dim = self.d + 1
-
-    def natural(self, theta):
-        theta = self.check_theta(theta)
-        return np.concatenate([theta[: self.d], [np.exp(theta[self.d])]])
-
-    def natural_names(self):
-        return [f"beta{i + 1}" for i in range(self.d)] + ["sigma"]
+    log_param = "sigma"
+    uses_special = False
 
     def sample(self, theta, x, rng):
         theta, x = self._args(theta, x)
@@ -265,10 +279,6 @@ class Logistic(Family):
     name = "logistic"
     kind = "binary"
     exact = True
-
-    def __init__(self, d):
-        super().__init__(d)
-        _special()
 
     def _prob(self, theta, x):
         return _special().expit(x @ theta)
@@ -304,10 +314,6 @@ class Poisson(Family):
     name = "poisson"
     kind = "count"
     exact = True
-
-    def __init__(self, d):
-        super().__init__(d)
-        _special()
 
     def sample(self, theta, x, rng):
         theta, x = self._args(theta, x)
@@ -348,18 +354,7 @@ class GammaRegression(Family):
 
     name = "gamma"
     kind = "real"
-
-    def __init__(self, d):
-        super().__init__(d)
-        self.raw_dim = self.d + 1
-        _special()
-
-    def natural(self, theta):
-        theta = self.check_theta(theta)
-        return np.concatenate([theta[: self.d], [np.exp(theta[self.d])]])
-
-    def natural_names(self):
-        return [f"beta{i + 1}" for i in range(self.d)] + ["shape"]
+    log_param = "shape"
 
     def sample(self, theta, x, rng):
         theta, x = self._args(theta, x)
@@ -413,7 +408,6 @@ class Heckman(Family):
         free[self.d : 2 * self.d] = self.selection_support
         self.free_mask = free
         self._frozen = np.flatnonzero(~free)
-        _special()
 
     def _as_support(self, support):
         if support is None:
@@ -502,7 +496,6 @@ class GaussianMixture(Family):
         super().__init__(d)
         self.n_components = _count(n_components, "n_components (two components or more)", 2)
         self.raw_dim = self.n_components * (self.d + 1) + self.n_components - 1
-        _special()
 
     def _split(self, theta):
         m, d = self.n_components, self.d
@@ -560,6 +553,10 @@ def get_family(name, d, **kwargs):
         raise ConfigError(
             f"unknown family {name!r}; known: {sorted(_FAMILY_REGISTRY)}"
         ) from None
+    known = set(inspect.signature(cls).parameters) - {"d"}
+    unknown = set(kwargs) - known
+    if unknown:
+        raise ConfigError(f"{name} takes no keyword {sorted(unknown)}; known: {sorted(known)}")
     return cls(d, **kwargs)
 
 

@@ -60,6 +60,12 @@ class TestPlanValidation:
         tiny_plan(recipes=(), epsilons=(0.0,))
         with pytest.raises(ConfigError, match="replications"):
             tiny_plan(replications=0)
+        with pytest.raises(ConfigError, match="recipes must be a list, got 'type_y'"):
+            tiny_plan(recipes="type_y")
+        with pytest.raises(ConfigError, match="n_values must not be empty"):
+            tiny_plan(n_values=())
+        with pytest.raises(ConfigError, match="unknown scheme 'random'"):
+            tiny_plan(scheme="random")
 
     @pytest.mark.parametrize("over", [
         {"n_values": (40, 80, 40)},
@@ -101,6 +107,8 @@ class TestPlanValidation:
             tiny_plan(fit_overrides={"hat": {"iters": 5}})
         with pytest.raises(ConfigError, match="cannot set"):
             tiny_plan(fit_overrides={"tilde": {"seed": 3}})
+        with pytest.raises(ConfigError, match="each fit override must be a mapping"):
+            tiny_plan(fit_overrides={"tilde": [("iters", 5)]})
         # values and keys are checked when the plan is built, not per replication
         with pytest.raises(ConfigError, match="'tilde'.*eta"):
             tiny_plan(fit_overrides={"tilde": {"eta": "0.1"}})
@@ -158,6 +166,8 @@ class TestScoring:
         assert rmse(est, truth, mask=mask) == 1.0
         with pytest.raises(DomainError, match="dimension"):
             rmse(np.zeros((2, 4)), truth)
+        with pytest.raises(DomainError, match="mask shape must match truth shape"):
+            rmse(est, truth, mask=mask[:2])
 
 
 class TestRunPlan:

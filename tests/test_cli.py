@@ -101,6 +101,22 @@ class TestFit:
                    "--estimator", "ols") == 3
         assert "singular" in capsys.readouterr().err
 
+    def test_init_fallback_warns_and_exits_0(self, tmp_path, capsys):
+        # 5 rows cannot identify 8 coefficients, so the MLE start fails and
+        # the fit starts from zero, says so on stderr and still succeeds
+        path = tmp_path / "w.csv"
+        rng = np.random.default_rng(8)
+        rows = ["x1,x2,x3,x4,x5,x6,x7,x8,y"]
+        rows += [",".join(f"{v:.6f}" for v in rng.standard_normal(9)) for _ in range(5)]
+        path.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"iters": 5}')
+        assert run("fit", "--in", path, "--model", "gaussian_linear",
+                   "--estimator", "tilde", "--config", cfg) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("tilde: beta1=")
+        assert captured.err.startswith("warning: init_fallback_zero")
+
     def test_poisson_rate_overflow_exit_code(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         rows = ["x1,x2,y"] + [f"{0.1 * i},{60.0 if i < 10 else 0.5},{i % 3}" for i in range(30)]

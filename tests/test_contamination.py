@@ -204,6 +204,13 @@ class TestRecipes:
                 ContaminationSpec(epsilon=0.0, recipe="selection_flip"),
             )
 
+    def test_argument_types_checked(self):
+        spec = ContaminationSpec(epsilon=0.1)
+        with pytest.raises(ConfigError, match="contaminate expects a Dataset"):
+            contaminate((np.zeros((3, 1)), np.zeros(3)), spec)
+        with pytest.raises(ConfigError, match="contaminate expects a ContaminationSpec"):
+            contaminate(real_dataset(10), {"epsilon": 0.1})
+
     def test_record_contents(self):
         ds = real_dataset(100, seed=19)
         spec = ContaminationSpec(epsilon=0.05, recipe="type_y", mean=10.0, seed=20)

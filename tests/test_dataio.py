@@ -300,7 +300,9 @@ class TestWriterBytes:
             assert_written_bytes(Dataset(x, np.array(y), kind), tmp_path)
 
 
-VALID_PADS = ("", " ", "  ", "\t", "\u00a0")
+VALID_PADS = ("", " ", "  ", "\t")
+# a pad float() strips and numpy's reader keeps; it makes the file non-ASCII
+WIDE_PAD = "\u00a0"
 # numbers float() reads that numpy's C parser refuses (1_0, a full-width 1)
 # or reads alike
 ODD_NUMBERS = ("1_0", "\uff11", "1e-400", "-0.0", "+2", "3.", ".5")
@@ -308,8 +310,14 @@ ODD_WHOLE = ("1_0", "\uff11", "1e-400", "2.0")
 # tokens or rows the loader must refuse, each with its line number
 FAULTY_TOKENS = ("nan", "inf", "-inf", "1e400", "zap", "", "1\x1f", "0x10", "#1")
 # line breaks of str.splitlines other than \n and \r\n; numpy's reader
-# breaks at none of them but \r, and strips the ASCII ones around a number
-ODD_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# breaks at none of them but \r, and strips the ASCII ones around a number.
+# They are drawn apart, so an ASCII file can hold the ASCII ones.
+ASCII_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+UNICODE_BREAKS = ("\x85", "\u2028", "\u2029")
+# the ASCII characters where numpy's reader and the line scan part ways:
+# numpy strips them around a number, str.splitlines() breaks at \x0b-\x1e
+# and float() refuses \x1f
+NUMPY_APART = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 # byte runs that are not UTF-8, wherever they land in a file
 NOT_UTF8 = (b"\xff", b"\xc3", b"\xe2\x80", b"\xed\xa0\x80")
 
@@ -327,9 +335,12 @@ def csv_cases(draw):
     strict = draw(st.booleans(), label="strict")
     odd = draw(st.booleans(), label="odd tokens")
     faulty = draw(st.booleans(), label="faulty")
-    odd_breaks = draw(st.integers(0, 3), label="odd breaks") == 0
-    pads = VALID_PADS + (ODD_BREAKS if odd_breaks else ())
-    breaks = ["\n", "\r\n"] + (list(ODD_BREAKS) if odd_breaks else [])
+    # odd line breaks in one file in four: the ASCII ones, the Unicode ones or both
+    odd_breaks = draw(st.sampled_from(
+        [()] * 9 + [ASCII_BREAKS, UNICODE_BREAKS, ASCII_BREAKS + UNICODE_BREAKS]), label="odd breaks")
+    wide = draw(st.integers(0, 3), label="wide pad") == 0
+    pads = VALID_PADS + ((WIDE_PAD,) if wide else ()) + odd_breaks
+    breaks = ["\n", "\r\n", *odd_breaks]
     d = draw(st.integers(1, 3), label="d")
     names = [f"x{j}" for j in range(1, d + 1)]
     names += ["y1", "y2"] if kind == "censored" else ["y"]
@@ -369,7 +380,8 @@ def csv_cases(draw):
     if faulty and rows:
         # one fault in one row, so the first fault is the one placed
         toks = lines[draw(st.sampled_from(rows), label="faulty row")]
-        fault = draw(st.sampled_from(["token", "short", "comma", "bad_y", "hash"]), label="fault")
+        fault = draw(st.sampled_from(["token", "short", "comma", "bad_y", "hash", "apart"]),
+                     label="fault")
         if fault == "token":
             toks[draw(st.integers(0, len(toks) - 1))] = pad(draw(st.sampled_from(FAULTY_TOKENS)))
         elif fault == "short":
@@ -378,6 +390,10 @@ def csv_cases(draw):
             toks.append("")
         elif fault == "hash":
             toks[0] = "# " + toks[0]
+        elif fault == "apart":
+            # beside a number inside a row, where numpy's reader and the line
+            # scan part ways: a chunk check that misses it shows
+            toks[draw(st.integers(0, max(len(toks) - 2, 0)))] += draw(st.sampled_from(NUMPY_APART))
         elif kind == "censored" and draw(st.booleans()):
             toks[-2:] = ["1.3", "0"]  # an unselected row with an outcome
         else:

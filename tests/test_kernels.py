@@ -326,6 +326,16 @@ class TestKernelSpec:
                 with pytest.raises(DomainError, match=message):
                     evaluate(spec, a, b)
 
+    @pytest.mark.parametrize("evaluate, a, b, message", [
+        (gram, np.zeros((2, 2, 1)), np.zeros((2, 2)), r"at most 2-D, got shape \(2, 2, 1\)"),
+        (elementwise, np.zeros((2, 2)), np.zeros((2, 2, 1)), "at most 2-D"),
+        (gram, np.zeros((3, 2)), np.zeros((4, 3)), "point dimension mismatch: 2 vs 3"),
+        (elementwise, np.zeros((3, 2)), np.zeros((4, 2)), r"equal shapes, got \(3, 2\) vs \(4, 2\)"),
+    ], ids=["gram-3d", "elementwise-3d", "gram-dims", "elementwise-shapes"])
+    def test_point_shapes_refused(self, evaluate, a, b, message):
+        with pytest.raises(DomainError, match=message):
+            evaluate(exponential_kernel(1.0), a, b)
+
     def test_gram_matches_pointwise(self):
         rng = np.random.default_rng(19)
         a = rng.normal(size=(6, 2))
@@ -395,6 +405,9 @@ class TestKernelSpec:
             KernelSpec(family="matern", gamma=1.0, m=4)
         with pytest.raises(ConfigError):
             KernelSpec(family="affine_shift", beta=0.5)
+        for beta in (-0.1, 1.5):
+            with pytest.raises(ConfigError, match=r"beta must lie in \[0, 1\]"):
+                affine_shift_kernel(exponential_kernel(), beta)
         with pytest.raises(ConfigError):
             KernelSpec(family="product", x_kernel=exponential_kernel())
         # a product appears only at the top: not under a shift, not as a

@@ -298,6 +298,15 @@ def test_argument_shapes_checked(name, method):
     assert (out[1] if method == "support" else out).shape[0] == 1
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda fam: fam.natural([0.0, np.nan, 0.0]), "raw parameters must be finite"),
+    (lambda fam: fam.support(np.zeros(3), np.zeros((1, 2))), "gamma has no finite response support"),
+], ids=["nonfinite-theta", "no-support"])
+def test_value_checks(call, message):
+    with pytest.raises(DomainError, match=message):
+        call(get_family("gamma", 2))
+
+
 def _draw_case(data, family, scale):
     """Raw parameters and covariates at a drawn scale; the linear
     predictor reaches past exp's overflow at the largest scales."""
@@ -414,6 +423,30 @@ class TestDataset:
             with pytest.raises(DomainError, match="covariates must be finite"):
                 Dataset(x, np.zeros(3), "real")
 
+    @pytest.mark.parametrize("x, y, kind, message", [
+        (np.zeros((2, 1)), np.array([1 + 1j, 2.0]), "real", "real responses must be real numbers"),
+        (np.zeros((2, 1), dtype=complex), np.zeros(2), "real", "covariates must be real numbers"),
+        (np.zeros((2, 1)), ["a", "b"], "real", "real responses must be real numbers"),
+        (np.zeros((2, 1)), ["1", "2"], "count", "count responses must be real numbers"),
+        (np.array([[1.0], [None]]), np.zeros(2), "real", "covariates must be real numbers"),
+        ([[1.0, 2.0], [3.0]], np.zeros(2), "real", "covariates must be an array"),
+        (np.zeros((2, 1)), [[1.0, 1.0], [2.0]], "censored", "censored responses must be an array"),
+        (np.zeros(3), np.zeros(3), "real", "covariates must be 2-D"),
+        (np.zeros((3, 2, 1)), np.zeros(3), "real", "covariates must be 2-D"),
+    ], ids=["complex-y", "complex-x", "text-y", "text-counts", "object-x", "ragged-x",
+            "ragged-y", "1d-x", "3d-x"])
+    def test_unreadable_input_refused(self, x, y, kind, message):
+        # complex, text, object and ragged input is refused, not cast; the
+        # dtype decides, so numeric input is taken without a pass over it
+        with pytest.raises(DomainError, match=message):
+            Dataset(x, y, kind)
+
+    def test_numeric_input_keeps_its_bits(self):
+        x = np.random.default_rng(3).standard_normal((4, 2))
+        ds = Dataset(x, np.array([0, 1, 1, 0], dtype=np.uint8), "binary")
+        assert ds.x.tobytes() == x.tobytes() and ds.y.tolist() == [0, 1, 1, 0]
+        assert Dataset([[True], [False]], [1.5, 2.5], "real").x.tolist() == [[1.0], [0.0]]
+
     def test_zero_rows_refused(self):
         # every estimator would end in an IndexError on such a dataset
         for kind, y in (("real", np.empty(0)), ("censored", np.empty((0, 2)))):
@@ -502,6 +535,18 @@ class TestConstruction:
             GaussianMixture(2, n_components=1)
         with pytest.raises(ConfigError):
             Heckman(3, outcome_support=[False, False, False])
+        with pytest.raises(ConfigError, match=r"support mask must have shape \(3,\)"):
+            Heckman(3, selection_support=[True, False])
+
+    @pytest.mark.parametrize("name, kwargs, message", [
+        ("logistic", {"n_components": 3}, r"logistic takes no keyword \['n_components'\]"),
+        ("gaussian_linear", {"outcome_support": [True]}, "gaussian_linear takes no keyword"),
+        ("mixture", {"components": 3}, r"mixture takes no keyword.*known: \['n_components'\]"),
+        ("heckman", {"n_components": 2}, "heckman takes no keyword"),
+    ], ids=["logistic", "gaussian_linear", "mixture", "heckman"])
+    def test_unknown_family_keyword_refused(self, name, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            get_family(name, 2, **kwargs)
 
     @pytest.mark.parametrize("call, message", [
         (lambda at: get_family("logistic", True), "covariate dimension"),

@@ -119,6 +119,11 @@ class TestMmdSqVstat:
         with pytest.raises(DomainError, match="at least one point"):
             mmd_sq_vstat(KY, np.zeros((3, 1)), np.empty(0))
 
+    def test_nonfinite_points_refused(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="requires finite points"):
+                mmd_sq_vstat(KY, np.zeros((3, 1)), np.array([[0.0], [bad]]))
+
 
 class TestLossTilde:
     def test_logistic_frozen(self):
@@ -229,6 +234,8 @@ class TestLossTilde:
         fam = get_family("gaussian_linear", 1)
         with pytest.raises(ConfigError):
             objective(fam, np.zeros(2), repeated(fam, [1.0], 0.0), KY, mode="exact")
+        with pytest.raises(ConfigError, match="mode must be 'exact' or 'mc', got 'quad'"):
+            objective(fam, np.zeros(2), repeated(fam, [1.0], 0.0), KY, mode="quad")
 
 
 class TestLossHat:
@@ -374,3 +381,5 @@ class TestObjective:
             objective(fam, np.zeros(3), ds, KY, "tilde")
         with pytest.raises(ConfigError):
             objective(fam, np.zeros(3), Dataset(np.zeros((3, 2)), np.zeros(3), "real"), KY, "unknown")
+        with pytest.raises(DomainError, match="needs a Dataset"):
+            objective(fam, np.zeros(3), (np.zeros((3, 2)), np.zeros(3)), KY, "tilde")
