@@ -56,7 +56,7 @@ def _cmd_fit(args):
     # selection-structure check is waived for it automatically.
     lenient = args.lenient or os.path.exists(_sidecar_path(args.infile))
     ds = load_csv(args.infile, kind=_FAMILY_REGISTRY[args.model].kind, strict=not lenient)
-    family_kwargs = {"n_components": args.components} if args.model == "mixture" else {}
+    family_kwargs = {} if args.components is None else {"n_components": args.components}
     family = get_family(args.model, ds.d, **family_kwargs)
     cfg = load_config(args.config) if args.config else {}
     if args.estimator is not None:
@@ -130,8 +130,8 @@ def build_parser():
     p.add_argument("--model", required=True, choices=list(_FAMILY_REGISTRY))
     p.add_argument("--estimator", default=None)
     p.add_argument("--config", default=None, help="fit config (JSON/TOML)")
-    p.add_argument("--components", type=int, default=2,
-                   help="mixture components (mixture model only)")
+    p.add_argument("--components", type=int, default=None,
+                   help="mixture components (default 2); other models refuse it")
     p.add_argument("--lenient", action="store_true",
                    help="skip the strict selection-structure check")
     p.add_argument("--out", default=None, help="write the fit result JSON here")

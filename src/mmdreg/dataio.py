@@ -10,7 +10,8 @@ check reads it 1 MiB at a time, and when it is ASCII and holds none of
 U+000B, U+000C and U+001C to U+001F, where numpy's C reader and
 ``str.splitlines``/``float()`` part ways, that reader parses the rows line
 by line from the open file, so the load holds the parsed array, the
-returned arrays and one chunk, not the file's bytes.  Any other file, and
+returned arrays and one chunk, not the file's bytes; that array's responses
+are checked by the same rules as a ``Dataset``'s.  Any other file, and
 any file that parse or a row check refuses, is read whole, line by line
 with ``float()``, which words every error, so values and messages do not
 depend on the path.  The writer formats 4,096 rows at a time.
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .fitting import FitConfig, FitResult
 from .kernels import spec_from_dict
-from .models import Dataset, _config_keys
+from .models import Dataset, _check_responses, _config_keys
 
 _SCALAR_KINDS = ("real", "count", "binary")
 
@@ -115,23 +116,19 @@ def _whole(fh, path):
 
 
 def _checked_array(fh, start, ncols, kind, strict):
-    # numpy's C parse of the rows from byte start of fh on, line by line,
-    # when every row check passes, else None.  It takes a subset of what
-    # float() takes; the caller re-scans.
+    # numpy's C parse of the rows from byte start of fh on, line by line, when
+    # they pass a Dataset's response rules and strict censoring, else None.
+    # numpy takes a subset of what float() takes; the caller re-scans.
     fh.seek(start)
     try:
         arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+        if arr.shape[1] != ncols or not np.isfinite(arr).all():
+            return None
+        _check_responses(kind, arr[:, -2:] if kind == "censored" else arr[:, -1], len(arr))
+    except ValueError:  # numpy's refusal, or a response rule's DomainError
         return None
-    if arr.shape[1] != ncols or not np.isfinite(arr).all():
-        return None
-    y, bad = arr[:, -1], False
-    if kind == "censored":
-        unselected = (y == 0.0) & (arr[:, -2] != 0.0)
-        bad = ((y != 0.0) & (y != 1.0)) | (unselected if strict else False)
-    elif kind != "real":
-        bad = (y != np.floor(y)) | (y < 0.0) | ((y > 1.0) if kind == "binary" else (y >= 2.0**63))
-    return None if np.any(bad) else arr
+    unselected = kind == "censored" and strict and np.any((arr[:, -1] == 0.0) & (arr[:, -2] != 0.0))
+    return None if unselected else arr
 
 
 def _scan_rows(lines, path, ncols, kind, strict):

@@ -33,7 +33,7 @@ from .kernels import (
     default_response_kernel,
     product_kernel,
 )
-from .models import _count, _inverse_mills, _real, _special
+from .models import _MAX_TABLE_CELLS, _count, _inverse_mills, _real, _special
 from .objective import _check_estimator, _check_gram_side, _dataset_for, objective
 
 ESTIMATORS = ("tilde", "hat", "mle", "ols")
@@ -91,6 +91,11 @@ class FitConfig:
         for name, least in (("iters", 1), ("m1", 0), ("m2", 0)):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _count(getattr(self, name), name, least))
+        if self.iters is not None and 3 * self.iters > _MAX_TABLE_CELLS:
+            raise ConfigError(
+                f"iters must be at most {_MAX_TABLE_CELLS // 3}: a fit's trace holds 3 cells "
+                f"a step, capped at {_MAX_TABLE_CELLS} cells; got {self.iters}"
+            )
         if isinstance(self.init, str):
             if self.init != "mle":
                 raise ConfigError(f"init must be 'mle' or a vector, got {self.init!r}")

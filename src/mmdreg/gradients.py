@@ -316,7 +316,11 @@ def grad_objective_estimate(
     grad += 2.0 * (w @ scores)
     if estimator != "hat":
         return grad
-    for idx_i, idx_j, weight, factor in _pair_batches(cache, m_samp, rng_pairs):
+    batches = [(cache.det_i, cache.det_j, cache.det_kx, 1.0)] if cache.det_i.size else []
+    if m_samp > 0 and cache.remaining > 0:
+        si, sj = cache.sample_remaining(m_samp, rng_pairs)
+        batches.append((si, sj, cache.weights(si, sj), cache.remaining / m_samp))
+    for idx_i, idx_j, weight, factor in batches:
         ya_i, ya_j = ya[idx_i], ya[idx_j]
         w_ij = elementwise(ky, ya_i, yb[idx_j]) - elementwise(ky, ya_i, yobs[idx_j])
         w_ji = elementwise(ky, ya_j, yb[idx_i]) - elementwise(ky, ya_j, yobs[idx_i])
@@ -324,11 +328,3 @@ def grad_objective_estimate(
         contrib += (2.0 * factor * weight * w_ji) @ scores.take(idx_j, axis=0)
         grad += contrib
     return grad
-
-
-def _pair_batches(cache, m_samp, rng_pairs):
-    if cache.det_i.size:
-        yield cache.det_i, cache.det_j, cache.det_kx, 1.0
-    if m_samp > 0 and cache.remaining > 0:
-        si, sj = cache.sample_remaining(m_samp, rng_pairs)
-        yield si, sj, cache.weights(si, sj), cache.remaining / m_samp

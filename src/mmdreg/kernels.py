@@ -200,7 +200,6 @@ def _cross_dists(a, b):
         stop = min(start + step, na)
         diff = a[start:stop, None, :] - b[None, :, :]
         np.einsum("ijk,ijk->ij", diff, diff, out=out[start:stop])
-    np.maximum(out, 0.0, out=out)
     return np.sqrt(out, out=out)
 
 

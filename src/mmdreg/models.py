@@ -407,7 +407,6 @@ class Heckman(Family):
         free[: self.d] = self.outcome_support
         free[self.d : 2 * self.d] = self.selection_support
         self.free_mask = free
-        self._frozen = np.flatnonzero(~free)
 
     def _as_support(self, support):
         if support is None:
@@ -476,7 +475,7 @@ class Heckman(Family):
         np.multiply(d_mu2[:, None], x, out=g[:, self.d : 2 * self.d])
         g[:, 2 * self.d] = d_log_sigma
         g[:, 2 * self.d + 1] = d_atanh_rho
-        g[:, self._frozen] = 0.0
+        g[:, ~self.free_mask] = 0.0
         return g
 
 

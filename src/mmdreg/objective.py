@@ -140,12 +140,16 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
     unseeded generator when it is omitted.  The quadratic objective
     builds ``n x n`` matrices, and exact mode a ``k x k`` one over the
     response support; either raises ``NumericalError`` before building
-    one past ``models._MAX_TABLE_CELLS`` cells.
+    one past ``models._MAX_TABLE_CELLS`` cells.  A ``budget`` above that
+    cap is refused with ``ConfigError`` before anything is built.
     """
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)
     mode = _resolve_mode(family, mode)
     _check_estimator(estimator)
+    budget = _count(budget, "budget", 1)
+    if budget > _MAX_TABLE_CELLS:
+        raise ConfigError(f"budget must be at most the cap of {_MAX_TABLE_CELLS} cells, got {budget}")
     ky = _y_kernel(kernel)
     if estimator == "hat":
         x_kernel = _x_kernel(kernel)
@@ -163,7 +167,7 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
         cross = probs @ kyy @ probs.T
         return ObjectiveValue(float(np.sum(kx * (cross - 2.0 * (probs @ kdata)))), 0.0, "exact")
     rng = np.random.default_rng(rng)
-    totals = np.empty(_count(budget, "budget", 1))
+    totals = np.empty(budget)
     for p in range(totals.size):
         ya = family.sample(theta, dataset.x, rng)
         yb = family.sample(theta, dataset.x, rng)

@@ -196,6 +196,24 @@ class TestFit:
         assert isinstance(objective[2], float) and isinstance(objective[5], float)
         assert list(payload) == [f.name for f in fields(FitResult)]
 
+    def test_components_sets_the_mixture_size(self, gauss_csv, tmp_path):
+        # two components unless the flag asks for more
+        for extra, raw_dim in (((), 19), (("--components", 3), 29)):
+            out = tmp_path / "fit.json"
+            assert run("fit", "--in", gauss_csv, "--model", "mixture", "--estimator", "mle",
+                       "--out", out, *extra) == 0
+            with open(out) as fh:
+                assert len(json.load(fh)["theta_raw"]) == raw_dim
+
+    @pytest.mark.parametrize("model", ["gaussian_linear", "gamma"])
+    def test_components_refused_by_other_models(self, model, gauss_csv, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        capsys.readouterr()
+        assert run("fit", "--in", gauss_csv, "--model", model, "--components", 5,
+                   "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {model} takes no keyword")
+        assert not out.exists()
+
     def test_bad_config_key(self, gauss_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"stepsize": 0.1}')
@@ -341,6 +359,15 @@ class TestBadInputs:
         capsys.readouterr()
         assert run(*argv(gauss_csv, tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_iters_beyond_the_trace_cap(self, gauss_csv, tmp_path, capsys, monkeypatch):
+        # refused when the config is read, before numpy is asked for the trace
+        monkeypatch.setattr("mmdreg.cli.run_plan", lambda *a, **k: pytest.fail("plan ran"))
+        huge = {"iters": 10_000_000_000_000}
+        for argv in (fit_with(huge), bench_with(estimators=["tilde"], fit={"tilde": huge})):
+            capsys.readouterr()
+            assert run(*argv(gauss_csv, tmp_path)) == 2
+            assert "capped at 10000000 cells; got 10000000000000" in capsys.readouterr().err
 
     def test_removed_switches_are_unknown_keys(self, gauss_csv, tmp_path, capsys):
         # the fit and plan configs no longer take polyak and fixed_base

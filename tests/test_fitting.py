@@ -212,6 +212,13 @@ class TestFitConfig:
         with pytest.raises(ConfigError, match="eta must be positive and finite"):
             FitConfig(eta=10**400)
 
+    def test_iters_capped_by_the_trace_table(self):
+        # a fit's trace holds 3 cells a step, within the 10**7-cell table cap
+        assert FitConfig(iters=3_333_333).iters == 3_333_333
+        for iters in (3_333_334, 10**13):
+            with pytest.raises(ConfigError, match="capped at 10000000 cells; got"):
+                FitConfig(iters=iters)
+
     def test_custom_init_compares_and_hashes(self):
         # a list, an array and a tuple of the same values give one config
         a = FitConfig(init=[1.0, 2.0])

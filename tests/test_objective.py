@@ -287,6 +287,11 @@ def logistic_dataset(n, seed, d=2):
 
 
 class TestObjective:
+    def test_budget_capped_before_allocation(self):
+        fam, theta, ds = logistic_dataset(6, 11)
+        with pytest.raises(ConfigError, match="budget must be at most the cap of 10000000 cells"):
+            objective(fam, theta, ds, KY, mode="mc", budget=10**13)
+
     def test_tilde_sums_pointwise_losses(self):
         fam, theta, ds = logistic_dataset(6, 11)
         want = sum(diag_loss(fam, theta, ds.x[i], ds.y[i], KY) for i in range(6))
