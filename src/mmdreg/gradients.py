@@ -9,14 +9,16 @@ exact-mode gradient.
 
 The quadratic objective has one pair loss per ordered covariate pair.
 Rather than touching all of them every step, the full-gradient estimator
-keeps a deterministic set of the heaviest pairs (by covariate kernel
-weight) and reweights a without-replacement sample of the rest, which
-stays unbiased for the complete sum.  No ``n x n`` array is formed: the
-heaviest pairs are found by a k-d tree radius search, and sampled pairs
+keeps a deterministic set of the heaviest pairs and reweights a
+without-replacement sample of the rest, which stays unbiased for the
+complete sum.  The covariate kernel is non-increasing in the distance
+``d`` between its (psi-mapped) rows, so the set is the first ``m1``
+pairs by ``(d, i, j)``: an exact key, which one k-d tree radius search
+covers with no widening.  No ``n x n`` array is formed, and sampled pairs
 are weighed when drawn, so the pair cache holds O(n + m1) numbers.  A
-pair's weight is the covariate kernel's profile at the distance between
-its psi-mapped rows (``kernels._profile``), which equals the dense
-covariate Gram's entry bit for bit.
+pair's weight is the covariate kernel's profile at that distance
+(``kernels._profile``), which equals the dense covariate Gram's entry
+bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import ConfigError, DomainError, NumericalError
 # gram is bound here, unused, so probes that wrap this module's kernel
 # calls (perfbench/probes.py) still find it: nothing here builds a Gram
 from .kernels import (  # noqa: F401
-    KernelSpec, _aligned_dists, _as_points, _bound_beyond, _coords, _profile,
+    KernelSpec, _aligned_dists, _as_points, _coords, _profile,
     _x_kernel, _y_kernel, elementwise, gram,
 )
 from .models import _count, _whole
@@ -60,19 +62,6 @@ def _pair_from_linear(t, n):
     return i, j
 
 
-def _widen(r, fits):
-    # smallest radius above r, to a relative 1e-12, at which fits() holds
-    lo, hi = r, max(2.0 * r, np.finfo(float).tiny)
-    while not fits(hi):
-        lo, hi = hi, 2.0 * hi
-        if not np.isfinite(hi):
-            return hi
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
-    return hi
-
-
 def _pairs_outside(base, ranks, n):
     # the pairs of the given ranks, in (i, j) order, among those
     # whose linear index is not held; base is the sorted held indices
@@ -93,26 +82,22 @@ def _kd_tree():
 
 
 def top_pairs(x_kernel, x, m):
-    """Indices of the ``m`` unordered pairs with the largest kernel weight.
+    """Indices of the ``m`` closest unordered pairs, the heaviest ones.
 
-    Ties break toward the lexicographically smallest ``(i, j)``: the
-    result is the first ``m`` pairs of the full ranking by
-    ``(-k(x_i, x_j), i, j)``, without forming the ``n x n`` matrix.
+    The result is the first ``m`` pairs of the full ranking by
+    ``(d, i, j)``, without forming the ``n x n`` matrix.  ``d`` is the
+    distance between rows as the kernel measures them (psi-warped for a
+    ``psi_matern`` leaf), by the reduction :func:`gram` uses.  Every
+    radial kernel, and every affine shift of one, is non-increasing in
+    ``d``; where weights round alike at different distances, the closer
+    pair, whose true weight is the larger, comes first.
 
-    Every radial kernel is non-increasing in (psi-warped) distance, and
-    an affine shift with ``beta > 0`` keeps that order, so the heaviest
-    pairs are the closest ones.  A k-d tree (Bentley 1975; Friedman,
-    Bentley & Finkel 1977) gives each point's ``ceil(2m/n) + 1`` nearest
-    others; the ``2m``-th smallest of those distances is a radius
-    holding at least ``m`` pairs, since each pair is listed at most
-    twice.  The pairs within it are weighed by the kernel's profile at
-    their (psi-warped) distance and ranked.  The ranking is final once
-    the kernel's bound beyond the radius is strictly below the ``m``-th
-    weight; where the kernel is flat at the cut the radius widens until
-    it is.  A cut at the kernel's floor (its value once the leaf
-    underflows to 0, or everywhere when some ``beta`` is 0) is filled
-    with the lexicographically first pairs that weigh exactly the floor.
-    Memory scales with ``n`` plus the pairs within the final radius.
+    A k-d tree (Bentley 1975; Friedman, Bentley & Finkel 1977) gives each
+    point's ``ceil(2m/n) + 1`` nearest others; the ``2m``-th smallest of
+    those distances is a radius holding at least ``m`` pairs, since each
+    pair is listed at most twice.  The key is the distance itself, so all
+    of the first ``m`` pairs lie within that radius and it never needs
+    widening.  Memory scales with ``n`` plus the pairs within the radius.
 
     Args:
         x_kernel: covariate kernel, radial or an affine shift of one.
@@ -121,7 +106,7 @@ def top_pairs(x_kernel, x, m):
             pair count).
 
     Returns:
-        Pair of int arrays ``(i, j)`` with ``i < j``, heaviest first.
+        Pair of int arrays ``(i, j)`` with ``i < j``, closest first.
 
     Raises:
         ConfigError: when ``m`` is not a nonnegative integer.
@@ -135,37 +120,20 @@ def top_pairs(x_kernel, x, m):
         raise DomainError("pair weights need finite covariates")
     z = _coords(x_kernel, x)
     n = z.shape[0]
-    total = n * (n - 1) // 2
-    m = min(m, total)
-    floor = _bound_beyond(x_kernel, np.inf)
-    if m == 0 or _bound_beyond(x_kernel, 0.0) <= floor:
-        # every pair weighs the floor (some beta is 0)
-        return _pair_from_linear(np.arange(m, dtype=np.int64), n)
+    m = min(m, n * (n - 1) // 2)
+    if m == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     tree = _kd_tree()(z)
     dist, idx = tree.query(z, k=min(n, -(-2 * m // n) + 2))
     r = float(np.partition(dist[idx != np.arange(n)[:, None]], 2 * m - 1)[2 * m - 1])
-    while True:
-        # the relative slack covers the tree's and _aligned_dists' rounding
-        # of the same distance, so a pair left out is farther than r
-        try:
-            ci, cj = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
-        except ValueError:  # the tree squares distances and refuses an overflow
-            raise NumericalError("squared covariate distances overflow the pair search") from None
-        w = _profile(x_kernel, _aligned_dists(z[ci], z[cj]))
-        order = np.lexsort((cj, ci, -w))
-        cut = w[order[m - 1]]
-        beyond = _bound_beyond(x_kernel, r)
-        if beyond < cut or not np.isfinite(r):
-            return ci[order[:m]], cj[order[:m]]
-        if beyond <= floor:
-            heavy = order[: np.count_nonzero(w > floor)]
-            base = np.sort(_linear_from_pair(ci[heavy], cj[heavy], n)) - np.arange(heavy.size)
-            fi, fj = _pairs_outside(base, np.arange(m - heavy.size, dtype=np.int64), n)
-            return np.concatenate([ci[heavy], fi]), np.concatenate([cj[heavy], fj])
-        # widen until the bound falls below the cut, or to the floor when
-        # the cut is the floor (the bound never falls below it)
-        limit = max(cut, np.nextafter(floor, np.inf))
-        r = _widen(r, lambda s: _bound_beyond(x_kernel, s) < limit)
+    # the relative slack covers the tree's and _aligned_dists' rounding of
+    # the same distance, so a pair left out is farther than the m-th
+    try:
+        ci, cj = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
+    except ValueError:  # the tree squares distances and refuses an overflow
+        raise NumericalError("squared covariate distances overflow the pair search") from None
+    order = np.lexsort((cj, ci, _aligned_dists(z[ci], z[cj])))[:m]
+    return ci[order], cj[order]
 
 
 def sample_pair_indices(total, m, rng):
@@ -192,10 +160,11 @@ class PairCache:
 
     Holds the kernel and covariates it was built from (``x_kernel``,
     ``x``), the covariates as the kernel measures them (``kx``, psi-warped
-    for a ``psi_matern`` leaf), the deterministic heavy-pair set with its
-    weights, and the bookkeeping to sample the remaining unordered pairs.
-    A pair's weight is the kernel's profile at the distance between its
-    ``kx`` rows.  Every array is of size ``n`` or ``m_det``; sampled
+    for a ``psi_matern`` leaf), the deterministic set with its weights,
+    and the bookkeeping to sample the remaining unordered pairs.  The set
+    is the first ``m_det`` pairs by ``(d, i, j)``, ``d`` the distance
+    between ``kx`` rows (:func:`top_pairs`), and a pair's weight is the
+    kernel's profile at ``d``.  Every array is of size ``n`` or ``m_det``; sampled
     pairs are weighed when drawn, by :meth:`weights`.
     """
 
@@ -227,7 +196,9 @@ class PairCache:
 
 
 def build_pair_cache(x_kernel, x, m_det):
-    """Rank covariate pairs by kernel weight and freeze the top ``m_det``."""
+    """Freeze the ``m_det`` closest covariate pairs (:func:`top_pairs`'
+    ``(d, i, j)`` rule: one radius, no widening) with their weights, each
+    equal bit for bit to its :func:`gram` entry."""
     x = _as_points(x)
     det_i, det_j = top_pairs(x_kernel, x, m_det)
     kx = _coords(x_kernel, x)

@@ -253,23 +253,6 @@ def _profile(spec, r):
     return _shift(spec, _radial(_leaf(spec), r))
 
 
-def _bound_beyond(spec, r):
-    """Upper bound on ``spec`` at every distance of at least ``r``.
-
-    Every radial leaf decreases with distance in exact arithmetic, but
-    its rounded value can rise by a few ulps (or subnormal steps) along
-    the way, so the leaf at ``r`` is padded before the affine shifts,
-    which round monotonically, are applied.  A leaf that has underflowed
-    to 0 stays 0 further out, so the bound beyond ``r = inf`` is the
-    kernel's floor, its value once the leaf is 0.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = float(_radial(_leaf(spec), np.array([r]))[0])
-    if v != 0.0:
-        v = v * (1.0 + 2.0**-40) + 1e-320
-    return _shift(spec, v)
-
-
 def _evaluate(spec, a, b, dists):
     # The one interpreter of a KernelSpec: a product multiplies its two
     # factors, and any other spec is its profile at the distances

@@ -37,9 +37,9 @@ sampler and score (a fresh array for every term), of the gamma sampler
 (``Generator.gamma`` with an array scale) and score, and of the Heckman
 score (every branch on every row, then ``np.where``) that the package's
 faster forms must match bit for bit.  :func:`top_pairs_oracle` ranks every pair
-of a dense covariate Gram.  :func:`csv_text` and :func:`csv_read` are the
-dataset CSV format value by value and line by line; they import nothing
-from ``mmdreg.dataio``.
+of a dense covariate distance matrix.  :func:`csv_text` and
+:func:`csv_read` are the dataset CSV format value by value and line by
+line; they import nothing from ``mmdreg.dataio``.
 """
 
 import math
@@ -284,11 +284,11 @@ def kernel_value(spec, z, zp):
     return {1: 1.0, 3: 1.0 + s, 5: 1.0 + s + s * s / 3.0}[spec.m] * math.exp(-s)
 
 
-def top_pairs_oracle(kx, m):
-    """The ``m`` heaviest upper-triangle pairs of a dense covariate Gram
-    ``kx``: a full lexsort of every pair by ``(-k, i, j)``."""
-    iu, ju = np.triu_indices(kx.shape[0], k=1)
-    order = np.lexsort((ju, iu, -kx[iu, ju]))
+def top_pairs_oracle(dist, m):
+    """The ``m`` closest upper-triangle pairs of a dense covariate distance
+    matrix ``dist``: a full lexsort of every pair by ``(d, i, j)``."""
+    iu, ju = np.triu_indices(dist.shape[0], k=1)
+    order = np.lexsort((ju, iu, dist[iu, ju]))
     keep = order[: max(0, int(m))]
     return iu[keep], ju[keep]
 

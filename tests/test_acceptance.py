@@ -154,6 +154,7 @@ def test_criterion_05_heckman_cell(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_quadratic_gradient_unbiased(capsys):
     t0 = time.perf_counter()
     fam = get_family("logistic", 2)

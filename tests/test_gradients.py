@@ -6,8 +6,8 @@ a pathwise common-random-numbers gradient of the Monte Carlo objective
 for the continuous family, direct
 enumeration for the pair-sampling combinatorics, and plain reference
 implementations (a Python-loop Floyd sampler, a full lexsort of every
-pair of the dense covariate Gram) for the vectorised pair sampler and
-the Gram-free top-pair selection.
+pair of the dense covariate distance matrix) for the vectorised pair
+sampler and the Gram-free top-pair selection.
 """
 
 import math
@@ -29,6 +29,7 @@ from mmdreg.gradients import (
 )
 from mmdreg import gradients
 from mmdreg.gradients import _linear_from_pair, _pair_from_linear
+from mmdreg.kernels import _coords, _cross_dists
 from mmdreg.kernels import (
     affine_shift_kernel,
     exponential_kernel,
@@ -228,11 +229,15 @@ class TestPairIndexing:
         assert list(zip(i, j)) == [(1, 3), (0, 2), (1, 2)]
 
     def test_top_pairs_tie_order(self):
-        every = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        # equal distances break toward the smallest (i, j); a flat kernel
+        # (beta = 0, every weight 1) still ranks by distance
         same = np.zeros((4, 2))
         flat = affine_shift_kernel(gaussian_kernel(1.0), 0.0)
         apart = np.arange(8.0).reshape(4, 2)
-        for kern, x in ((gaussian_kernel(1.0), same), (flat, apart)):
+        for kern, x, every in (
+            (gaussian_kernel(1.0), same, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            (flat, apart, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]),
+        ):
             for m in (6, 4):
                 i, j = top_pairs(kern, x, m)
                 assert list(zip(i, j)) == every[:m]
@@ -339,19 +344,25 @@ def floyd_oracle(total, m, rng):
 
 
 def assert_top_pairs_match(kern, x, ms=None):
-    """The Gram-free selection equals the full lexsort of the dense Gram."""
+    """The Gram-free selection equals the full lexsort of the dense
+    distance matrix, and keeps the dense Gram's heaviest weights."""
     kx = gram(kern, x, x)
+    z = _coords(kern, x)
+    dist = _cross_dists(z, z)
     n = kx.shape[0]
     total = n * (n - 1) // 2
+    w = np.sort(kx[np.triu_indices(n, k=1)])[::-1]
     if ms is None:
-        w = np.sort(kx[np.triu_indices(n, k=1)])[::-1]
         at_tie = int(np.flatnonzero(w == w[total // 2])[0]) + 1 if total else 0
         ms = (0, 1, at_tie, total // 2, total, total + 5)
     for m in ms:
         got = top_pairs(kern, x, m)
-        want = top_pairs_oracle(kx, m)
+        want = top_pairs_oracle(dist, m)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), m
         assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+        # the closest pairs weigh the most, up to rounding: one ulp below 1
+        kept = np.sort(kx[got])[::-1]
+        assert np.all(np.abs(kept - w[: kept.size]) <= 2.0**-53), m
 
 
 def _duplicates(rng, width):
@@ -463,9 +474,10 @@ class TestPairOracles:
         x = np.random.default_rng(21).integers(0, 3, size=(30, 2)).astype(float)
         kern = affine_shift_kernel(psi_matern_kernel(0.5, m=3), 0.5)
         kx = gram(kern, x, x)
+        z = _coords(kern, x)
         for m in (0, 7, 435, 500):
             cache = build_pair_cache(kern, x, m)
-            want = top_pairs_oracle(kx, m)
+            want = top_pairs_oracle(_cross_dists(z, z), m)
             assert np.array_equal(cache.det_i, want[0]) and np.array_equal(cache.det_j, want[1])
             assert cache.det_kx.tobytes() == kx[want].tobytes()
 

@@ -25,7 +25,7 @@ from mmdreg.kernels import (
     psi_matern_kernel,
     spec_from_dict,
 )
-from mmdreg.kernels import _aligned_dists
+from mmdreg.kernels import _aligned_dists, _cross_dists
 from mmdreg.gradients import top_pairs
 from oracles import kernel_value, top_pairs_oracle
 
@@ -121,13 +121,14 @@ class TestMaternHalfint:
                 assert matern_at([1.0, 1e-100, 1e300], 1.3e-137, m).tolist() == [0.0, 0.0, 0.0]
 
     def test_overflowing_scale_ranks_like_dense_gram(self):
-        # with NaN weights the Gram-free selection and the dense lexsort
-        # disagreed; at the smallest scale every distinct pair weighs 0
+        # at the smallest scale every distinct pair weighs 0, not NaN, and
+        # the Gram-free selection still ranks those pairs by distance
         kern = matern_kernel(1.3e-137, m=3)
         x = np.array([[0.0], [1e10], [0.5], [0.0]])
         got = top_pairs(kern, x, 2)
-        want = top_pairs_oracle(gram(kern, x, x), 2)
-        assert [a.tolist() for a in got] == [a.tolist() for a in want] == [[0, 0], [3, 1]]
+        want = top_pairs_oracle(_cross_dists(x, x), 2)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want] == [[0, 0], [3, 2]]
+        assert gram(kern, x, x)[got].tolist() == [1.0, 0.0]
 
     def test_bad_inputs(self):
         with pytest.raises(ConfigError):

@@ -146,6 +146,7 @@ class TestDensities:
         values, _ = fam.support(np.array([12.0]), np.ones((1, 1)))
         assert values.size == 165_602
 
+    @pytest.mark.slow
     def test_poisson_cutoff_matches_scipy(self):
         # the package computes poisson.ppf without scipy.stats; the tests keep it
         rng = np.random.default_rng(12)
