@@ -16,14 +16,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contamination import RECIPE_KINDS, RECIPES, SCHEMES, ContaminationSpec, contaminate
-from .dataio import _write_json, fit_config_from_dict
+from .contamination import ContaminationSpec, _check_recipe_kind, contaminate
+from .dataio import _FIT_KEYS, _write_json, fit_config_from_dict
 from .errors import ConfigError, DomainError, FormatError, NumericalError
-from .fitting import ESTIMATORS, fit
+from .fitting import fit
 from .gradients import _kd_tree
-from .models import _config_keys, _count, _real, get_scenario, simulate_dataset
+from .models import _config_keys, _count, get_scenario, simulate_dataset
 
 SCHEMA_VERSION = 1
+# the plan derives each fit's seed and names its estimator
+_OVERRIDE_KEYS = _FIT_KEYS - {"estimator", "seed"}
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,9 @@ def _listed(values, name, convert=str):
 class ExperimentPlan:
     """Grid definition for one scenario.
 
+    Rates, the scheme and recipes are checked by building the
+    :class:`ContaminationSpec` of each (rate, recipe), and each recipe
+    against the scenario's response kind by :func:`contaminate`'s rule.
     ``fit_overrides`` maps an estimator name to FitConfig keyword
     overrides (iteration counts, pair budgets, kernel config); seeds
     and estimator names are derived and cannot be overridden.  Each
@@ -72,51 +77,42 @@ class ExperimentPlan:
     fit_configs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kind = get_scenario(self.scenario).make_family().kind
+        scenario = get_scenario(self.scenario)
         n_values = _listed(self.n_values, "n_values", lambda n: _count(n, "each of n_values", 1))
         if not n_values:
             raise ConfigError(f"n_values must not be empty, got {self.n_values!r}")
         object.__setattr__(self, "n_values", n_values)
-        epsilons = _listed(self.epsilons, "epsilons", lambda e: e)
-        if not epsilons or not all(_real(e) and 0.0 <= e < 1.0 for e in epsilons):
-            raise ConfigError(f"epsilons must be numbers in [0, 1), got {self.epsilons!r}")
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in epsilons))
+        # a spec per rate, so a plan of clean cells alone checks the scheme
+        epsilons = _listed(self.epsilons, "epsilons",
+                           lambda e: ContaminationSpec(e, self.scheme).epsilon)
+        if not epsilons:
+            raise ConfigError(f"epsilons must not be empty, got {self.epsilons!r}")
+        object.__setattr__(self, "epsilons", epsilons)
         object.__setattr__(self, "recipes", _listed(self.recipes, "recipes"))
+        if not self.recipes and any(epsilons):
+            raise ConfigError(f"a nonzero rate needs recipes, got epsilons {epsilons}")
+        kind = scenario.make_family().kind
+        for recipe in self.recipes:
+            for eps in epsilons:
+                ContaminationSpec(eps, self.scheme, recipe, scenario.recipe_means.get(recipe))
+            _check_recipe_kind(recipe, kind, ConfigError)
         object.__setattr__(self, "estimators", _listed(self.estimators, "estimators"))
-        bad = set(self.recipes) - set(RECIPES)
-        if bad or (not self.recipes and any(e > 0 for e in self.epsilons)):
-            raise ConfigError(
-                f"plan recipes must be drawn from {RECIPES}, got {self.recipes}"
-            )
-        wrong = [r for r in self.recipes if RECIPE_KINDS.get(r, kind) != kind]
-        if wrong:
-            raise ConfigError(
-                f"recipes {wrong} do not apply to scenario {self.scenario!r}, "
-                f"whose responses are {kind!r}"
-            )
-        bad = set(self.estimators) - set(ESTIMATORS)
-        if bad or not self.estimators:
-            raise ConfigError(
-                f"estimators must be drawn from {ESTIMATORS}, got {self.estimators}"
-            )
+        if not self.estimators:
+            raise ConfigError(f"estimators must not be empty, got {self.estimators!r}")
         object.__setattr__(self, "replications", _count(self.replications, "replications", 1))
         object.__setattr__(self, "master_seed", _count(self.master_seed, "seed"))
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        _config_keys(self.fit_overrides, "fit override (unused estimators refused)", self.estimators)
-        for over in self.fit_overrides.values():
-            if not isinstance(over, dict):
-                raise ConfigError("each fit override must be a mapping")
-            banned = {"estimator", "seed"} & set(over)
-            if banned:
-                raise ConfigError(f"fit overrides cannot set {sorted(banned)}")
+        overrides = self.fit_overrides
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"fit overrides must be a mapping, got {type(overrides).__name__}")
         configs = {}
         for name in self.estimators:
+            over = overrides.get(name, {})
             try:
-                configs[name] = fit_config_from_dict({**self.fit_overrides.get(name, {}),
-                                                      "estimator": name})
+                _config_keys(over, "fit override", _OVERRIDE_KEYS)
+                configs[name] = fit_config_from_dict({**over, "estimator": name})
             except ConfigError as exc:
-                raise ConfigError(f"fit override for {name!r}: {exc}") from None
+                raise ConfigError(f"estimator {name!r}: {exc}") from None
+        _config_keys(overrides, "fit override (unused estimators refused)", self.estimators)
         object.__setattr__(self, "fit_configs", configs)
 
     def cells(self):
@@ -222,6 +218,8 @@ def rmse(estimates, truth, mask=None):
     """
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     truth = np.asarray(truth, dtype=float)
+    if est.shape[0] == 0:
+        raise DomainError("rmse needs at least one estimate")
     if est.shape[1] != truth.shape[0]:
         raise DomainError(
             f"estimate dimension {est.shape[1]} != truth dimension {truth.shape[0]}"

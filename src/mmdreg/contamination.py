@@ -62,6 +62,13 @@ class ContaminationSpec:
         return self.mean if self.mean is not None else _DEFAULT_MEANS[self.recipe]
 
 
+def _check_recipe_kind(recipe, kind, error=DomainError):
+    """Raise ``error`` unless ``recipe`` applies to responses of ``kind``."""
+    need = RECIPE_KINDS.get(recipe, kind)
+    if kind != need:
+        raise error(f"recipe {recipe!r} needs {need} responses, got {kind!r}")
+
+
 def _select_rows(scheme, epsilon, n, rng):
     if scheme == "adversarial":
         # The tiny shift absorbs downward rounding in eps * n (e.g.
@@ -97,11 +104,7 @@ def contaminate(dataset, spec):
         raise ConfigError("contaminate expects a Dataset")
     if not isinstance(spec, ContaminationSpec):
         raise ConfigError("contaminate expects a ContaminationSpec")
-    need = RECIPE_KINDS.get(spec.recipe, dataset.kind)
-    if dataset.kind != need:
-        raise DomainError(
-            f"{spec.recipe} needs {need} responses; dataset kind is {dataset.kind!r}"
-        )
+    _check_recipe_kind(spec.recipe, dataset.kind)
     n = dataset.x.shape[0]
     idx_ss, val_ss = np.random.SeedSequence(spec.seed).spawn(2)
     idx = _select_rows(spec.scheme, spec.epsilon, n, np.random.default_rng(idx_ss))

@@ -81,6 +81,23 @@ def _kd_tree():
     return cKDTree
 
 
+def _identical_pairs(z, m):
+    # The first m pairs of identical rows in (i, j) order, in O(n + m)
+    # memory: each row pairs with the later rows of its group.  unique
+    # compares values, so -0.0 groups with 0.0.
+    n = z.shape[0]
+    group = np.unique(z, axis=0, return_inverse=True)[1].reshape(n)
+    order = np.argsort(group, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    later = (np.cumsum(np.bincount(group)) - 1)[group] - rank
+    rows = np.arange(np.searchsorted(np.cumsum(later), m) + 1)
+    count = later[rows]
+    ci = np.repeat(rows, count)
+    step = np.arange(ci.size) - np.repeat(np.cumsum(count) - count, count)
+    return ci[:m], order[np.repeat(rank[rows] + 1, count) + step][:m]
+
+
 def top_pairs(x_kernel, x, m):
     """Indices of the ``m`` closest unordered pairs, the heaviest ones.
 
@@ -98,6 +115,11 @@ def top_pairs(x_kernel, x, m):
     pair is listed at most twice.  The key is the distance itself, so all
     of the first ``m`` pairs lie within that radius and it never needs
     widening.  Memory scales with ``n`` plus the pairs within the radius.
+    A radius of 0 means the first ``m`` pairs are tied at distance 0; they
+    are then read from groups of identical rows in ``O(n + m)`` memory,
+    however many pairs tie.  Coordinates nonzero but below ``2**-480`` in
+    magnitude, whose squared differences can underflow to 0, take the
+    radius search.
 
     Args:
         x_kernel: covariate kernel, radial or an affine shift of one.
@@ -126,6 +148,9 @@ def top_pairs(x_kernel, x, m):
     tree = _kd_tree()(z)
     dist, idx = tree.query(z, k=min(n, -(-2 * m // n) + 2))
     r = float(np.partition(dist[idx != np.arange(n)[:, None]], 2 * m - 1)[2 * m - 1])
+    # distance 0 is identical rows unless tiny differences' squares underflow
+    if r == 0.0 and not np.any((z != 0.0) & (np.abs(z) < 2.0**-480)):
+        return _identical_pairs(z, m)
     # the relative slack covers the tree's and _aligned_dists' rounding of
     # the same distance, so a pair left out is farther than the m-th
     try:

@@ -22,6 +22,7 @@ from mmdreg.bench import (
     write_results,
     _cell_dataset,
 )
+from mmdreg.contamination import ContaminationSpec, _check_recipe_kind
 from mmdreg.errors import ConfigError, DomainError
 from mmdreg.kernels import spec_from_dict
 from mmdreg.models import get_scenario
@@ -51,11 +52,11 @@ class TestPlanValidation:
     def test_basic_fields(self):
         with pytest.raises(ConfigError, match="scenario"):
             tiny_plan(scenario="unknown")
-        with pytest.raises(ConfigError, match="estimators"):
+        with pytest.raises(ConfigError, match="'map': estimator must be one of"):
             tiny_plan(estimators=("ols", "map"))
-        with pytest.raises(ConfigError, match="recipes"):
+        with pytest.raises(ConfigError, match="unknown recipe 'custom'"):
             tiny_plan(recipes=("custom",))
-        with pytest.raises(ConfigError, match="recipes"):
+        with pytest.raises(ConfigError, match="a nonzero rate needs recipes"):
             tiny_plan(recipes=())
         tiny_plan(recipes=(), epsilons=(0.0,))
         with pytest.raises(ConfigError, match="replications"):
@@ -91,6 +92,47 @@ class TestPlanValidation:
         tiny_plan(scenario="heckman_synthetic", recipes=("type_x", "selection_flip"),
                   estimators=("mle",), fit_overrides={})
 
+    @pytest.mark.parametrize("scenario,epsilons,recipes,scheme", [
+        ("gauss_linear_laplace", (0.0, 0.1), ("type_x", "type_y"), "adversarial"),
+        ("gauss_linear_laplace", (0.0, 0.1), ("type_y",), "huber"),
+        ("gauss_linear_laplace", (0.0, -0.1), ("type_y",), "adversarial"),
+        ("gauss_linear_laplace", (0.0, 1.0), ("type_y",), "adversarial"),
+        ("gauss_linear_laplace", (0.0, math.nan), ("type_y",), "adversarial"),
+        ("gauss_linear_laplace", (0.0, 0.1), ("type_y",), "random"),
+        ("gauss_linear_laplace", (0.0,), (), "random"),
+        ("gauss_linear_laplace", (0.0, 0.1), ("custom",), "adversarial"),
+        ("gauss_linear_laplace", (0.0, 0.1), ("type_x", "selection_flip"), "adversarial"),
+        ("gamma_synthetic", (0.05,), ("type_x", "type_y"), "huber"),
+        ("heckman_synthetic", (0.0, 0.1), ("type_x", "selection_flip"), "huber"),
+        ("heckman_synthetic", (0.0, 0.1), ("type_y",), "adversarial"),
+        ("heckman_synthetic", (0.0,), ("type_y",), "adversarial"),
+    ])
+    def test_contamination_rules_are_the_specs(self, scenario, epsilons, recipes, scheme,
+                                               monkeypatch):
+        # the plan refuses exactly what building its cells' contamination
+        # specs, or contaminate's recipe/kind rule, refuses, and at once
+        sc = get_scenario(scenario)
+        try:
+            for eps in epsilons:
+                ContaminationSpec(eps, scheme)
+                for recipe in recipes:
+                    ContaminationSpec(eps, scheme, recipe, sc.recipe_means.get(recipe))
+            for recipe in recipes:
+                _check_recipe_kind(recipe, sc.make_family().kind)
+        except (ConfigError, DomainError):
+            refused = True
+        else:
+            refused = False
+        for name in ("simulate_dataset", "contaminate", "fit"):
+            monkeypatch.setattr(f"mmdreg.bench.{name}", lambda *a, **k: pytest.fail("plan ran"))
+        kwargs = dict(scenario=scenario, epsilons=epsilons, recipes=recipes, scheme=scheme,
+                      estimators=("mle",), fit_overrides={})
+        if refused:
+            with pytest.raises(ConfigError):
+                tiny_plan(**kwargs)
+        else:
+            assert tiny_plan(**kwargs).epsilons == tuple(map(float, epsilons))
+
     def test_counts_are_integers(self):
         # booleans are not counts, and a fractional n is not truncated
         for over in ({"replications": True}, {"replications": 2.0},
@@ -105,14 +147,14 @@ class TestPlanValidation:
     def test_override_rules(self):
         with pytest.raises(ConfigError, match="unused"):
             tiny_plan(fit_overrides={"hat": {"iters": 5}})
-        with pytest.raises(ConfigError, match="cannot set"):
+        with pytest.raises(ConfigError, match=r"unknown fit override config keys: \['seed'\]"):
             tiny_plan(fit_overrides={"tilde": {"seed": 3}})
-        with pytest.raises(ConfigError, match="each fit override must be a mapping"):
+        with pytest.raises(ConfigError, match="fit override config must be a mapping"):
             tiny_plan(fit_overrides={"tilde": [("iters", 5)]})
         # values and keys are checked when the plan is built, not per replication
         with pytest.raises(ConfigError, match="'tilde'.*eta"):
             tiny_plan(fit_overrides={"tilde": {"eta": "0.1"}})
-        with pytest.raises(ConfigError, match="unknown fit config keys"):
+        with pytest.raises(ConfigError, match="unknown fit override config keys"):
             tiny_plan(fit_overrides={"tilde": {"bogus": 1}})
         with pytest.raises(ConfigError, match="gamma"):
             tiny_plan(fit_overrides={"tilde": {"kernel": {"family": "exponential", "gamma": "x"}}})
@@ -168,6 +210,11 @@ class TestScoring:
             rmse(np.zeros((2, 4)), truth)
         with pytest.raises(DomainError, match="mask shape must match truth shape"):
             rmse(est, truth, mask=mask[:2])
+
+    def test_rmse_of_no_estimates(self):
+        # numpy would warn on the empty mean and return NaN
+        with pytest.raises(DomainError, match="at least one estimate"):
+            rmse(np.zeros((0, 3)), np.zeros(3))
 
 
 class TestRunPlan:

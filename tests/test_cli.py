@@ -253,7 +253,7 @@ class TestBench:
         }))
         out = tmp_path / "r"
         assert run("bench", "--plan", plan, "--out", out) == 2
-        assert "recipes ['type_y'] do not apply" in capsys.readouterr().err
+        assert "recipe 'type_y' needs real responses, got 'censored'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_thread_count(self, tmp_path, capsys):

@@ -383,11 +383,29 @@ def _huddle(rng, width):
     return 1e-9 * rng.standard_normal((40, width))
 
 
+def _signed_zeros(rng, width):
+    # -0.0 and 0.0 are one point
+    return rng.choice([-0.0, 0.0, 1.0], size=(40, width))
+
+
+def _saturated(rng, width):
+    # psi maps both large values to 1.0: distinct rows, one point
+    return rng.choice([1e20, 3e20, 0.0], size=(40, width))
+
+
+def _tiny(rng, width):
+    # differences whose squares underflow: distinct rows at distance 0
+    return rng.choice([0.0, 1e-170, 3e-170, 1.0], size=(40, width))
+
+
 # name -> (covariate kernel, point-set maker); every case puts exact ties
 # at or beyond the cut for some m
 TIE_CASES = {
     "duplicates": (psi_matern_kernel(0.01), _duplicates),
     "lattice": (matern_kernel(1.0, m=3), _lattice),
+    "signed_zeros": (matern_kernel(1.0), _signed_zeros),
+    "saturated_psi": (psi_matern_kernel(0.01), _saturated),
+    "tiny_underflow": (matern_kernel(1.0), _tiny),
     "underflow": (gaussian_kernel(1e-3), _spread),
     "flat_at_one": (gaussian_kernel(1.0), _huddle),
     "flat_at_one_psi": (psi_matern_kernel(1.0, m=5), _huddle),
@@ -569,6 +587,22 @@ class TestPairCacheWeights:
             tracemalloc.stop()
         assert cache.det_i.size == 6000
         assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_build_memory_with_repeated_rows(self):
+        # Rows from {0, 1}^2 tie at distance 0 in about n^2 / 8 pairs, of
+        # which the cache keeps m; a radius search listing them all would
+        # trace 32 MB here.
+        n = m = 2000
+        x = np.random.default_rng(24).integers(0, 2, size=(n, 2)).astype(float)
+        build_pair_cache(psi_matern_kernel(0.01), x[:10], 10)  # scipy imported untraced
+        tracemalloc.start()
+        try:
+            cache = build_pair_cache(psi_matern_kernel(0.01), x, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache.det_i.size == m
+        assert peak < 32 * (n + m) * 8, f"peak {peak / 1e6:.2f} MB"
 
 
 def logistic_dataset(n, seed, d=2):
