@@ -418,7 +418,6 @@ def fit_mmd(family, dataset, config=None):
             theta,
             dataset,
             kernel,
-            config.estimator,
             cache=cache,
             m_samp=config.m2,
             rng_draws=rng_draws,

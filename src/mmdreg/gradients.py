@@ -35,7 +35,7 @@ from .kernels import (  # noqa: F401
     _x_kernel, _y_kernel, elementwise, gram,
 )
 from .models import _count, _whole
-from .objective import _check_estimator, _dataset_for
+from .objective import _dataset_for
 
 
 def _linear_from_pair(i, j, n):
@@ -81,16 +81,15 @@ def _kd_tree():
     return cKDTree
 
 
-def _identical_pairs(z, m):
+def _identical_pairs(group, counts, m):
     # The first m pairs of identical rows in (i, j) order, in O(n + m)
-    # memory: each row pairs with the later rows of its group.  unique
-    # compares values, so -0.0 groups with 0.0.
-    n = z.shape[0]
-    group = np.unique(z, axis=0, return_inverse=True)[1].reshape(n)
+    # memory, from each row's group and the group sizes: each row pairs
+    # with the later rows of its group.
+    n = group.size
     order = np.argsort(group, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    later = (np.cumsum(np.bincount(group)) - 1)[group] - rank
+    later = (np.cumsum(counts) - 1)[group] - rank
     rows = np.arange(np.searchsorted(np.cumsum(later), m) + 1)
     count = later[rows]
     ci = np.repeat(rows, count)
@@ -109,17 +108,20 @@ def top_pairs(x_kernel, x, m):
     ``d``; where weights round alike at different distances, the closer
     pair, whose true weight is the larger, comes first.
 
-    A k-d tree (Bentley 1975; Friedman, Bentley & Finkel 1977) gives each
-    point's ``ceil(2m/n) + 1`` nearest others; the ``2m``-th smallest of
-    those distances is a radius holding at least ``m`` pairs, since each
-    pair is listed at most twice.  The key is the distance itself, so all
-    of the first ``m`` pairs lie within that radius and it never needs
-    widening.  Memory scales with ``n`` plus the pairs within the radius.
-    A radius of 0 means the first ``m`` pairs are tied at distance 0; they
-    are then read from groups of identical rows in ``O(n + m)`` memory,
-    however many pairs tie.  Coordinates nonzero but below ``2**-480`` in
-    magnitude, whose squared differences can underflow to 0, take the
-    radius search.
+    The rows are first grouped by value.  When identical rows make at
+    least ``m`` pairs, the first ``m`` pairs are tied at distance 0; they
+    are read from the groups in ``O(n + m)`` time and memory, however many
+    pairs tie, and no tree is built.  Coordinates nonzero but below
+    ``2**-480`` in magnitude, whose squared differences can underflow to
+    0, skip this and take the radius search.
+
+    Otherwise a k-d tree (Bentley 1975; Friedman, Bentley & Finkel 1977)
+    gives each point's ``ceil(2m/n) + 1`` nearest others; the ``2m``-th
+    smallest of those distances is a radius holding at least ``m`` pairs,
+    since each pair is listed at most twice.  The key is the distance
+    itself, so all of the first ``m`` pairs lie within that radius and it
+    never needs widening.  Memory scales with ``n`` plus the pairs within
+    the radius.
 
     Args:
         x_kernel: covariate kernel, radial or an affine shift of one.
@@ -145,12 +147,16 @@ def top_pairs(x_kernel, x, m):
     m = min(m, n * (n - 1) // 2)
     if m == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    # distance 0 is identical rows unless tiny differences' squares
+    # underflow; m or more pairs at distance 0 are then the first m.
+    # unique compares values, so -0.0 groups with 0.0
+    if not np.any((z != 0.0) & (np.abs(z) < 2.0**-480)):
+        _, group, counts = np.unique(z, axis=0, return_inverse=True, return_counts=True)
+        if counts @ (counts - 1) // 2 >= m:
+            return _identical_pairs(group.reshape(n), counts, m)
     tree = _kd_tree()(z)
     dist, idx = tree.query(z, k=min(n, -(-2 * m // n) + 2))
     r = float(np.partition(dist[idx != np.arange(n)[:, None]], 2 * m - 1)[2 * m - 1])
-    # distance 0 is identical rows unless tiny differences' squares underflow
-    if r == 0.0 and not np.any((z != 0.0) & (np.abs(z) < 2.0**-480)):
-        return _identical_pairs(z, m)
     # the relative slack covers the tree's and _aligned_dists' rounding of
     # the same distance, so a pair left out is farther than the m-th
     try:
@@ -248,7 +254,6 @@ def grad_objective_estimate(
     theta,
     dataset,
     kernel,
-    estimator="tilde",
     *,
     cache=None,
     m_samp=None,
@@ -257,10 +262,10 @@ def grad_objective_estimate(
 ):
     """Unbiased Monte Carlo gradient of an empirical objective.
 
-    For ``estimator="tilde"`` this is the sum of diagonal-loss gradients.
-    For ``"hat"`` it adds the off-diagonal pair derivatives: every pair in
-    the deterministic set contributes exactly, and a without-replacement
-    sample of ``m_samp`` remaining pairs is reweighted to cover the rest.
+    Without a ``cache`` this is the tilde gradient, the sum of diagonal-loss
+    gradients.  A ``cache`` selects the hat gradient, which adds the pair
+    derivatives: every pair of the cache's deterministic set exactly, and a
+    without-replacement sample of ``m_samp`` others reweighted to cover the rest.
     One set of model draws is shared by the diagonal and both
     orientations of every pair, which leaves the estimator unbiased.
 
@@ -268,11 +273,11 @@ def grad_objective_estimate(
         family: response family.
         theta: raw parameter vector.
         dataset: observations.
-        kernel: response kernel; a product kernel is required for ``"hat"``.
-        cache: the :func:`build_pair_cache` result for the dataset's
-            covariates and ``kernel.x_kernel``, required for ``"hat"``.
-        m_samp: sampled pair count, a nonnegative integer;
-            defaults to ``n``.
+        kernel: response kernel; with a cache, a product kernel.
+        cache: ``None``, or the :func:`build_pair_cache` result for the
+            dataset's covariates and ``kernel.x_kernel``.
+        m_samp: sampled pair count, a nonnegative integer, read only
+            with a cache; defaults to ``n``.
         rng_draws: stream for model draws.
         rng_pairs: stream for pair subsampling.
 
@@ -284,7 +289,6 @@ def grad_objective_estimate(
     """
     dataset = _dataset_for(family, dataset)
     theta = family.check_theta(theta)
-    _check_estimator(estimator)
     m_samp = dataset.n if m_samp is None else _count(m_samp, "m_samp")
     rng_draws = np.random.default_rng(rng_draws)
     rng_pairs = np.random.default_rng(rng_pairs)
@@ -292,11 +296,8 @@ def grad_objective_estimate(
     x = dataset.x
     n = dataset.n
     yobs = np.asarray(dataset.y, dtype=float)
-    if estimator == "hat":
-        x_kernel = _x_kernel(kernel)
-        if cache is None:
-            raise ConfigError("the quadratic-cost gradient needs a pair cache")
-        if cache.x_kernel != x_kernel:
+    if cache is not None:
+        if cache.x_kernel != _x_kernel(kernel):
             raise ConfigError("the pair cache was built with another covariate kernel")
         if cache.n != n:
             raise DomainError(f"the pair cache covers {cache.n} rows, the dataset has {n}")
@@ -310,7 +311,7 @@ def grad_objective_estimate(
     w = elementwise(ky, ya, yb) - elementwise(ky, ya, yobs)
     # each diagonal term's covariate weight k(x_i, x_i) is exactly 1
     grad += 2.0 * (w @ scores)
-    if estimator != "hat":
+    if cache is None:
         return grad
     batches = [(cache.det_i, cache.det_j, cache.det_kx, 1.0)] if cache.det_i.size else []
     if m_samp > 0 and cache.remaining > 0:

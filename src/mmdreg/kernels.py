@@ -17,8 +17,13 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .models import _config_keys, _real, _whole
 
-_RADIAL_FAMILIES = ("exponential", "gaussian", "matern", "psi_matern")
-_FAMILIES = _RADIAL_FAMILIES + ("affine_shift", "product")
+# The fields besides `family` that each kernel family reads: the radial
+# families are those that read gamma, and the Matern ones read m as well
+_READS = {
+    "exponential": ("gamma",), "gaussian": ("gamma",),
+    "matern": ("gamma", "m"), "psi_matern": ("gamma", "m"),
+    "affine_shift": ("beta", "child"), "product": ("x_kernel", "y_kernel"),
+}
 _MATERN_ORDERS = (1, 3, 5)
 # Outside this range 2 gamma^2 is not a normal float (the exponent turns
 # NaN or loses its bits) or the capped distance 40 gamma squares to inf.
@@ -111,19 +116,24 @@ class KernelSpec:
     y_kernel: "KernelSpec | None" = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _READS:
             raise ConfigError(f"unknown kernel family {self.family!r}")
+        reads = _READS[self.family]
         for name in ("gamma", "beta"):
             if not _real(getattr(self, name)):
                 raise ConfigError(f"kernel parameter {name!r} must be a finite number")
             object.__setattr__(self, name, float(getattr(self, name)))
         if not _whole(self.m):
             raise ConfigError(f"kernel order m must be a whole number, got {self.m!r}")
-        if self.family in _RADIAL_FAMILIES:
+        unread = [f.name for f in fields(self)[1:]
+                  if f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"{self.family} kernel does not read {unread}")
+        if "gamma" in reads:
             lo, hi = _GAUSSIAN_GAMMA if self.family == "gaussian" else _MATERN_GAMMA
             if not lo <= self.gamma <= hi:
                 raise ConfigError(f"{self.family} kernel gamma must lie in {[lo, hi]}")
-        if self.family in ("matern", "psi_matern") and self.m not in _MATERN_ORDERS:
+        if "m" in reads and self.m not in _MATERN_ORDERS:
             raise ConfigError(f"kernel order m must be one of {_MATERN_ORDERS}")
         if self.family == "affine_shift":
             if self.child is None:

@@ -132,6 +132,8 @@ class Dataset:
             raise DomainError(f"covariates must be 2-D, got shape {self.x.shape}")
         if self.x.shape[0] == 0:
             raise DomainError("a dataset needs at least one row")
+        if self.x.shape[1] == 0:
+            raise DomainError("a dataset needs at least one covariate column")
         if not np.all(np.isfinite(self.x)):
             raise DomainError("covariates must be finite")
         self.y = _check_responses(self.kind, self.y, self.x.shape[0])

@@ -179,7 +179,7 @@ def test_criterion_06_quadratic_gradient_unbiased(capsys):
     draws = np.empty((100_000, 2))
     for t in range(draws.shape[0]):
         draws[t] = grad_objective_estimate(
-            fam, theta, ds, kern, "hat",
+            fam, theta, ds, kern,
             cache=cache, m_samp=6, rng_draws=rng_draws, rng_pairs=rng_pairs,
         )
     mean = draws.mean(axis=0)

@@ -387,6 +387,15 @@ class TestBadInputs:
         assert run(*fit_with({"kernel": kernel})(gauss_csv, tmp_path)) == 2
         assert "unknown kernel config keys: ['c']" in capsys.readouterr().err
 
+    def test_kernel_field_its_family_does_not_read(self, gauss_csv, tmp_path, capsys):
+        # an exponential kernel has no order m; the config would be ignored
+        kernel = {"family": "product",
+                  "x_kernel": {"family": "psi_matern", "gamma": 0.01, "m": 1},
+                  "y_kernel": {"family": "exponential", "gamma": 1.0, "m": 3}}
+        capsys.readouterr()
+        assert run(*fit_with({"kernel": kernel})(gauss_csv, tmp_path)) == 2
+        assert "exponential kernel does not read ['m']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kernel", [
         {"family": "product", "x_kernel": {"family": "psi_matern"},
          "y_kernel": {"family": "product", "x_kernel": {"family": "exponential"},

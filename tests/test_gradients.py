@@ -200,8 +200,9 @@ class TestPairGradients:
     def test_requires_product_kernel(self):
         fam = get_family("logistic", 1)
         ds = Dataset(np.array([[0.0], [1.0]]), np.array([1, 1]), "binary")
+        cache = build_pair_cache(KY, ds.x, 1)
         with pytest.raises(ConfigError, match="product kernel"):
-            grad_objective_estimate(fam, np.zeros(1), ds, KY, "hat")
+            grad_objective_estimate(fam, np.zeros(1), ds, KY, cache=cache)
 
 
 class TestPairIndexing:
@@ -604,6 +605,23 @@ class TestPairCacheWeights:
         assert cache.det_i.size == m
         assert peak < 32 * (n + m) * 8, f"peak {peak / 1e6:.2f} MB"
 
+    def test_build_on_repeated_rows_skips_the_tree(self, monkeypatch):
+        # Rows from {0, 1}^3 make far more than m identical pairs, which the
+        # row groups give in O(n + m) time; the tree's nearest-neighbour
+        # query on such rows is quadratic in group size (12 s at n = 100,000)
+        x = np.random.default_rng(25).integers(0, 2, size=(300, 3)).astype(float)
+        kern = psi_matern_kernel(0.01)
+        z = _coords(kern, x)
+
+        def no_tree():
+            raise AssertionError("a k-d tree was built")
+
+        monkeypatch.setattr(gradients, "_kd_tree", no_tree)
+        for m in (1, 300, 5000):
+            cache = build_pair_cache(kern, x, m)
+            want = top_pairs_oracle(_cross_dists(z, z), m)
+            assert np.array_equal(cache.det_i, want[0]) and np.array_equal(cache.det_j, want[1])
+
 
 def logistic_dataset(n, seed, d=2):
     rng = np.random.default_rng(seed)
@@ -621,7 +639,7 @@ class TestObjectiveGradient:
         rng = np.random.default_rng(10)
         reps = np.stack(
             [
-                grad_objective_estimate(fam, theta, ds, KY, "tilde", rng_draws=rng)
+                grad_objective_estimate(fam, theta, ds, KY, rng_draws=rng)
                 for _ in range(4000)
             ]
         )
@@ -638,7 +656,7 @@ class TestObjectiveGradient:
         reps = np.stack(
             [
                 grad_objective_estimate(
-                    fam, theta, ds, kern, "hat",
+                    fam, theta, ds, kern,
                     cache=cache, m_samp=3,
                     rng_draws=rng_draws, rng_pairs=rng_pairs,
                 )
@@ -660,7 +678,7 @@ class TestObjectiveGradient:
         reps = np.stack(
             [
                 grad_objective_estimate(
-                    fam, theta, ds, kern, "hat", cache=cache, rng_draws=rng
+                    fam, theta, ds, kern, cache=cache, rng_draws=rng
                 )
                 for _ in range(4000)
             ]
@@ -676,11 +694,11 @@ class TestObjectiveGradient:
         ds = Dataset(x, fam.sample(theta, x, rng), "real")
         kern = product(1e-4)
         a = grad_objective_estimate(
-            fam, theta, ds, kern, "hat", cache=build_pair_cache(kern.x_kernel, ds.x, ds.n),
+            fam, theta, ds, kern, cache=build_pair_cache(kern.x_kernel, ds.x, ds.n),
             rng_draws=np.random.default_rng(200), rng_pairs=np.random.default_rng(201),
         )
         b = grad_objective_estimate(
-            fam, theta, ds, KY, "tilde", rng_draws=np.random.default_rng(200)
+            fam, theta, ds, KY, rng_draws=np.random.default_rng(200)
         )
         assert np.array_equal(a, b)
 
@@ -688,22 +706,27 @@ class TestObjectiveGradient:
         fam, theta, ds = logistic_dataset(7, 17)
         kern = product(0.3)
         cache = build_pair_cache(kern.x_kernel, ds.x, ds.n)
-        a = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, **streams(30))
-        b = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, **streams(30))
-        c = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, **streams(31))
+        a = grad_objective_estimate(fam, theta, ds, kern, cache=cache, **streams(30))
+        b = grad_objective_estimate(fam, theta, ds, kern, cache=cache, **streams(30))
+        c = grad_objective_estimate(fam, theta, ds, kern, cache=cache, **streams(31))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_validation(self):
         fam, theta, ds = logistic_dataset(5, 20)
-        with pytest.raises(ConfigError):
-            grad_objective_estimate(fam, theta, ds, KY, "hat")
-        with pytest.raises(ConfigError, match="pair cache"):
-            grad_objective_estimate(fam, theta, ds, product(0.3), "hat")
-        with pytest.raises(ConfigError):
-            grad_objective_estimate(fam, theta, ds, KY, "other")
-        g = grad_objective_estimate(fam, theta, ds, KY, "tilde", **streams(0))
+        g = grad_objective_estimate(fam, theta, ds, KY, **streams(0))
         assert isinstance(g, np.ndarray) and g.shape == (fam.raw_dim,)
+
+    def test_cache_selects_hat_gradient(self):
+        # the cache alone adds the pair terms: under a wide covariate kernel
+        # they move the gradient away from the tilde one on the same streams
+        fam, ds = simulate_dataset("gauss_linear_laplace", 200, 1)
+        theta = get_scenario("gauss_linear_laplace").truth_raw
+        kern = product_kernel(gaussian_kernel(1.0), KY)
+        cache = build_pair_cache(kern.x_kernel, ds.x, ds.n)
+        hat = grad_objective_estimate(fam, theta, ds, kern, cache=cache, **streams(0))
+        tilde = grad_objective_estimate(fam, theta, ds, kern, **streams(0))
+        assert np.abs(hat - tilde).max() > 1.0
 
     @pytest.mark.parametrize("cache_n", [80, 30])
     def test_pair_cache_must_match_dataset(self, cache_n):
@@ -713,7 +736,7 @@ class TestObjectiveGradient:
         x = np.random.default_rng(22).standard_normal((cache_n, 2))
         cache = build_pair_cache(kern.x_kernel, x, cache_n)
         with pytest.raises(DomainError, match=f"covers {cache_n} rows, the dataset has 50"):
-            grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, **streams(0))
+            grad_objective_estimate(fam, theta, ds, kern, cache=cache, **streams(0))
 
     def test_pair_cache_must_match_covariates(self):
         # a cache of other covariates with the same n would weigh the
@@ -724,12 +747,12 @@ class TestObjectiveGradient:
         kern = default_kernel()
         own = build_pair_cache(kern.x_kernel, ds.x, 50)
         with pytest.raises(DomainError, match="other covariates"):
-            grad_objective_estimate(fam, theta, ds, kern, "hat",
+            grad_objective_estimate(fam, theta, ds, kern,
                                     cache=build_pair_cache(kern.x_kernel, other.x, 50),
                                     **streams(0))
         copied = build_pair_cache(kern.x_kernel, ds.x.copy(), 50)
-        a = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=own, **streams(0))
-        b = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=copied, **streams(0))
+        a = grad_objective_estimate(fam, theta, ds, kern, cache=own, **streams(0))
+        b = grad_objective_estimate(fam, theta, ds, kern, cache=copied, **streams(0))
         assert copied.x is not ds.x and np.array_equal(a, b)
 
     def test_pair_cache_must_match_covariate_kernel(self):
@@ -740,13 +763,13 @@ class TestObjectiveGradient:
         kern = product_kernel(gaussian_kernel(5.0), KY)
         other = build_pair_cache(psi_matern_kernel(0.01), ds.x, 60)
         with pytest.raises(ConfigError, match="another covariate kernel"):
-            grad_objective_estimate(fam, theta, ds, kern, "hat", cache=other, m_samp=0,
+            grad_objective_estimate(fam, theta, ds, kern, cache=other, m_samp=0,
                                     **streams(0))
         own = build_pair_cache(kern.x_kernel, ds.x, 60)
         equal = build_pair_cache(gaussian_kernel(5.0), ds.x, 60)
         assert equal.x_kernel is not kern.x_kernel
-        a = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=own, **streams(0))
-        b = grad_objective_estimate(fam, theta, ds, kern, "hat", cache=equal, **streams(0))
+        a = grad_objective_estimate(fam, theta, ds, kern, cache=own, **streams(0))
+        b = grad_objective_estimate(fam, theta, ds, kern, cache=equal, **streams(0))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("m_samp", [-1, 2.5])
@@ -756,7 +779,7 @@ class TestObjectiveGradient:
         kern = product(0.3)
         cache = build_pair_cache(kern.x_kernel, ds.x, 20)
         with pytest.raises(ConfigError, match="m_samp"):
-            grad_objective_estimate(fam, theta, ds, kern, "hat", cache=cache, m_samp=m_samp,
+            grad_objective_estimate(fam, theta, ds, kern, cache=cache, m_samp=m_samp,
                                     **streams(0))
 
 

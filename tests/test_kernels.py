@@ -6,6 +6,7 @@ computes each kernel with ``math`` from the ``KernelSpec`` docstring.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -466,6 +467,31 @@ class TestSpecSerialization:
                                "child": {"family": "exponential", "gamma": 1}})
         assert spec == affine_shift_kernel(exponential_kernel(1.0), 1.0)
         assert type(spec.beta) is float and type(spec.child.gamma) is float
+        # a field the family does not read is accepted at its default value
+        spec = spec_from_dict({"family": "product", "gamma": 1, "m": 1, "beta": 1.0,
+                               "x_kernel": {"family": "exponential", "m": 1, "beta": 1},
+                               "y_kernel": {"family": "gaussian"}})
+        assert spec == product_kernel(exponential_kernel(), gaussian_kernel())
+
+    @pytest.mark.parametrize("entry, unread", [
+        ({"family": "exponential", "m": 3}, ["m"]),
+        ({"family": "gaussian", "child": {"family": "exponential"}}, ["child"]),
+        ({"family": "matern", "beta": 0.5, "y_kernel": {"family": "exponential"}},
+         ["beta", "y_kernel"]),
+        ({"family": "psi_matern", "x_kernel": {"family": "exponential"}}, ["x_kernel"]),
+        ({"family": "affine_shift", "gamma": 2.0, "m": 3, "child": {"family": "exponential"}},
+         ["gamma", "m"]),
+        ({"family": "product", "gamma": 2.0, "beta": 0.5, "x_kernel": {"family": "exponential"},
+          "y_kernel": {"family": "exponential"}}, ["gamma", "beta"]),
+        ({"family": "product", "child": {"family": "exponential"},
+          "x_kernel": {"family": "exponential"}, "y_kernel": {"family": "exponential"}},
+         ["child"]),
+    ], ids=["exponential-m", "gaussian-child", "matern-beta-y", "psi-x", "shift-gamma-m",
+            "product-gamma-beta", "product-child"])
+    def test_unread_fields_refused(self, entry, unread):
+        # a field the family does not read would be silently ignored
+        with pytest.raises(ConfigError, match=re.escape(f"kernel does not read {unread}")):
+            spec_from_dict(entry)
 
     def test_bad_configs(self):
         with pytest.raises(ConfigError):
@@ -474,6 +500,8 @@ class TestSpecSerialization:
             spec_from_dict({"family": "exponential", "scale": 2.0})
         with pytest.raises(ConfigError):
             spec_from_dict([1, 2, 3])
+        with pytest.raises(ConfigError, match="unknown kernel family"):
+            spec_from_dict({"family": ["exponential"]})
         # values are not coerced: a string, a boolean or a fraction is refused
         for entry in (
             {"family": "matern", "gamma": 0.5, "m": 3.9},

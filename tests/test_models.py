@@ -454,6 +454,13 @@ class TestDataset:
             with pytest.raises(DomainError, match="at least one row"):
                 Dataset(np.empty((0, 2)), y, kind)
 
+    def test_zero_columns_refused(self):
+        # contaminate would end in an IndexError, and write_csv would write
+        # a y-only file that load_csv refuses
+        for kind, y in (("real", np.arange(5.0)), ("censored", np.zeros((5, 2)))):
+            with pytest.raises(DomainError, match="at least one covariate column"):
+                Dataset(np.zeros((5, 0)), y, kind)
+
     def test_counts_beyond_int64_refused(self):
         # the int64 cast would wrap them to -2**63
         x = np.zeros((2, 1))
@@ -560,9 +567,9 @@ class TestConstruction:
         (lambda at: ExperimentPlan("gauss_linear_laplace", (20,), (0.0,), (), ("ols",), 1, True),
          "seed"),
         (lambda at: grad_objective_estimate(
-            *at[:3], default_kernel(), "hat", m_samp=True,
+            *at[:3], default_kernel(), m_samp=True,
             cache=build_pair_cache(default_covariate_kernel(), at[2].x, 5)), "m_samp"),
-        (lambda at: grad_objective_estimate(*at[:3], default_kernel(), "tilde", m_samp=True),
+        (lambda at: grad_objective_estimate(*at[:3], default_kernel(), m_samp=True),
          "m_samp"),
     ], ids=["d", "n_components", "n", "seed", "budget", "fit_seed", "contamination_seed",
             "master_seed", "m_samp", "m_samp_tilde"])
