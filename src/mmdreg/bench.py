@@ -36,9 +36,9 @@ class Cell:
     recipe: str
 
 
-def _listed(values, name, convert=str):
+def _listed(values, name, convert=str, empty=False):
     # A plan's list field as a tuple of converted items; a bare value, a
-    # string or a repeated item is refused.
+    # string, a repeated item and, unless `empty`, no item are refused.
     wrong = ConfigError(f"{name} must be a list, got {values!r}")
     if isinstance(values, str):
         raise wrong
@@ -48,6 +48,8 @@ def _listed(values, name, convert=str):
         raise wrong from None
     if any(out.count(v) > 1 for v in out):  # count, as items may be unhashable
         raise ConfigError(f"{name} must be distinct, got {values!r}")
+    if not (out or empty):
+        raise ConfigError(f"{name} must not be empty, got {values!r}")
     return out
 
 
@@ -79,16 +81,12 @@ class ExperimentPlan:
     def __post_init__(self):
         scenario = get_scenario(self.scenario)
         n_values = _listed(self.n_values, "n_values", lambda n: _count(n, "each of n_values", 1))
-        if not n_values:
-            raise ConfigError(f"n_values must not be empty, got {self.n_values!r}")
         object.__setattr__(self, "n_values", n_values)
         # a spec per rate, so a plan of clean cells alone checks the scheme
         epsilons = _listed(self.epsilons, "epsilons",
                            lambda e: ContaminationSpec(e, self.scheme).epsilon)
-        if not epsilons:
-            raise ConfigError(f"epsilons must not be empty, got {self.epsilons!r}")
         object.__setattr__(self, "epsilons", epsilons)
-        object.__setattr__(self, "recipes", _listed(self.recipes, "recipes"))
+        object.__setattr__(self, "recipes", _listed(self.recipes, "recipes", empty=True))
         if not self.recipes and any(epsilons):
             raise ConfigError(f"a nonzero rate needs recipes, got epsilons {epsilons}")
         kind = scenario.make_family().kind
@@ -97,8 +95,6 @@ class ExperimentPlan:
                 ContaminationSpec(eps, self.scheme, recipe, scenario.recipe_means.get(recipe))
             _check_recipe_kind(recipe, kind, ConfigError)
         object.__setattr__(self, "estimators", _listed(self.estimators, "estimators"))
-        if not self.estimators:
-            raise ConfigError(f"estimators must not be empty, got {self.estimators!r}")
         object.__setattr__(self, "replications", _count(self.replications, "replications", 1))
         object.__setattr__(self, "master_seed", _count(self.master_seed, "seed"))
         overrides = self.fit_overrides

@@ -232,10 +232,7 @@ def _gamma_mle(family, x, y):
         if fp == 0.0:
             break
         step = f / fp
-        nu_new = nu - step
-        if nu_new <= 0.0:
-            nu_new = nu / 2.0
-        nu = nu_new
+        nu = nu / 2.0 if nu - step <= 0.0 else nu - step
         if abs(step) < 1e-12 * max(nu, 1.0):
             break
     else:
@@ -413,16 +410,8 @@ def fit_mmd(family, dataset, config=None):
     error = None
     done = 0
     for t in range(iters):
-        g = grad_objective_estimate(
-            family,
-            theta,
-            dataset,
-            kernel,
-            cache=cache,
-            m_samp=config.m2,
-            rng_draws=rng_draws,
-            rng_pairs=rng_pairs,
-        )
+        g = grad_objective_estimate(family, theta, dataset, kernel, cache=cache, m_samp=config.m2,
+                                    rng_draws=rng_draws, rng_pairs=rng_pairs)
         if not np.all(np.isfinite(g)):
             error = "nonfinite_gradient"
             break

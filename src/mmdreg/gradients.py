@@ -121,7 +121,7 @@ def top_pairs(x_kernel, x, m):
     since each pair is listed at most twice.  The key is the distance
     itself, so all of the first ``m`` pairs lie within that radius and it
     never needs widening.  Memory scales with ``n`` plus the pairs within
-    the radius.
+    the radius; a radius of 0 is searched row by row, in ``O(n + m)``.
 
     Args:
         x_kernel: covariate kernel, radial or an affine shift of one.
@@ -157,6 +157,15 @@ def top_pairs(x_kernel, x, m):
     tree = _kd_tree()(z)
     dist, idx = tree.query(z, k=min(n, -(-2 * m // n) + 2))
     r = float(np.partition(dist[idx != np.arange(n)[:, None]], 2 * m - 1)[2 * m - 1])
+    if r == 0.0:
+        # m pairs or more at distance 0, whose order is (i, j): each row's
+        # later partners, row by row until m, in O(n + m) memory
+        ci, cj = [], []
+        for i in range(n):
+            cj += [j for j in tree.query_ball_point(z[i], 0.0, return_sorted=True) if j > i]
+            ci += [i] * (len(cj) - len(ci))
+            if len(ci) >= m:
+                return np.array(ci[:m], dtype=np.int64), np.array(cj[:m], dtype=np.int64)
     # the relative slack covers the tree's and _aligned_dists' rounding of
     # the same distance, so a pair left out is farther than the m-th
     try:
@@ -288,26 +297,25 @@ def grad_objective_estimate(
         The summed gradient, shape ``(raw_dim,)``.
     """
     dataset = _dataset_for(family, dataset)
-    theta = family.check_theta(theta)
+    theta, x = family._args(family.check_theta(theta), dataset.x)
     m_samp = dataset.n if m_samp is None else _count(m_samp, "m_samp")
     rng_draws = np.random.default_rng(rng_draws)
     rng_pairs = np.random.default_rng(rng_pairs)
     ky = _y_kernel(kernel)
-    x = dataset.x
-    n = dataset.n
     yobs = np.asarray(dataset.y, dtype=float)
     if cache is not None:
         if cache.x_kernel != _x_kernel(kernel):
             raise ConfigError("the pair cache was built with another covariate kernel")
-        if cache.n != n:
-            raise DomainError(f"the pair cache covers {cache.n} rows, the dataset has {n}")
+        if cache.n != dataset.n:
+            raise DomainError(f"the pair cache covers {cache.n} rows, the dataset has {dataset.n}")
         if cache.x is not x and not np.array_equal(cache.x, x):
             raise DomainError("the pair cache was built from other covariates")
         m_samp = min(m_samp, cache.remaining)
     grad = np.zeros(family.raw_dim)
-    ya = family.sample(theta, x, rng_draws)
-    yb = family.sample(theta, x, rng_draws)
-    scores = family.grad_log_density(theta, x, ya)
+    state = family._at(theta, x)  # read by both draws and the score
+    ya = family._draw(state, rng_draws)
+    yb = family._draw(state, rng_draws)
+    scores = family._score(state, ya)
     w = elementwise(ky, ya, yb) - elementwise(ky, ya, yobs)
     # each diagonal term's covariate weight k(x_i, x_i) is exactly 1
     grad += 2.0 * (w @ scores)
@@ -321,7 +329,8 @@ def grad_objective_estimate(
         ya_i, ya_j = ya[idx_i], ya[idx_j]
         w_ij = elementwise(ky, ya_i, yb[idx_j]) - elementwise(ky, ya_i, yobs[idx_j])
         w_ji = elementwise(ky, ya_j, yb[idx_i]) - elementwise(ky, ya_j, yobs[idx_i])
-        contrib = (2.0 * factor * weight * w_ij) @ scores.take(idx_i, axis=0)
-        contrib += (2.0 * factor * weight * w_ji) @ scores.take(idx_j, axis=0)
+        scale = 2.0 * factor * weight
+        contrib = (scale * w_ij) @ scores.take(idx_i, axis=0)
+        contrib += (scale * w_ji) @ scores.take(idx_j, axis=0)
         grad += contrib
     return grad

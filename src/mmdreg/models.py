@@ -154,9 +154,13 @@ class Family:
     truncatable response support, enabling exact loss evaluation),
     ``log_param`` (a positive parameter stored as its log after the ``d``
     coefficients, making ``raw_dim`` ``d + 1`` rather than ``d``) and
-    ``uses_special`` (calls to ``scipy.special``, imported when built),
-    and define ``sample`` and ``grad_log_density``.  The estimators only
-    draw from a family and use its score, so no family needs a density.
+    ``uses_special`` (calls to ``scipy.special``, imported when built).
+    The estimators only draw from a family and use its score, so no family
+    needs a density.  A family defines ``_at(theta, x)``, the per-theta
+    state (``x`` and its predictors, scales and weights), and its two
+    consumers ``_draw(state, rng)`` and ``_score(state, y)``.  ``sample``
+    and ``grad_log_density`` are their checked wrappers; a gradient step
+    evaluates ``_at`` once for both its draws and its score.
     """
 
     name = "family"
@@ -191,9 +195,9 @@ class Family:
         """Draw responses, one per row of ``x``.
 
         Precondition: ``theta`` and ``x`` are finite.  Only their shapes
-        are checked here; the fit loop passes arrays checked at its entry.
+        are checked here; callers pass arrays checked at their entry.
         """
-        raise NotImplementedError
+        return self._draw(self._at(*self._args(theta, x)), rng)
 
     def grad_log_density(self, theta, x, y):
         """Score in raw coordinates, shape ``(n, raw_dim)``.
@@ -204,7 +208,8 @@ class Family:
         outside the domain (a gamma response of 0) give non-finite
         scores rather than an error.
         """
-        raise NotImplementedError
+        theta, x, y = self._args(theta, x, y)
+        return self._score(self._at(theta, x), y)
 
     def support(self, theta, x):
         """Exact families only: response values ``(k,)`` and row-wise
@@ -257,18 +262,21 @@ class GaussianLinear(Family):
     log_param = "sigma"
     uses_special = False
 
-    def sample(self, theta, x, rng):
-        theta, x = self._args(theta, x)
+    def _at(self, theta, x):
+        # the score scales by exp(-log sigma), which 1 / sigma need not equal
+        return x, x @ theta[: self.d], np.exp(theta[self.d]), np.exp(-theta[self.d])
+
+    def _draw(self, state, rng):
+        _, mean, sigma, _ = state
         # in place, the same two roundings as mean + sigma * draws
-        draws = rng.standard_normal(x.shape[0])
-        draws *= np.exp(theta[self.d])
-        draws += x @ theta[: self.d]
+        draws = rng.standard_normal(mean.shape[0])
+        draws *= sigma
+        draws += mean
         return draws
 
-    def grad_log_density(self, theta, x, y):
-        theta, x, y = self._args(theta, x, y)
-        inv_sigma = np.exp(-theta[self.d])
-        z = (y - x @ theta[: self.d]) * inv_sigma
+    def _score(self, state, y):
+        x, mean, _, inv_sigma = state
+        z = (y - mean) * inv_sigma
         g = np.empty((x.shape[0], self.raw_dim))
         np.multiply((z * inv_sigma)[:, None], x, out=g[:, : self.d])
         g[:, self.d] = z * z - 1.0
@@ -282,21 +290,19 @@ class Logistic(Family):
     kind = "binary"
     exact = True
 
-    def _prob(self, theta, x):
-        return _special().expit(x @ theta)
+    def _at(self, theta, x):
+        return x, _special().expit(x @ theta)
 
-    def sample(self, theta, x, rng):
-        theta, x = self._args(theta, x)
-        p = self._prob(theta, x)
-        return (rng.random(x.shape[0]) < p).astype(np.int64)
+    def _draw(self, state, rng):
+        _, p = state
+        return (rng.random(p.shape[0]) < p).astype(np.int64)
 
-    def grad_log_density(self, theta, x, y):
-        theta, x, y = self._args(theta, x, y)
-        return (y - self._prob(theta, x))[:, None] * x
+    def _score(self, state, y):
+        x, p = state
+        return (y - p)[:, None] * x
 
     def support(self, theta, x):
-        theta, x = self._args(self.check_theta(theta), x)
-        p = self._prob(theta, x)
+        _, p = self._at(*self._args(self.check_theta(theta), x))
         return np.array([0.0, 1.0]), np.column_stack([1.0 - p, p])
 
 
@@ -317,20 +323,21 @@ class Poisson(Family):
     kind = "count"
     exact = True
 
-    def sample(self, theta, x, rng):
-        theta, x = self._args(theta, x)
+    def _at(self, theta, x):
+        return x, np.exp(x @ theta)
+
+    def _draw(self, state, rng):
         try:
-            return rng.poisson(np.exp(x @ theta)).astype(np.int64)
+            return rng.poisson(state[1]).astype(np.int64)
         except ValueError as exc:  # numpy rejects rates beyond about 1e19
             raise NumericalError(f"poisson rate out of range: {exc}") from None
 
-    def grad_log_density(self, theta, x, y):
-        theta, x, y = self._args(theta, x, y)
-        return (y - np.exp(x @ theta))[:, None] * x
+    def _score(self, state, y):
+        x, rate = state
+        return (y - rate)[:, None] * x
 
     def support(self, theta, x):
-        theta, x = self._args(self.check_theta(theta), x)
-        rate = np.exp(x @ theta)
+        x, rate = self._at(*self._args(self.check_theta(theta), x))
         # Truncate where the remaining tail mass at the largest rate drops
         # below 1e-12; with no rows the cut-off is that of rate 0, i.e. 0.
         top_rate = rate.max(initial=0.0)
@@ -358,20 +365,21 @@ class GammaRegression(Family):
     kind = "real"
     log_param = "shape"
 
-    def sample(self, theta, x, rng):
-        theta, x = self._args(theta, x)
+    def _at(self, theta, x):
+        xb = x @ theta[: self.d]
         nu = np.exp(theta[self.d])
+        return x, xb, theta[self.d], nu, np.exp(xb) / nu
+
+    def _draw(self, state, rng):
+        *_, nu, scale = state
         # Generator.gamma(nu, scale) draws scale * standard_gamma(nu) per
         # element in row order, so this is the same stream and the same
         # values; an array scale sends gamma down its slower broadcasting
         # path, a scalar shape fills all rows in one call.
-        return np.exp(x @ theta[: self.d]) / nu * rng.standard_gamma(nu, size=x.shape[0])
+        return scale * rng.standard_gamma(nu, size=scale.shape[0])
 
-    def grad_log_density(self, theta, x, y):
-        theta, x, y = self._args(theta, x, y)
-        log_nu = theta[self.d]
-        nu = np.exp(log_nu)
-        xb = x @ theta[: self.d]
+    def _score(self, state, y):
+        x, xb, log_nu, nu, _ = state
         scaled = y * np.exp(-xb)
         g = np.empty((x.shape[0], self.raw_dim))
         np.multiply((nu * (scaled - 1.0))[:, None], x, out=g[:, : self.d])
@@ -409,6 +417,9 @@ class Heckman(Family):
         free[: self.d] = self.outcome_support
         free[self.d : 2 * self.d] = self.selection_support
         self.free_mask = free
+        # each block's free columns; a full block's as a slice, which copies nothing
+        self._free_cols = [slice(None) if s.all() else np.flatnonzero(s)
+                           for s in (self.outcome_support, self.selection_support)]
 
     def _as_support(self, support):
         if support is None:
@@ -420,13 +431,8 @@ class Heckman(Family):
             raise ConfigError("support mask must keep at least one covariate")
         return support
 
-    def _effective(self, theta):
-        out = theta.copy()
-        out[~self.free_mask] = 0.0
-        return out
-
     def natural(self, theta):
-        theta = self._effective(self.check_theta(theta))
+        theta = np.where(self.free_mask, self.check_theta(theta), 0.0)
         return np.concatenate(
             [theta[: 2 * self.d], [np.exp(theta[2 * self.d]), np.tanh(theta[2 * self.d + 1])]]
         )
@@ -438,30 +444,25 @@ class Heckman(Family):
             + ["sigma", "rho"]
         )
 
-    def _params(self, theta, x):
-        theta = self._effective(theta)
-        mu1 = x @ theta[: self.d]
-        mu2 = x @ theta[self.d : 2 * self.d]
-        sigma = np.exp(theta[2 * self.d])
+    def _at(self, theta, x):
+        theta = np.where(self.free_mask, theta, 0.0)  # excluded coefficients are 0
         rho = np.tanh(theta[2 * self.d + 1])
-        return mu1, mu2, sigma, rho
+        return (x, x @ theta[: self.d], x @ theta[self.d : 2 * self.d],
+                np.exp(theta[2 * self.d]), rho, np.sqrt(1.0 - rho * rho))
 
-    def sample(self, theta, x, rng):
-        theta, x = self._args(theta, x)
-        mu1, mu2, sigma, rho = self._params(theta, x)
+    def _draw(self, state, rng):
+        x, mu1, mu2, sigma, rho, root = state
         e1 = rng.standard_normal(x.shape[0])
         e2 = rng.standard_normal(x.shape[0])
         z1 = mu1 + sigma * e1
-        z2 = mu2 + rho * e1 + np.sqrt(1.0 - rho * rho) * e2
+        z2 = mu2 + rho * e1 + root * e2
         selected = z2 > 0.0
         return np.column_stack([np.where(selected, z1, 0.0), selected.astype(float)])
 
-    def grad_log_density(self, theta, x, y):
-        theta, x, y = self._args(theta, x, y)
-        mu1, mu2, sigma, rho = self._params(theta, x)
+    def _score(self, state, y):
+        x, mu1, mu2, sigma, rho, root = state
         sel = np.flatnonzero(y[:, 1] == 1.0)
         unsel = np.flatnonzero(y[:, 1] != 1.0)
-        root = np.sqrt(1.0 - rho * rho)
         # Each branch's Mills ratio on that branch's rows only.
         z1 = (y[sel, 0] - mu1[sel]) / sigma
         lin = mu2[sel] + rho * z1
@@ -472,12 +473,12 @@ class Heckman(Family):
         d_mu2[unsel] = -_inverse_mills(-mu2[unsel])
         d_log_sigma[sel] = z1 * z1 - 1.0 - mills * rho * z1 / root
         d_atanh_rho[sel] = mills * (z1 / root + lin * rho / root ** 3) * (1.0 - rho * rho)
-        g = np.empty((x.shape[0], self.raw_dim))
-        np.multiply(d_mu1[:, None], x, out=g[:, : self.d])
-        np.multiply(d_mu2[:, None], x, out=g[:, self.d : 2 * self.d])
+        # a frozen coefficient's score is 0: only free columns are filled
+        g = np.zeros((x.shape[0], self.raw_dim))
+        for block, (d_mu, cols) in enumerate(zip((d_mu1, d_mu2), self._free_cols)):
+            g[:, block * self.d : (block + 1) * self.d][:, cols] = d_mu[:, None] * x[:, cols]
         g[:, 2 * self.d] = d_log_sigma
         g[:, 2 * self.d + 1] = d_atanh_rho
-        g[:, ~self.free_mask] = 0.0
         return g
 
 
@@ -517,18 +518,19 @@ class GaussianMixture(Family):
         names += [f"weight_{j + 1}" for j in range(m)]
         return names
 
-    def sample(self, theta, x, rng):
-        theta, x = self._args(theta, x)
+    def _at(self, theta, x):
         betas, sigmas, weights = self._split(theta)
-        rows = x.shape[0]
-        comp = rng.choice(self.n_components, size=rows, p=weights)
-        means = np.take_along_axis(x @ betas.T, comp[:, None], axis=1)[:, 0]
-        return means + sigmas[comp] * rng.standard_normal(rows)
+        return x, x @ betas.T, sigmas, weights
 
-    def grad_log_density(self, theta, x, y):
-        theta, x, y = self._args(theta, x, y)
-        betas, sigmas, weights = self._split(theta)
-        z = (y[:, None] - x @ betas.T) / sigmas[None, :]
+    def _draw(self, state, rng):
+        _, means, sigmas, weights = state
+        comp = rng.choice(self.n_components, size=means.shape[0], p=weights)
+        picked = np.take_along_axis(means, comp[:, None], axis=1)[:, 0]
+        return picked + sigmas[comp] * rng.standard_normal(means.shape[0])
+
+    def _score(self, state, y):
+        x, means, sigmas, weights = state
+        z = (y[:, None] - means) / sigmas[None, :]
         logc = -0.5 * _LOG_2PI - np.log(sigmas)[None, :] - 0.5 * z * z + np.log(weights)[None, :]
         resp = np.exp(logc - _special().logsumexp(logc, axis=1, keepdims=True))
         m, d = self.n_components, self.d
@@ -544,6 +546,10 @@ _FAMILY_REGISTRY = {
     cls.name: cls
     for cls in (GaussianLinear, Logistic, Poisson, GammaRegression, Heckman, GaussianMixture)
 }
+# each family holds the checked wrappers as its own methods, which the
+# benchmark's per-family probes (perfbench/probes.py) wrap
+for _family in _FAMILY_REGISTRY.values():
+    _family.sample, _family.grad_log_density = Family.sample, Family.grad_log_density
 
 
 def get_family(name, d, **kwargs):

@@ -30,14 +30,16 @@ estimate from ``B`` draw pairs.
 ``scipy.stats`` and decoding the raw parameters itself; the package has
 no densities, only samplers and scores.  :func:`kernel_value` evaluates
 a ``KernelSpec`` at two single points with ``math``, from the formulas in
-the ``KernelSpec`` docstring.  :func:`gaussian_draws`,
-:func:`gaussian_score`, :func:`gamma_draws`, :func:`gamma_score` and
-:func:`heckman_score` are the straightforward forms of the Gaussian
-sampler and score (a fresh array for every term), of the gamma sampler
-(``Generator.gamma`` with an array scale) and score, and of the Heckman
-score (every branch on every row, then ``np.where``) that the package's
-faster forms must match bit for bit.  :func:`top_pairs_oracle` ranks every pair
-of a dense covariate distance matrix.  :func:`csv_text` and
+the ``KernelSpec`` docstring.  :data:`FORMS` holds each family's
+sampler and score in a straightforward form, each computing its linear
+predictors itself, that the package's faster forms must match bit for
+bit: among them the Gaussian ones (a fresh array for every term), the
+gamma sampler (``Generator.gamma`` with an array scale) and the Heckman
+score (every branch on every row, then ``np.where``).
+:func:`gradient_step` is one gradient step written out from them: two
+draws, one score, the kernel difference and any pair batches.
+:func:`top_pairs_oracle` ranks every pair of a dense covariate distance
+matrix.  :func:`csv_text` and
 :func:`csv_read` are the dataset CSV format value by value and line by
 line; they import nothing from ``mmdreg.dataio``.
 """
@@ -47,8 +49,10 @@ import math
 import numpy as np
 from scipy import special, stats
 
-from mmdreg.kernels import gram
+from mmdreg.kernels import elementwise, gram
 from mmdreg.models import Dataset
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _row(x):
@@ -221,7 +225,73 @@ def gamma_draws(family, theta, x, rng):
     return rng.gamma(shape=nu, scale=np.exp(x @ theta[:d]) / nu)
 
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
+def logistic_draws(family, theta, x, rng):
+    """Logistic draws at rows ``x``: 1 where a uniform falls below
+    ``expit(theta' x)``, as ``int64``."""
+    return (rng.random(x.shape[0]) < special.expit(x @ theta)).astype(np.int64)
+
+
+def logistic_score(family, theta, x, y):
+    """Logistic raw score ``(n, d)``: ``(y - expit(theta' x)) x``."""
+    return (y - special.expit(x @ theta))[:, None] * x
+
+
+def poisson_draws(family, theta, x, rng):
+    """Poisson draws at rows ``x`` with rates ``exp(theta' x)``, as ``int64``."""
+    return rng.poisson(np.exp(x @ theta)).astype(np.int64)
+
+
+def poisson_score(family, theta, x, y):
+    """Poisson raw score ``(n, d)``: ``(y - exp(theta' x)) x``."""
+    return (y - np.exp(x @ theta))[:, None] * x
+
+
+def _mixture_parts(family, theta):
+    # component coefficients (m, d), scales and weights from the raw vector
+    m, d = family.n_components, family.d
+    weights = special.softmax(np.append(theta[m * d + m :], 0.0))
+    return theta[: m * d].reshape(m, d), np.exp(theta[m * d : m * d + m]), weights
+
+
+def mixture_draws(family, theta, x, rng):
+    """Mixture draws at rows ``x``: a component per row by ``rng.choice``
+    with the weights, then that component's mean plus its scale times a
+    standard normal."""
+    betas, sigmas, weights = _mixture_parts(family, theta)
+    n = x.shape[0]
+    comp = rng.choice(family.n_components, size=n, p=weights)
+    return (x @ betas.T)[np.arange(n), comp] + sigmas[comp] * rng.standard_normal(n)
+
+
+def mixture_score(family, theta, x, y):
+    """Mixture raw score: with responsibilities ``r`` and standardised
+    residuals ``z``, the blocks ``r_j z_j / sigma_j x``, then ``r (z**2 -
+    1)`` and ``r_j - weight_j`` for the free logits."""
+    betas, sigmas, weights = _mixture_parts(family, theta)
+    m = family.n_components
+    z = (y[:, None] - x @ betas.T) / sigmas
+    logc = -0.5 * _LOG_2PI - np.log(sigmas) - 0.5 * z * z + np.log(weights)
+    resp = np.exp(logc - special.logsumexp(logc, axis=1, keepdims=True))
+    blocks = [(resp[:, j] * z[:, j] / sigmas[j])[:, None] * x for j in range(m)]
+    return np.column_stack(blocks + [resp * (z * z - 1.0), resp[:, : m - 1] - weights[: m - 1]])
+
+
+def _heckman_parts(family, theta, x):
+    # mu1, mu2, sigma, rho with excluded coefficients frozen at zero
+    d = family.d
+    theta = np.where(family.free_mask, theta, 0.0)
+    return x @ theta[:d], x @ theta[d : 2 * d], np.exp(theta[2 * d]), np.tanh(theta[2 * d + 1])
+
+
+def heckman_draws(family, theta, x, rng):
+    """Heckman draws at rows ``x``: ``z1 = mu1 + sigma e1`` and ``z2 = mu2
+    + rho e1 + sqrt(1 - rho**2) e2`` from two standard normal batches,
+    observed as ``(z1 1{z2 > 0}, 1{z2 > 0})``."""
+    mu1, mu2, sigma, rho = _heckman_parts(family, theta, x)
+    e1 = rng.standard_normal(x.shape[0])
+    e2 = rng.standard_normal(x.shape[0])
+    selected = mu2 + rho * e1 + np.sqrt(1.0 - rho * rho) * e2 > 0.0
+    return np.column_stack([np.where(selected, mu1 + sigma * e1, 0.0), selected.astype(float)])
 
 
 def _mills(a):
@@ -234,9 +304,7 @@ def heckman_score(family, theta, x, y):
     row, the observed branch picked by ``np.where``, excluded
     coefficients frozen at zero with zero score."""
     d = family.d
-    theta = np.where(family.free_mask, theta, 0.0)
-    mu1, mu2 = x @ theta[:d], x @ theta[d : 2 * d]
-    sigma, rho = np.exp(theta[2 * d]), np.tanh(theta[2 * d + 1])
+    mu1, mu2, sigma, rho = _heckman_parts(family, theta, x)
     selected = y[:, 1] == 1.0
     root = np.sqrt(1.0 - rho * rho)
     z1 = (y[:, 0] - mu1) / sigma
@@ -254,6 +322,39 @@ def heckman_score(family, theta, x, y):
     g[:, 2 * d + 1] = d_atanh_rho
     g[:, ~family.free_mask] = 0.0
     return g
+
+
+FORMS = {
+    "gaussian_linear": (gaussian_draws, gaussian_score),
+    "gamma": (gamma_draws, gamma_score),
+    "logistic": (logistic_draws, logistic_score),
+    "poisson": (poisson_draws, poisson_score),
+    "heckman": (heckman_draws, heckman_score),
+    "mixture": (mixture_draws, mixture_score),
+}
+
+
+def gradient_step(family, theta, dataset, ky, rng, batches=()):
+    """One Monte Carlo gradient step written out: draws ``ya`` and ``yb``
+    and the score ``s`` at ``ya``, each from :data:`FORMS` at ``theta``,
+    and ``w = k(ya, yb) - k(ya, y)`` under the response kernel ``ky``.
+    The diagonal gives ``2 w @ s``; each batch ``(i, j, weight, factor)``
+    of unordered pairs adds both orientations, ``2 factor weight w_ij @
+    s[i]`` and ``2 factor weight w_ji @ s[j]``."""
+    draw, score = FORMS[family.name]
+    x, y = dataset.x, np.asarray(dataset.y, dtype=float)
+    ya = draw(family, theta, x, rng)
+    yb = draw(family, theta, x, rng)
+    s = score(family, theta, x, ya)
+    grad = np.zeros(family.raw_dim)
+    grad += 2.0 * ((elementwise(ky, ya, yb) - elementwise(ky, ya, y)) @ s)
+    for i, j, weight, factor in batches:
+        w_ij = elementwise(ky, ya[i], yb[j]) - elementwise(ky, ya[i], y[j])
+        w_ji = elementwise(ky, ya[j], yb[i]) - elementwise(ky, ya[j], y[i])
+        contrib = (2.0 * factor * weight * w_ij) @ s[i]
+        contrib += (2.0 * factor * weight * w_ji) @ s[j]
+        grad += contrib
+    return grad
 
 
 def _psi(v):

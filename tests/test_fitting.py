@@ -479,9 +479,9 @@ class TestFitMmd:
         # The score turns non-finite on the fourth step, so the fit stops
         # after three and returns the third iterate.
         class Breaks(GaussianLinear):
-            def grad_log_density(self, theta, x, y):
+            def _score(self, state, y):
                 self.calls = getattr(self, "calls", 0) + 1
-                score = super().grad_log_density(theta, x, y)
+                score = super()._score(state, y)
                 return score if self.calls <= 3 else np.full_like(score, np.nan)
 
         fam, ds = simulate_dataset("gauss_linear_laplace", 50, seed=25)

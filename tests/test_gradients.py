@@ -605,6 +605,26 @@ class TestPairCacheWeights:
         assert cache.det_i.size == m
         assert peak < 32 * (n + m) * 8, f"peak {peak / 1e6:.2f} MB"
 
+    def test_build_memory_with_tiny_coordinates(self):
+        # Rows from {0, 1e-300}^2 are distinct, but the squares of their
+        # differences underflow, so all n^2 / 2 pairs lie at distance 0 and
+        # the row groups do not apply; listing every pair within radius 0
+        # traced 128 MB here.
+        n = m = 2000
+        x = np.random.default_rng(26).choice([0.0, 1e-300], size=(n, 2))
+        kern = matern_kernel(1.0)
+        build_pair_cache(kern, np.arange(20.0).reshape(10, 2), 3)  # scipy imported untraced
+        tracemalloc.start()
+        try:
+            cache = build_pair_cache(kern, x, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every pair ties, so the first m are (0, 1), ..., (0, n - 1), (1, 2)
+        assert cache.det_i.tolist() == [0] * (n - 1) + [1]
+        assert cache.det_j.tolist() == list(range(1, n)) + [2]
+        assert peak < 32 * (n + m) * 8, f"peak {peak / 1e6:.2f} MB"
+
     def test_build_on_repeated_rows_skips_the_tree(self, monkeypatch):
         # Rows from {0, 1}^3 make far more than m identical pairs, which the
         # row groups give in O(n + m) time; the tree's nearest-neighbour

@@ -8,7 +8,7 @@ quadrature, and the discrete supports to sum to one.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -17,7 +17,7 @@ from mmdreg.bench import ExperimentPlan
 from mmdreg.contamination import ContaminationSpec
 from mmdreg.fitting import FitConfig, default_kernel
 from mmdreg.gradients import build_pair_cache, grad_objective_estimate
-from mmdreg.kernels import default_covariate_kernel, default_response_kernel
+from mmdreg.kernels import default_covariate_kernel, default_response_kernel, gram
 from mmdreg.models import (
     Dataset,
     GaussianMixture,
@@ -36,6 +36,7 @@ from oracles import (
     gamma_score,
     gaussian_draws,
     gaussian_score,
+    gradient_step,
     heckman_score,
     log_density,
 )
@@ -319,6 +320,30 @@ def _draw_case(data, family, scale):
     return theta, x
 
 
+def _responses(data, family, n):
+    """Responses of the family's kind for a dataset of ``n`` rows; censored
+    rows are all, none or some of them selected."""
+    if family.kind == "censored":
+        pattern = data.draw(st.sampled_from(["all", "none", "mixed"]), label="selected")
+        if pattern == "mixed":
+            selected = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            selected = np.full(n, pattern == "all")
+        outcome = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+        return np.column_stack([np.where(selected, outcome, 0.0), selected.astype(float)])
+    values = {"real": st.floats(-1e300, 1e300), "count": st.integers(0, 50),
+              "binary": st.integers(0, 1)}[family.kind]
+    return np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="y"))
+
+
+def _outcome(call):
+    # the result, or the exception a step may end in
+    try:
+        return call()
+    except (FloatingPointError, NumericalError, ValueError) as exc:
+        return exc
+
+
 class TestFastPaths:
     """The sampler and score forms the fit loop runs equal the plain
     forms of ``tests/oracles.py`` bit for bit."""
@@ -400,6 +425,74 @@ class TestFastPaths:
             got = fam.grad_log_density(theta, x, y)
             want = heckman_score(fam, theta, x, y)
         assert got.tobytes() == want.tobytes()
+
+    @PROPERTY
+    @pytest.mark.parametrize("with_cache", [False, True], ids=["tilde", "hat"])
+    @given(data=st.data())
+    def test_step_matches_oracle_step(self, with_cache, data):
+        # the step's one per-theta state gives both draws and the score the
+        # bits, and the generators the states, of the written-out step
+        name = data.draw(st.sampled_from(sorted(_FAMILY_REGISTRY)), label="family")
+        d = data.draw(st.integers(1, 4), label="d")
+        kwargs = {}
+        if name == "heckman":
+            kwargs = {label: data.draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(any),
+                                       label=label)
+                      for label in ("outcome_support", "selection_support")}
+        elif name == "mixture":
+            kwargs = {"n_components": data.draw(st.integers(2, 3), label="components")}
+        fam = get_family(name, d, **kwargs)
+        scale = data.draw(st.sampled_from([0.3, 3.0, 300.0]), label="scale")
+        theta, x = _draw_case(data, fam, scale)
+        n = x.shape[0]
+        assume(n > 0)
+        if fam.log_param is not None:
+            # sigma or nu near 0, 1, and past exp's overflow
+            theta[d] = data.draw(st.one_of(
+                st.sampled_from([-800.0, -690.0, 0.0, 690.0, 710.0]), st.floats(-5.0, 5.0)),
+                label="log_param")
+        dataset = Dataset(x, _responses(data, fam, n), fam.kind)
+        kernel = default_kernel()
+        cache, m_samp = None, None
+        if with_cache:
+            cache = build_pair_cache(kernel.x_kernel, x,
+                                     data.draw(st.integers(0, n * (n - 1) // 2), label="m_det"))
+            m_samp = data.draw(st.integers(0, n), label="m_samp")
+        seeds = data.draw(st.tuples(*[st.integers(0, 2**32 - 1)] * 2), label="seeds")
+
+        def batches(rng):
+            # the cache's deterministic set and a sample of the rest, each
+            # pair weighed by the dense covariate Gram; read after the draws
+            if cache is None:
+                return
+            kx = gram(kernel.x_kernel, x, x)
+            yield cache.det_i, cache.det_j, kx[cache.det_i, cache.det_j], 1.0
+            m = min(m_samp, cache.remaining)
+            if m > 0:
+                si, sj = cache.sample_remaining(m, rng)
+                yield si, sj, kx[si, sj], cache.remaining / m
+
+        for mode in ("ignore", "raise"):
+            got_rngs = [np.random.default_rng(s) for s in seeds]
+            want_rngs = [np.random.default_rng(s) for s in seeds]
+            with np.errstate(all=mode):
+                got = _outcome(lambda: grad_objective_estimate(
+                    fam, theta, dataset, kernel, cache=cache, m_samp=m_samp,
+                    rng_draws=got_rngs[0], rng_pairs=got_rngs[1]))
+                want = _outcome(lambda: gradient_step(
+                    fam, theta, dataset, kernel.y_kernel, want_rngs[0], batches(want_rngs[1])))
+            if mode == "raise" and isinstance(got, FloatingPointError):
+                # the step may raise where the written-out one does, not elsewhere
+                assert isinstance(want, FloatingPointError)
+                continue
+            if mode == "raise" and isinstance(want, FloatingPointError):
+                continue  # the step skips work, such as frozen Heckman columns
+            if isinstance(want, ValueError):  # numpy refuses a poisson rate
+                assert name == "poisson" and isinstance(got, NumericalError)
+            else:
+                assert got.tobytes() == want.tobytes()
+            for g, w in zip(got_rngs, want_rngs):
+                assert g.bit_generator.state == w.bit_generator.state
 
 
 class TestDataset:
