@@ -31,7 +31,7 @@ from .errors import ConfigError, DomainError, NumericalError
 # gram is bound here, unused, so probes that wrap this module's kernel
 # calls (perfbench/probes.py) still find it: nothing here builds a Gram
 from .kernels import (  # noqa: F401
-    KernelSpec, _aligned_dists, _as_points, _coords, _profile,
+    KernelSpec, _aligned_dists, _as_points, _coords, _evaluator, _profile,
     _x_kernel, _y_kernel, elementwise, gram,
 )
 from .models import _count, _whole
@@ -45,33 +45,24 @@ def _linear_from_pair(i, j, n):
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-def _pair_from_linear(t, n):
-    t = np.asarray(t, dtype=np.int64)
+def _row_starts(n):
+    # each row's first linear index, then the pair count: n + 1 int64
+    i = np.arange(n + 1, dtype=np.int64)
+    return i * n - (i * (i + 1) >> 1)
+
+
+def _pair_from_linear(t, starts):
+    # the pairs of int64 linear indices t, given the table _row_starts(n)
+    n = starts.size - 1
     b = 2 * n - 1
     # floor(x / 2) as floor(0.5 x): the same exact value, many times faster
     # than numpy's float floor division
     i = np.floor(0.5 * (b - np.sqrt(b * b - 8.0 * t))).astype(np.int64)
     i = np.clip(i, 0, n - 2)
     # one-step corrections for sqrt rounding
-    start = i * n - i * (i + 1) // 2
-    i = i - (start > t)
-    nxt = (i + 1) * n - (i + 1) * (i + 2) // 2
-    i = i + (nxt <= t)
-    start = i * n - i * (i + 1) // 2
-    j = t - start + i + 1
-    return i, j
-
-
-def _pairs_outside(base, ranks, n):
-    # the pairs of the given ranks, in (i, j) order, among those
-    # whose linear index is not held; base is the sorted held indices
-    # minus their positions.  Sorted keys search several times faster;
-    # the offsets go back to the ranks' own order, which fixes the
-    # summation order of the gradient.
-    order = np.argsort(ranks)
-    offsets = np.empty_like(ranks)
-    offsets[order] = np.searchsorted(base, ranks[order], side="right")
-    return _pair_from_linear(ranks + offsets, n)
+    i = i - (starts[i] > t)
+    i = i + (starts[i + 1] <= t)
+    return i, t - starts[i] + i + 1
 
 
 def _kd_tree():
@@ -201,11 +192,12 @@ class PairCache:
     Holds the kernel and covariates it was built from (``x_kernel``,
     ``x``), the covariates as the kernel measures them (``kx``, psi-warped
     for a ``psi_matern`` leaf), the deterministic set with its weights,
-    and the bookkeeping to sample the remaining unordered pairs.  The set
-    is the first ``m_det`` pairs by ``(d, i, j)``, ``d`` the distance
-    between ``kx`` rows (:func:`top_pairs`), and a pair's weight is the
-    kernel's profile at ``d``.  Every array is of size ``n`` or ``m_det``; sampled
-    pairs are weighed when drawn, by :meth:`weights`.
+    and the bookkeeping to sample the remaining unordered pairs (with
+    ``row_starts``, each row's first linear index).  The set is the first
+    ``m_det`` pairs by ``(d, i, j)``, ``d`` the distance between ``kx``
+    rows (:func:`top_pairs`), and a pair's weight is the kernel's profile
+    at ``d``.  Every array is of size ``n + 1`` at most or ``m_det``;
+    sampled pairs are weighed when drawn, by :meth:`weights`.
     """
 
     n: int
@@ -218,6 +210,7 @@ class PairCache:
     det_linear: np.ndarray
     comp_base: np.ndarray
     total_pairs: int
+    row_starts: np.ndarray
 
     @property
     def remaining(self):
@@ -226,7 +219,15 @@ class PairCache:
     def sample_remaining(self, m, rng):
         """Uniform SRSWOR of ``m`` non-deterministic pairs, as index arrays."""
         ranks = sample_pair_indices(self.remaining, m, rng)
-        return _pairs_outside(self.comp_base, ranks, self.n)
+        # each rank's pair among those whose linear index is not held;
+        # comp_base is the sorted held indices minus their positions.
+        # Sorted keys search several times faster; the offsets go back to
+        # the ranks' own order, which fixes the summation order of the
+        # gradient.
+        order = np.argsort(ranks)
+        offsets = np.empty_like(ranks)
+        offsets[order] = np.searchsorted(self.comp_base, ranks[order], side="right")
+        return _pair_from_linear(ranks + offsets, self.row_starts)
 
     def weights(self, i, j):
         """Covariate kernel weights of pairs ``(i, j)``, equal bit for bit
@@ -251,24 +252,64 @@ def build_pair_cache(x_kernel, x, m_det):
         kx=kx,
         det_i=det_i,
         det_j=det_j,
-        det_kx=_profile(x_kernel, _aligned_dists(kx[det_i], kx[det_j])),
+        det_kx=elementwise(x_kernel, x[det_i], x[det_j]),
         det_linear=det_linear,
         comp_base=det_linear - np.arange(det_linear.size),
         total_pairs=n * (n - 1) // 2,
+        row_starts=_row_starts(n),
     )
 
 
-def grad_objective_estimate(
-    family,
-    theta,
-    dataset,
-    kernel,
-    *,
-    cache=None,
-    m_samp=None,
-    rng_draws=None,
-    rng_pairs=None,
-):
+def _prepare(family, theta, dataset, kernel, cache, m_samp):
+    # Check a gradient's inputs and fix what its steps share: the response
+    # kernel resolved, the float responses, and for the hat gradient the
+    # fixed pairs with their observed responses and doubled weights.
+    # Returns the checked theta and step(theta, rng_draws, rng_pairs), for
+    # checked arguments, which fit_mmd calls on every iteration.
+    dataset = _dataset_for(family, dataset)
+    theta, x = family._args(family.check_theta(theta), dataset.x)
+    m_samp = dataset.n if m_samp is None else _count(m_samp, "m_samp")
+    ky = _evaluator(_y_kernel(kernel), _aligned_dists)
+    yobs = np.asarray(dataset.y, dtype=float)
+    if cache is not None:
+        if cache.x_kernel != _x_kernel(kernel):
+            raise ConfigError("the pair cache was built with another covariate kernel")
+        if cache.n != dataset.n:
+            raise DomainError(f"the pair cache covers {cache.n} rows, the dataset has {dataset.n}")
+        if cache.x is not x and not np.array_equal(cache.x, x):
+            raise DomainError("the pair cache was built from other covariates")
+        m_samp = min(m_samp, cache.remaining)
+        i, j = cache.det_i, cache.det_j
+        fixed = [(i, j, 2.0 * cache.det_kx, yobs[j], yobs[i])] if i.size else []
+
+    def step(theta, rng_draws, rng_pairs):
+        grad = np.zeros(family.raw_dim)
+        state = family._at(theta, x)  # read by both draws and the score
+        ya = family._draw(state, rng_draws)
+        yb = family._draw(state, rng_draws)
+        scores = family._score(state, ya)
+        # each diagonal term's covariate weight k(x_i, x_i) is exactly 1
+        grad += 2.0 * ((ky(ya, yb) - ky(ya, yobs)) @ scores)
+        if cache is None:
+            return grad
+        batches = list(fixed)
+        if m_samp:
+            si, sj = cache.sample_remaining(m_samp, rng_pairs)
+            scale = 2.0 * (cache.remaining / m_samp) * cache.weights(si, sj)
+            batches.append((si, sj, scale, yobs[sj], yobs[si]))
+        for idx_i, idx_j, scale, yobs_j, yobs_i in batches:
+            ya_i, ya_j = ya[idx_i], ya[idx_j]
+            w_ij = ky(ya_i, yb[idx_j]) - ky(ya_i, yobs_j)
+            w_ji = ky(ya_j, yb[idx_i]) - ky(ya_j, yobs_i)
+            contrib = (scale * w_ij) @ scores.take(idx_i, axis=0)
+            contrib += (scale * w_ji) @ scores.take(idx_j, axis=0)
+            grad += contrib
+        return grad
+    return theta, step
+
+
+def grad_objective_estimate(family, theta, dataset, kernel, *, cache=None, m_samp=None,
+                            rng_draws=None, rng_pairs=None):
     """Unbiased Monte Carlo gradient of an empirical objective.
 
     Without a ``cache`` this is the tilde gradient, the sum of diagonal-loss
@@ -277,6 +318,8 @@ def grad_objective_estimate(
     without-replacement sample of ``m_samp`` others reweighted to cover the rest.
     One set of model draws is shared by the diagonal and both
     orientations of every pair, which leaves the estimator unbiased.
+    This is the checked entry over the step a fit prepares once
+    (``fitting.fit_mmd``): the same checks, then the same step.
 
     Args:
         family: response family.
@@ -296,41 +339,5 @@ def grad_objective_estimate(
     Returns:
         The summed gradient, shape ``(raw_dim,)``.
     """
-    dataset = _dataset_for(family, dataset)
-    theta, x = family._args(family.check_theta(theta), dataset.x)
-    m_samp = dataset.n if m_samp is None else _count(m_samp, "m_samp")
-    rng_draws = np.random.default_rng(rng_draws)
-    rng_pairs = np.random.default_rng(rng_pairs)
-    ky = _y_kernel(kernel)
-    yobs = np.asarray(dataset.y, dtype=float)
-    if cache is not None:
-        if cache.x_kernel != _x_kernel(kernel):
-            raise ConfigError("the pair cache was built with another covariate kernel")
-        if cache.n != dataset.n:
-            raise DomainError(f"the pair cache covers {cache.n} rows, the dataset has {dataset.n}")
-        if cache.x is not x and not np.array_equal(cache.x, x):
-            raise DomainError("the pair cache was built from other covariates")
-        m_samp = min(m_samp, cache.remaining)
-    grad = np.zeros(family.raw_dim)
-    state = family._at(theta, x)  # read by both draws and the score
-    ya = family._draw(state, rng_draws)
-    yb = family._draw(state, rng_draws)
-    scores = family._score(state, ya)
-    w = elementwise(ky, ya, yb) - elementwise(ky, ya, yobs)
-    # each diagonal term's covariate weight k(x_i, x_i) is exactly 1
-    grad += 2.0 * (w @ scores)
-    if cache is None:
-        return grad
-    batches = [(cache.det_i, cache.det_j, cache.det_kx, 1.0)] if cache.det_i.size else []
-    if m_samp > 0 and cache.remaining > 0:
-        si, sj = cache.sample_remaining(m_samp, rng_pairs)
-        batches.append((si, sj, cache.weights(si, sj), cache.remaining / m_samp))
-    for idx_i, idx_j, weight, factor in batches:
-        ya_i, ya_j = ya[idx_i], ya[idx_j]
-        w_ij = elementwise(ky, ya_i, yb[idx_j]) - elementwise(ky, ya_i, yobs[idx_j])
-        w_ji = elementwise(ky, ya_j, yb[idx_i]) - elementwise(ky, ya_j, yobs[idx_i])
-        scale = 2.0 * factor * weight
-        contrib = (scale * w_ij) @ scores.take(idx_i, axis=0)
-        contrib += (scale * w_ji) @ scores.take(idx_j, axis=0)
-        grad += contrib
-    return grad
+    theta, step = _prepare(family, theta, dataset, kernel, cache, m_samp)
+    return step(theta, np.random.default_rng(rng_draws), np.random.default_rng(rng_pairs))

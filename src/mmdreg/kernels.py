@@ -71,19 +71,6 @@ def _psi(v):
     return 0.5 + v / (2.0 * (root + 2.0))
 
 
-def _matern(r, gamma, m):
-    # M_m of the KernelSpec docstring at distance r.  exp(-s) is 0 from
-    # s = 745.2 on, so capping s near 800 changes no value, while an s
-    # that overflows would turn the product into inf * 0 = NaN.
-    scale = math.sqrt(float(m)) / gamma
-    s = scale * np.minimum(r, 800.0 / scale)
-    if m == 1:
-        return np.exp(-s)
-    if m == 3:
-        return (1.0 + s) * np.exp(-s)
-    return (1.0 + s + s * s / 3.0) * np.exp(-s)
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Declarative description of a kernel.
@@ -225,54 +212,72 @@ def _aligned_dists(a, b):
     return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
-def _radial(spec, r):
-    # As in _matern, distances are capped where the exponent passes 745,
-    # beyond which exp is 0, so r / gamma and r * r cannot overflow.
+def _radial(spec):
+    # spec's value as a function of the distance r, capped where the
+    # exponent passes 745 (exp is 0 beyond), so neither r / gamma, r * r nor
+    # a Matern s overflows (an inf s turns its product into inf * 0 = NaN).
+    gamma, m = spec.gamma, spec.m
     if spec.family == "exponential":
-        return np.exp(-np.minimum(r, 800.0 * spec.gamma) / spec.gamma)
+        return lambda r: np.exp(-np.minimum(r, 800.0 * gamma) / gamma)
     if spec.family == "gaussian":
-        r = np.minimum(r, 40.0 * spec.gamma)
-        return np.exp(-(r * r) / (2.0 * spec.gamma * spec.gamma))
-    return _matern(r, spec.gamma, spec.m)
+        return lambda r: np.exp(-np.square(np.minimum(r, 40.0 * gamma)) / (2.0 * gamma * gamma))
+    scale = math.sqrt(float(m)) / gamma
+
+    def matern(r):
+        # M_m of the KernelSpec docstring
+        s = scale * np.minimum(r, 800.0 / scale)
+        if m == 1:
+            return np.exp(-s)
+        return (1.0 + s if m == 3 else 1.0 + s + s * s / 3.0) * np.exp(-s)
+    return matern
 
 
-def _leaf(spec):
-    # the radial kernel under spec's affine shifts
+def _resolve(spec):
+    """``spec``, radial or affine shifts of one, read once: the map of points
+    to its leaf's coordinates (psi-mapped for ``psi_matern``) and its value
+    at a distance between such points.  Neither reads the spec when called."""
+    betas = []
     while spec.family == "affine_shift":
+        betas.insert(0, spec.beta)
         spec = spec.child
     if spec.family == "product":
         raise ConfigError("a covariate kernel must be radial or an affine shift of one")
-    return spec
+    radial = _radial(spec)
 
-
-def _shift(spec, v):
-    # spec's affine shifts applied to its leaf's values v, innermost first
-    if spec.family == "affine_shift":
-        return spec.beta * _shift(spec.child, v) + (1.0 - spec.beta)
-    return v
+    def profile(r):
+        v = radial(r)
+        for beta in betas:
+            v = beta * v + (1.0 - beta)
+        return v
+    return (lambda z: _psi(_as_points(z))) if spec.family == "psi_matern" else _as_points, profile
 
 
 def _coords(spec, z):
     """The points as the leaf of ``spec`` measures them, psi-mapped for ``psi_matern``."""
-    z = _as_points(z)
-    return _psi(z) if _leaf(spec).family == "psi_matern" else z
+    return _resolve(spec)[0](z)
 
 
 def _profile(spec, r):
     """Value of ``spec`` at distance ``r`` between :func:`_coords` points."""
-    return _shift(spec, _radial(_leaf(spec), r))
+    return _resolve(spec)[1](r)
+
+
+def _evaluator(spec, dists):
+    """``spec`` (not a product) resolved once, as a function of two point
+    sets at the distances ``dists`` gives, aligned or cross."""
+    coords, profile = _resolve(spec)
+    return lambda a, b: profile(dists(coords(a), coords(b)))
 
 
 def _evaluate(spec, a, b, dists):
     # The one interpreter of a KernelSpec: a product multiplies its two
-    # factors, and any other spec is its profile at the distances
-    # ``dists`` gives between its coordinates.
+    # factors, and any other spec is its resolved evaluator.
     a = _point_parts(spec, a)
     b = _point_parts(spec, b)
     if spec.family == "product":
         kx = _evaluate(spec.x_kernel, a[0], b[0], dists)
         return kx * _evaluate(spec.y_kernel, a[1], b[1], dists)
-    return _profile(spec, dists(_coords(spec, a[0]), _coords(spec, b[0])))
+    return _evaluator(spec, dists)(a[0], b[0])
 
 
 def _x_kernel(kernel):

@@ -167,10 +167,11 @@ def objective(family, theta, dataset, kernel, estimator="tilde", *, mode=None, b
         cross = probs @ kyy @ probs.T
         return ObjectiveValue(float(np.sum(kx * (cross - 2.0 * (probs @ kdata)))), 0.0, "exact")
     rng = np.random.default_rng(rng)
+    state = family._at(*family._args(theta, dataset.x))  # read by every draw
     totals = np.empty(budget)
     for p in range(totals.size):
-        ya = family.sample(theta, dataset.x, rng)
-        yb = family.sample(theta, dataset.x, rng)
+        ya = family._draw(state, rng)
+        yb = family._draw(state, rng)
         if estimator == "tilde":
             totals[p] = (elementwise(ky, ya, yb) - 2.0 * elementwise(ky, ya, dataset.y)).sum()
         else:

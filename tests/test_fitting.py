@@ -1,6 +1,7 @@
 """Tests for the baselines and the AdaGrad discrepancy fits."""
 
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from scipy import special
 from mmdreg import fitting
 from mmdreg.errors import ConfigError, NumericalError
 from mmdreg.fitting import (
+    ADAGRAD_EPS,
     FitConfig,
     default_kernel,
     fit,
@@ -24,6 +26,7 @@ from mmdreg.kernels import (
     product_kernel,
     psi_matern_kernel,
 )
+from mmdreg.gradients import build_pair_cache, grad_objective_estimate
 from mmdreg.models import Dataset, GaussianLinear, get_family, get_scenario, simulate_dataset
 from mmdreg.objective import objective
 
@@ -507,3 +510,80 @@ class TestFitMmd:
         tilde = fit(fam, ds, FitConfig(estimator="tilde", iters=30, seed=0))
         assert tilde.estimator == "tilde"
         assert default_kernel().family == "product"
+
+
+def checked_loop(family, ds, config, start):
+    # fit_mmd's loop written over the checked entry: one
+    # grad_objective_estimate call and one AdaGrad update per step, on
+    # the fit's own streams, pair cache and trace rows
+    def stream(key):
+        return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(key,)))
+
+    kernel = config.kernel or default_kernel()
+    rng_draws, rng_pairs, rng_trace = stream(11), stream(13), stream(17)
+    cache = None
+    if config.estimator == "hat":
+        cache = build_pair_cache(kernel.x_kernel, ds.x, ds.n if config.m1 is None else config.m1)
+    theta, sumsq, rows = start, np.zeros(family.raw_dim), []
+    for t in range(config.iters):
+        g = grad_objective_estimate(family, theta, ds, kernel, cache=cache, m_samp=config.m2,
+                                    rng_draws=rng_draws, rng_pairs=rng_pairs)
+        sumsq += g * g
+        theta = theta - config.eta * g / (np.sqrt(sumsq) + ADAGRAD_EPS)
+        value = np.nan
+        if config.trace_objective_every and (t + 1) % config.trace_objective_every == 0:
+            value = objective(family, theta, ds, kernel, config.estimator, budget=1,
+                              rng=rng_trace).value
+        rows.append((t, math.sqrt(g @ g), value))
+    return theta, np.array(rows)
+
+
+def family_case(name, seed, n=40, **kwargs):
+    rng = np.random.default_rng(seed)
+    fam = get_family(name, 3, **kwargs)
+    x = rng.standard_normal((n, 3))
+    theta = 0.3 * rng.standard_normal(fam.raw_dim)
+    return fam, Dataset(x, fam.sample(theta, x, rng), fam.kind)
+
+
+MASKS = {"outcome_support": [True, True, False], "selection_support": [True, False, True]}
+LOOP_CASES = {
+    name: (name, kwargs) for name, kwargs in (
+        ("gaussian_linear", {}), ("logistic", {}), ("poisson", {}), ("gamma", {}),
+        ("heckman", {}), ("mixture", {}))
+}
+LOOP_CASES["heckman_masked"] = ("heckman", MASKS)
+
+
+class TestPreparedStep:
+    # A fit checks its inputs and prepares its step once, then steps; the
+    # checked entry prepares and steps on every call.  The two loops must
+    # give the same bytes, so no state the step keeps across iterations
+    # shows in a fit.
+    def assert_same_loop(self, fam, ds, config):
+        res = fit_mmd(fam, ds, config)
+        theta, trace = checked_loop(fam, ds, config, res.init_used)
+        assert res.error is None and res.iterations == config.iters
+        assert res.theta_raw.tobytes() == theta.tobytes()
+        assert res.trace.tobytes() == trace.tobytes()
+
+    @pytest.mark.parametrize("estimator", ["tilde", "hat"])
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_fit_loop_equals_checked_loop(self, case, estimator):
+        name, kwargs = LOOP_CASES[case]
+        fam, ds = family_case(name, 30 + len(case), **kwargs)
+        self.assert_same_loop(fam, ds, FitConfig(estimator=estimator, iters=20, seed=9,
+                                                 m1=25, m2=30))
+
+    @pytest.mark.parametrize("m1, m2", [(0, 30), (25, 0), (0, 0), (40 * 39 // 2, None)])
+    def test_pair_budgets(self, m1, m2):
+        # no fixed pairs, no sampled pairs, neither, and a cache holding
+        # every pair, so none remain to sample
+        fam, ds = family_case("gamma", 41)
+        self.assert_same_loop(fam, ds, FitConfig(estimator="hat", iters=20, seed=10, m1=m1, m2=m2))
+
+    @pytest.mark.parametrize("estimator", ["tilde", "hat"])
+    def test_traced_fit(self, estimator):
+        fam, ds = family_case("heckman", 42, **MASKS)
+        self.assert_same_loop(fam, ds, FitConfig(estimator=estimator, iters=20, seed=11,
+                                                 m1=25, m2=30, trace_objective_every=4))

@@ -28,7 +28,7 @@ from mmdreg.gradients import (
     top_pairs,
 )
 from mmdreg import gradients
-from mmdreg.gradients import _linear_from_pair, _pair_from_linear
+from mmdreg.gradients import _linear_from_pair, _pair_from_linear, _row_starts
 from mmdreg.kernels import _coords, _cross_dists
 from mmdreg.kernels import (
     affine_shift_kernel,
@@ -205,12 +205,33 @@ class TestPairGradients:
             grad_objective_estimate(fam, np.zeros(1), ds, KY, cache=cache)
 
 
+def pair_formula(t, n):
+    # the pair map by the closed form of each row's first index,
+    # i n - i (i + 1) / 2, in integer division: the oracle for the table
+    t = np.asarray(t, dtype=np.int64)
+    b = 2 * n - 1
+    i = np.clip(np.floor(0.5 * (b - np.sqrt(b * b - 8.0 * t))).astype(np.int64), 0, n - 2)
+    i = i - (i * n - i * (i + 1) // 2 > t)
+    i = i + ((i + 1) * n - (i + 1) * (i + 2) // 2 <= t)
+    return i, t - (i * n - i * (i + 1) // 2) + i + 1
+
+
+class FormulaStarts:
+    # the row-start table's entries from the closed form, computed on
+    # demand, for n too large to tabulate
+    def __init__(self, n):
+        self.n, self.size = n, n + 1
+
+    def __getitem__(self, i):
+        return i * self.n - i * (i + 1) // 2
+
+
 class TestPairIndexing:
     def test_linear_round_trip_small(self):
         for n in (2, 3, 5, 57):
             total = n * (n - 1) // 2
             t = np.arange(total)
-            i, j = _pair_from_linear(t, n)
+            i, j = _pair_from_linear(t, _row_starts(n))
             assert np.all(i < j) and np.all(j < n) and np.all(i >= 0)
             assert np.array_equal(_linear_from_pair(i, j, n), t)
 
@@ -220,8 +241,35 @@ class TestPairIndexing:
         rng = np.random.default_rng(4)
         t = rng.integers(0, total, size=20000)
         t = np.concatenate([t, [0, total - 1]])
-        i, j = _pair_from_linear(t, n)
+        i, j = _pair_from_linear(t, _row_starts(n))
         assert np.array_equal(_linear_from_pair(i, j, n), t)
+
+    @pytest.mark.parametrize("n", [2, 3, 57, 2000])
+    def test_table_map_matches_formula_everywhere(self, n):
+        starts = _row_starts(n)
+        k = np.arange(n + 1, dtype=np.int64)
+        assert starts.dtype == np.int64
+        assert np.array_equal(starts, k * n - k * (k + 1) // 2)
+        t = np.arange(n * (n - 1) // 2)
+        got, want = _pair_from_linear(t, starts), pair_formula(t, n)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_table_map_matches_formula_at_large_n(self):
+        n = 100_000
+        total = n * (n - 1) // 2
+        t = np.concatenate([np.random.default_rng(5).integers(0, total, size=200_000),
+                            [0, n - 2, n - 1, total - 2, total - 1]])
+        got, want = _pair_from_linear(t, _row_starts(n)), pair_formula(t, n)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # at n = 10**9 the float guess misses the row at many row starts,
+        # so both corrections run; the entries come from the closed form
+        n = 10**9
+        rows = np.random.default_rng(6).integers(1, n - 1, size=20_000)
+        starts = FormulaStarts(n)
+        t = np.concatenate([starts[rows], starts[rows] - 1])
+        got, want = _pair_from_linear(t, starts), pair_formula(t, n)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(_linear_from_pair(*got, n), t)
 
     def test_top_pairs_ranking(self):
         # distances 0.3, 0.8, 2.2, 2.5, 3.0, 3.3: the closest pairs weigh most
@@ -293,15 +341,20 @@ class TestPairIndexing:
         assert chisq < stats.chi2.ppf(0.999, 19)
 
     def test_cache_complement_is_exact(self):
+        # all the pairs sample_remaining can draw are exactly those the
+        # cache does not hold, for held counts from none to all pairs
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((9, 2))
-        cache = build_pair_cache(psi_matern_kernel(0.5, m=1), x, 10)
-        total = 9 * 8 // 2
-        comp = np.setdiff1d(np.arange(total), cache.det_linear)
-        assert cache.remaining == comp.size
-        si, sj = cache.sample_remaining(cache.remaining, np.random.default_rng(8))
-        sampled = np.sort(_linear_from_pair(si, sj, 9))
-        assert np.array_equal(sampled, comp)
+        for n, m1 in [(9, 10), (2, 0), (2, 1), (3, 3), (61, 0), (61, 1830)] + [
+                (int(k), int(rng.integers(0, k * (k - 1) // 2 + 1))) for k in rng.integers(2, 80, 6)]:
+            x = rng.standard_normal((n, 2))
+            cache = build_pair_cache(psi_matern_kernel(0.5, m=1), x, m1)
+            total = n * (n - 1) // 2
+            comp = np.setdiff1d(np.arange(total), cache.det_linear)
+            assert cache.remaining == comp.size == total - m1
+            si, sj = cache.sample_remaining(cache.remaining, np.random.default_rng(8))
+            assert np.all((0 <= si) & (si < sj) & (sj < n))
+            sampled = np.sort(_linear_from_pair(si, sj, n))
+            assert np.array_equal(sampled, comp)
 
 
     def test_sampled_pairs_keep_draw_order(self, monkeypatch):
@@ -536,13 +589,14 @@ class TestPairOracles:
         total = n * (n - 1) // 2
         t = np.array(data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=8))
                      + [0, total - 1], dtype=np.int64)
-        i, j = _pair_from_linear(t, n)
+        starts = FormulaStarts(n)
+        i, j = _pair_from_linear(t, starts)
         assert np.all((0 <= i) & (i < j) & (j < n))
         assert np.array_equal(_linear_from_pair(i, j, n), t)
         a = data.draw(st.integers(0, n - 2), label="i")
         b = data.draw(st.integers(a + 1, n - 1), label="j")
         ti = _linear_from_pair(a, b, n)
-        back = _pair_from_linear(np.array([ti]), n)
+        back = _pair_from_linear(np.array([ti]), starts)
         assert (int(back[0][0]), int(back[1][0])) == (a, b)
 
 
